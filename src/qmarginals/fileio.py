@@ -29,7 +29,7 @@ def write_matrix(path, matrix, dims) -> None:
 
 
 def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
-    """Parse a matrix file; the matrix is validated Hermitian (within 1e-12)."""
+    """Parse a matrix file; the matrix is validated finite and Hermitian (within 1e-12)."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -47,6 +47,8 @@ def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: entries must be [re, im] pairs") from exc
     m = flat.reshape(n, n)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise ValueError(f"{path}: matrix is not Hermitian within 1e-12")
     return hermitize(m), dims
@@ -73,6 +75,8 @@ def read_spectrum(path, *, renormalize: bool = True) -> np.ndarray:
     v = np.sort(np.asarray(payload["values"], dtype=float).ravel())[::-1]
     if v.size == 0:
         raise ValueError(f"{path}: empty spectrum")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{path}: values must be finite")
     if renormalize:
         s = float(v.sum())
         if abs(s - 1.0) > 1e-3:

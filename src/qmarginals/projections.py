@@ -13,6 +13,7 @@ All projections are in the Frobenius norm.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +27,6 @@ from .tensorcore import (
     hermitize,
     kron,
     partial_trace,
-    subsystem_permutation,
     _as_square,
 )
 
@@ -44,7 +44,10 @@ class MarginalConstraint:
         keep = tuple(sorted({int(i) for i in keep}))
         if not keep:
             raise ValueError("kept-index set must be nonempty")
-        m = hermitize(_as_square(target, "constraint target"))
+        m = _as_square(target, "constraint target")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"target for keep={keep} has non-finite entries")
+        m = hermitize(m)
         m.setflags(write=False)
         object.__setattr__(self, "keep", keep)
         object.__setattr__(self, "target", m)
@@ -80,29 +83,30 @@ class ConstraintSet:
     def __len__(self):
         return len(self.constraints)
 
-    def derived_target(self, labels: tuple[int, ...]) -> np.ndarray | float:
-        """Reduced state forced on `labels` by the first constraint containing it.
+    @cached_property
+    def _lattice(self) -> dict[frozenset, tuple[MarginalConstraint, ...]]:
+        """Intersection closure of the kept sets, the empty set included.
 
-        The empty label set degenerates to the common trace of the targets.
+        Maps each node, largest first, to the constraints containing it, in
+        order. The cost grows with the closure, not with 2^m.
         """
-        for c in self.constraints:
-            if set(labels) <= set(c.keep):
-                if labels == c.keep:
-                    return c.target
-                if not labels:
-                    return float(np.trace(c.target).real)
-                local = tuple(c.keep.index(i) + 1 for i in labels)
-                return partial_trace(c.target, self.dims.local_dims(c.keep), local)
-        raise ValueError(f"no constraint contains labels {labels}")
+        keeps = [frozenset(c.keep) for c in self.constraints]
+        nodes = fresh = set(keeps) | {frozenset()}
+        while fresh:
+            fresh = {s & k for s in fresh for k in keeps} - nodes
+            nodes = nodes | fresh
+        return {s: tuple(c for c, k in zip(self.constraints, keeps) if s <= k)
+                for s in sorted(nodes, key=lambda s: (-len(s), sorted(s)))}
 
     @cached_property
     def correction_terms(self) -> tuple[tuple[float, tuple[int, ...], object], ...]:
         """Inclusion-exclusion plan: (coefficient, intersection labels, target).
 
-        Every subset {J_{i_1}, ..., J_{i_r}} of the constraints contributes
-        (-1)^r times the correction on the intersection of its kept sets;
-        subsets sharing an intersection are merged into one coefficient.
-        An empty intersection contributes the global-trace correction.
+        The maps E_J(X) = tr_{J^c}(X) x I/n_{J^c} satisfy E_J E_K = E_{J & K},
+        so the coefficients live on the intersection lattice of the kept sets.
+        Moebius inversion (Rota 1964) gives them top down: c(S) = -1 minus
+        the c(S') of all nodes S' strictly containing S. Targets come from
+        the first constraint containing S; the empty set carries the trace.
         """
         report = check_consistency(self, CONSISTENCY_TOL)
         if not report.consistent:
@@ -110,21 +114,24 @@ class ConstraintSet:
                 f"inconsistent constraint set: max marginal discrepancy "
                 f"{report.max_discrepancy:.3e} exceeds {CONSISTENCY_TOL}"
             )
-        coef: dict[tuple[int, ...], float] = {}
-        m = len(self.constraints)
-        for r in range(1, m + 1):
-            for subset in itertools.combinations(self.constraints, r):
-                inter = set(subset[0].keep)
-                for c in subset[1:]:
-                    inter &= set(c.keep)
-                key = tuple(sorted(inter))
-                coef[key] = coef.get(key, 0.0) + (-1.0) ** r
+        coef: dict[frozenset, float] = {}
         terms = []
-        for key, w in sorted(coef.items()):
-            if w == 0.0:
-                continue
-            terms.append((w, key, self.derived_target(key)))
-        return tuple(terms)
+        for s, owners in self._lattice.items():
+            coef[s] = w = -1.0 - sum(coef[t] for t in coef if t > s)
+            if w != 0.0:
+                labels = tuple(sorted(s))
+                terms.append((w, labels, _reduced_target(owners[0], labels, self.dims)))
+        return tuple(sorted(terms, key=lambda term: term[1]))
+
+
+def _reduced_target(c: MarginalConstraint, labels: tuple[int, ...], dims: SystemDims):
+    """The target of `c` traced down to `labels` inside its kept set; () gives its trace."""
+    if not labels:
+        return float(np.trace(c.target).real)
+    if labels == c.keep:
+        return c.target
+    local = tuple(c.keep.index(i) + 1 for i in labels)
+    return partial_trace(c.target, dims.local_dims(c.keep), local)
 
 
 @dataclass(frozen=True)
@@ -137,44 +144,50 @@ class ConsistencyReport:
 def check_consistency(cs: ConstraintSet, tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
     """Test whether the prescribed marginals can coexist.
 
-    For every subset of constraints with a nonempty intersection of kept
-    sets, the targets traced down to that intersection must agree; the empty
-    intersection degenerates to all targets having unit trace.
+    At every nonempty node of the intersection lattice that two or more kept
+    sets contain, the targets of those constraints traced down to the node
+    must agree pairwise; the empty intersection degenerates to all targets
+    having unit trace. A NaN discrepancy counts as inconsistent.
     """
-    worst = 0.0
+    gaps = [abs(float(np.trace(c.target).real) - 1.0) for c in cs.constraints]
     derived: dict[tuple[int, ...], np.ndarray] = {}
-    for c in cs.constraints:
-        worst = max(worst, abs(float(np.trace(c.target).real) - 1.0))
-    cons = list(cs.constraints)
-    for r in range(2, len(cons) + 1):
-        for subset in itertools.combinations(cons, r):
-            inter = set(subset[0].keep)
-            for c in subset[1:]:
-                inter &= set(c.keep)
-            if not inter:
-                continue
-            labels = tuple(sorted(inter))
-            reduced = []
-            for c in subset:
-                local = tuple(c.keep.index(i) + 1 for i in labels)
-                if labels == c.keep:
-                    reduced.append(c.target)
-                else:
-                    reduced.append(partial_trace(c.target, cs.dims.local_dims(c.keep), local))
-            if labels not in derived:
-                derived[labels] = reduced[0]
-            for x, y in itertools.combinations(reduced, 2):
-                worst = max(worst, float(np.linalg.norm(x - y)))
-    return ConsistencyReport(consistent=worst <= tol, derived_marginals=derived,
+    for s, owners in cs._lattice.items():
+        if not s or len(owners) < 2:
+            continue
+        labels = tuple(sorted(s))
+        reduced = [_reduced_target(c, labels, cs.dims) for c in owners]
+        derived[labels] = reduced[0]
+        gaps += [float(np.linalg.norm(x - y)) for x, y in itertools.combinations(reduced, 2)]
+    worst = float(np.max(gaps))  # np.max, unlike max(), propagates NaN
+    return ConsistencyReport(consistent=bool(worst <= tol), derived_marginals=derived,
                              max_discrepancy=worst)
 
 
+def _add_lifted(out: np.ndarray, w: float, deficit: np.ndarray, dims: SystemDims,
+                keep: tuple[int, ...]) -> None:
+    """out += w * (deficit x I/n_{J^c}) in place, factors in ascending label order.
+
+    Only entries whose row and column agree on every complement subsystem
+    change: a strided view of the C-contiguous `out` that steps along row and
+    column of each complement axis at once, with the kept block broadcast.
+    """
+    n = out.shape[0]
+    col = [out.itemsize * math.prod(dims.dims[a:]) for a in range(1, dims.k + 1)]
+    comp = [a for a in range(1, dims.k + 1) if a not in keep]
+    kept = [dims.dims[a - 1] for a in keep]
+    view = np.ndarray([dims.dims[a - 1] for a in comp] + kept + kept, out.dtype, buffer=out,
+                      strides=[(n + 1) * col[a - 1] for a in comp]
+                      + [n * col[a - 1] for a in keep] + [col[a - 1] for a in keep])
+    njc = n // deficit.shape[0]
+    view += (w * ((1.0 / njc) * deficit)).reshape(kept + kept)
+
+
 def marginal_correction(z, sigma, dims, keep) -> np.ndarray:
-    """M_J(Z, sigma) = P_J^T (I/n_{J^c} x (tr_{J^c}(Z) - sigma)) P_J.
+    """M_J(Z, sigma) = (tr_{J^c}(Z) - sigma) x I/n_{J^c}, factors in label order.
 
     Z - M_J(Z, sigma) is the least-squares point whose marginal on `keep`
-    equals sigma. With `keep` covering every subsystem no permutation or
-    identity factor is needed and the correction is Z - sigma itself.
+    equals sigma. With `keep` covering every subsystem the correction is
+    Z - sigma itself.
     """
     dims = as_dims(dims)
     z = _as_square(z)
@@ -184,33 +197,28 @@ def marginal_correction(z, sigma, dims, keep) -> np.ndarray:
     if sigma.shape != (nj, nj):
         raise ValueError(f"target for keep={j} must have order {nj}, got {sigma.shape}")
     deficit = partial_trace(z, dims, j) - sigma
-    if len(j) == dims.k:
-        return deficit
-    njc = dims.subdim(dims.complement(j))
-    p = subsystem_permutation(dims, j)
-    return p.T @ kron(np.eye(njc) / njc, deficit) @ p
-
-
-def _trace_correction(z: np.ndarray, target_trace: float) -> np.ndarray:
-    n = z.shape[0]
-    return (float(np.trace(z).real) - target_trace) / n * np.eye(n)
+    out = np.zeros((dims.total, dims.total), dtype=complex)
+    _add_lifted(out, 1.0, deficit, dims, j)
+    return out
 
 
 def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     """Frobenius projection onto {X : tr_{J_i^c}(X) = sigma_i for all i}.
 
-    Inclusion-exclusion over constraint subsets; intersections of kept sets
-    carry the derived marginals, the empty intersection the global trace.
+    Inclusion-exclusion over the intersection lattice of the kept sets;
+    intersections carry the derived marginals, the empty intersection the
+    global trace.
     """
     z = hermitize(_as_square(z))
-    if z.shape[0] != cs.dims.total:
-        raise ValueError(f"matrix order {z.shape[0]} does not match dims {cs.dims.dims}")
+    n = z.shape[0]
+    if n != cs.dims.total:
+        raise ValueError(f"matrix order {n} does not match dims {cs.dims.dims}")
     out = z.copy()
     for w, labels, target in cs.correction_terms:
         if labels:
-            out += w * marginal_correction(z, target, cs.dims, labels)
+            _add_lifted(out, w, partial_trace(z, cs.dims, labels) - target, cs.dims, labels)
         else:
-            out += w * _trace_correction(z, target)
+            out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
     return hermitize(out)
 
 

@@ -8,7 +8,7 @@ throughout the package. Kept-index sets are arbitrary nonempty subsets of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -159,20 +159,8 @@ def subsystem_permutation(dims, keep) -> np.ndarray:
     dims = as_dims(dims)
     j = dims.validate_keep(keep)
     order = [i - 1 for i in dims.complement(j)] + [i - 1 for i in j]
-    return _permutation_matrix(dims.dims, tuple(order))
-
-
-@lru_cache(maxsize=256)
-def _permutation_matrix(dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    n = int(np.prod(dims))
-    new_dims = [dims[i] for i in order]
-    p = np.zeros((n, n))
-    for old in range(n):
-        multi = np.unravel_index(old, dims)
-        new = np.ravel_multi_index([multi[i] for i in order], new_dims)
-        p[new, old] = 1.0
-    p.setflags(write=False)
-    return p
+    # row `new` of P is the basis vector of the entry that the axis reorder moves to `new`
+    return np.eye(dims.total)[np.arange(dims.total).reshape(dims.dims).transpose(order).ravel()]
 
 
 def swap_bipartite(m: np.ndarray, n1: int, n2: int) -> np.ndarray:

@@ -46,6 +46,17 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="Hermitian"):
             fileio.read_matrix(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dims": [2], "entries": [[{bad}, 0], [0, 0], [0, 0], [0.5, 0]]}}')
+        with pytest.raises(ValueError, match=f"{path.name}: entries must be finite"):
+            fileio.read_matrix(path)
+        spec = tmp_path / "c.json"
+        spec.write_text(f'{{"values": [0.5, {bad}]}}')
+        with pytest.raises(ValueError, match=f"{spec.name}: values must be finite"):
+            fileio.read_spectrum(spec)
+
     def test_spectrum_renormalizes_print_rounding(self, tmp_path):
         path = tmp_path / "c.json"
         fileio.write_spectrum(path, [0.8, 0.15, 0.0501])
@@ -84,6 +95,14 @@ class TestTrace:
         assert result.exit_code == 1
 
 
+    def test_nan_file_exits_one_naming_it(self, runner, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dims": [2], "entries": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}')
+        result = runner.invoke(main, ["trace", str(bad), "--keep", "1"])
+        assert result.exit_code == 1
+        assert f"{bad}: entries must be finite" in result.output
+
+
 class TestConsistency:
     def test_consistent_fixture(self, runner):
         result = invoke(runner, "consistency", "--dims", "2,2,2",
@@ -120,6 +139,17 @@ class TestSolveCommands:
         assert (out / "history.csv").read_text().startswith("iteration,residual")
         solution, dims = fileio.read_matrix(out / "solution.json")
         assert dims.total == 6
+
+    def test_solve_spectrum_nan_spectrum_exits_one(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"values": [0.5, 0.2, 0.1, 0.1, 0.1, NaN]}')
+        result = runner.invoke(main, [
+            "solve", "spectrum", "--dims", "2,3",
+            "--marginal", f"1:{FIXTURES}/bipartite_2x3/rho_a.json",
+            "--marginal", f"2:{FIXTURES}/bipartite_2x3/rho_b.json",
+            "--spectrum", str(spec)])
+        assert result.exit_code == 1
+        assert f"{spec}: values must be finite" in result.output
 
     def test_solve_rank_with_greedy_init(self, runner, tmp_path):
         ra = tmp_path / "ra.json"

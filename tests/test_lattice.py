@@ -1,0 +1,201 @@
+"""The lattice-planned affine projection against the literal formulas it replaced.
+
+The references below are kept here on purpose: they are the plain 2^m
+subset enumeration for the inclusion-exclusion plan and the consistency
+check, and the dense permutation sandwich P^T (I/n_{J^c} x Delta) P for each
+correction. The library's lattice plan and strided in-place corrections must
+reproduce them exactly: the same coefficients, the same discrepancy, and
+bit-identical projections.
+"""
+
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qmarginals import (
+    ConstraintSet,
+    SystemDims,
+    check_consistency,
+    fileio,
+    hermitize,
+    kron,
+    partial_trace,
+    project_marginals,
+    random_density,
+    subsystem_permutation,
+)
+
+from conftest import random_hermitian
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def reference_terms(cs):
+    """(coefficient, labels) from every nonempty subset of the constraints."""
+    coef = {}
+    for r in range(1, len(cs.constraints) + 1):
+        for subset in itertools.combinations(cs.constraints, r):
+            inter = set(subset[0].keep)
+            for c in subset[1:]:
+                inter &= set(c.keep)
+            key = tuple(sorted(inter))
+            coef[key] = coef.get(key, 0.0) + (-1.0) ** r
+    return [(w, key) for key, w in sorted(coef.items()) if w != 0.0]
+
+
+def reference_consistency(cs):
+    """(derived keys, max discrepancy) from every subset of two or more constraints."""
+    worst = max(abs(float(np.trace(c.target).real) - 1.0) for c in cs.constraints)
+    keys = set()
+    for r in range(2, len(cs.constraints) + 1):
+        for subset in itertools.combinations(cs.constraints, r):
+            labels = tuple(sorted(set.intersection(*(set(c.keep) for c in subset))))
+            if not labels:
+                continue
+            keys.add(labels)
+            reduced = [c.target if labels == c.keep else partial_trace(
+                c.target, cs.dims.local_dims(c.keep),
+                tuple(c.keep.index(i) + 1 for i in labels)) for c in subset]
+            for x, y in itertools.combinations(reduced, 2):
+                worst = max(worst, float(np.linalg.norm(x - y)))
+    return keys, worst
+
+
+def reference_projection(z, cs):
+    """Inclusion-exclusion with each correction as a dense permutation sandwich."""
+    z = hermitize(z)
+    n = z.shape[0]
+    out = z.copy()
+    for w, labels, target in cs.correction_terms:
+        if not labels:
+            out += w * ((float(np.trace(z).real) - target) / n * np.eye(n))
+            continue
+        deficit = partial_trace(z, cs.dims, labels) - target
+        if len(labels) == cs.dims.k:
+            out += w * deficit
+            continue
+        njc = cs.dims.subdim(cs.dims.complement(labels))
+        p = subsystem_permutation(cs.dims, labels)
+        out += w * (p.T @ kron(np.eye(njc) / njc, deficit) @ p)
+    return hermitize(out)
+
+
+def random_family(rng, trial, max_k=5, max_m=8, max_n=64):
+    """Random dims and 1..max_m distinct kept sets, targets from one state."""
+    while True:
+        k = int(rng.integers(1, max_k + 1))
+        dims = SystemDims(int(d) for d in rng.integers(1, 4, size=k))
+        if dims.total <= max_n:
+            break
+    subsets = [s for r in range(1, k + 1) for s in itertools.combinations(range(1, k + 1), r)]
+    m = int(rng.integers(1, min(max_m, len(subsets)) + 1))
+    keeps = [subsets[i] for i in rng.choice(len(subsets), size=m, replace=False)]
+    full = np.array(random_density(dims, 1000 + trial))
+    return ConstraintSet(dims, [(keep, partial_trace(full, dims, keep)) for keep in keeps])
+
+
+def fuzz_families(count=60, seed=31):
+    rng = np.random.default_rng(seed)
+    return [(random_family(rng, trial), rng) for trial in range(count)]
+
+
+def fixture_families():
+    def mat(name):
+        return fileio.read_matrix(FIXTURES / name)[0]
+
+    def diag(name):
+        return np.diag(fileio.read_spectrum(FIXTURES / name))
+
+    ext = mat("twofold_extension_222/rho_12_13.json")
+    families = [
+        ConstraintSet((2, 3), [((1,), mat("bipartite_2x3/rho_a.json")),
+                               ((2,), mat("bipartite_2x3/rho_b.json"))]),
+        ConstraintSet((2, 2, 2), [((1, 2), mat("tripartite_222/rho_12.json")),
+                                  ((2, 3), mat("tripartite_222/rho_23.json"))]),
+        ConstraintSet((2, 2, 2), [((1, 2), ext), ((1, 3), ext)]),
+    ]
+    for name, dims in [("rank_3x4", (3, 4)), ("rank_3x6", (3, 6)), ("rank_6x8", (6, 8))]:
+        families.append(ConstraintSet(dims, [((1,), diag(f"{name}/spectrum_a.json")),
+                                             ((2,), diag(f"{name}/spectrum_b.json"))]))
+    return families
+
+
+class TestPlanMatchesSubsetEnumeration:
+    def test_coefficients_and_labels(self):
+        for cs, _rng in fuzz_families():
+            got = [(w, labels) for w, labels, _target in cs.correction_terms]
+            assert got == reference_terms(cs), [c.keep for c in cs]
+
+    def test_consistency_keys_and_discrepancy(self):
+        for cs, _rng in fuzz_families():
+            report = check_consistency(cs)
+            keys, worst = reference_consistency(cs)
+            assert set(report.derived_marginals) == keys
+            assert report.max_discrepancy == worst
+
+    def test_inconsistent_discrepancy(self):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            cs = random_family(rng, trial)
+            # an independent state per constraint: overlaps disagree
+            cs = ConstraintSet(cs.dims, [
+                (c.keep, np.array(random_density(cs.dims.local_dims(c.keep), 50 + i)))
+                for i, c in enumerate(cs)])
+            report = check_consistency(cs)
+            keys, worst = reference_consistency(cs)
+            assert set(report.derived_marginals) == keys
+            assert report.max_discrepancy == worst
+
+    def test_all_pairs_on_eight_qubits(self):
+        dims = SystemDims((2,) * 8)
+        full = np.array(random_density(dims, 0))
+        cs = ConstraintSet(dims, [(keep, partial_trace(full, dims, keep))
+                                  for keep in itertools.combinations(range(1, 9), 2)])
+        terms = cs.correction_terms
+        assert len(terms) == 37
+        coef = {labels: w for w, labels, _target in terms}
+        # pairs -1; each singleton lies in 7 pairs: -1 + 7; the empty set: -1 + 28 - 8 * 6
+        assert all(coef[pair] == -1.0 for pair in itertools.combinations(range(1, 9), 2))
+        assert all(coef[(i,)] == 6.0 for i in range(1, 9))
+        assert coef[()] == -21.0
+
+
+class TestProjectionMatchesPermutationSandwich:
+    def test_fixtures(self):
+        rng = np.random.default_rng(7)
+        for cs in fixture_families():
+            for _ in range(5):
+                z = random_hermitian(rng, cs.dims.total)
+                assert np.array_equal(project_marginals(z, cs), reference_projection(z, cs))
+
+    def test_fuzz_lattices(self):
+        for cs, rng in fuzz_families():
+            z = random_hermitian(rng, cs.dims.total)
+            assert np.array_equal(project_marginals(z, cs), reference_projection(z, cs)), \
+                (cs.dims.dims, [c.keep for c in cs])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_constraint_rejects_non_finite_target(self, bad):
+        target = np.eye(2) / 2
+        target[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ConstraintSet((2, 2), [((1,), target)])
+
+    def test_nan_discrepancy_is_inconsistent(self):
+        # Finite targets whose reductions to the shared subsystem overflow:
+        # inf - inf makes the discrepancy NaN, which must not read as agreement.
+        dims = SystemDims((2, 3, 3))
+        big = np.eye(6, dtype=complex) / 6
+        for b in range(3):
+            big[b, 3 + b] = big[3 + b, b] = 6e307
+        cs = ConstraintSet(dims, [((1, 2), big), ((1, 3), big)])
+        with np.errstate(invalid="ignore"):
+            report = check_consistency(cs)
+            assert np.isnan(report.max_discrepancy)
+            assert not report.consistent
+            with pytest.raises(ValueError, match="inconsistent"):
+                cs.correction_terms

@@ -1,0 +1,86 @@
+"""Property tests of the affine layer on random small constraint lattices.
+
+The examples are derandomized so that every run checks the same cases.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from qmarginals import (
+    ConstraintSet,
+    SystemDims,
+    marginal_correction,
+    marginal_residual,
+    partial_trace,
+    project_marginals,
+    pseudoinverse_projection,
+    random_density,
+    vectorize_constraints,
+)
+
+from conftest import random_hermitian
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def system_dims(draw):
+    k = draw(st.integers(1, 4))
+    largest = {1: 4, 2: 4, 3: 3, 4: 2}[k]   # keeps n <= 27 for the oracle
+    return SystemDims(draw(st.lists(st.integers(1, largest), min_size=k, max_size=k)))
+
+
+def label_sets(k, empty=False):
+    return [s for r in range(0 if empty else 1, k + 1)
+            for s in itertools.combinations(range(1, k + 1), r)]
+
+
+@st.composite
+def lattices(draw):
+    """A consistent constraint set on random dims, and a random Hermitian point."""
+    dims = draw(system_dims())
+    keeps = draw(st.lists(st.sampled_from(label_sets(dims.k)), min_size=1, max_size=4,
+                          unique=True))
+    seed = draw(st.integers(0, 2**16))
+    full = np.array(random_density(dims, seed))
+    cs = ConstraintSet(dims, [(keep, partial_trace(full, dims, keep)) for keep in keeps])
+    return cs, random_hermitian(np.random.default_rng(seed), dims.total)
+
+
+def lift(x, dims, keep):
+    """E_J(X) = tr_{J^c}(X) x I/n_{J^c}; the empty J gives tr(X) I/n."""
+    if not keep:
+        return np.trace(x) / dims.total * np.eye(dims.total)
+    nj = dims.subdim(keep)
+    return marginal_correction(x, np.zeros((nj, nj)), dims, keep)
+
+
+@PROPERTY
+@given(st.data())
+def test_lifts_compose_to_intersection(data):
+    dims = data.draw(system_dims())
+    j = data.draw(st.sampled_from(label_sets(dims.k, empty=True)))
+    k = data.draw(st.sampled_from(label_sets(dims.k, empty=True)))
+    x = random_hermitian(np.random.default_rng(data.draw(st.integers(0, 2**16))), dims.total)
+    both = tuple(sorted(set(j) & set(k)))
+    np.testing.assert_allclose(lift(lift(x, dims, k), dims, j), lift(x, dims, both),
+                               atol=1e-12)
+
+
+@PROPERTY
+@given(lattices())
+def test_projection_is_idempotent_and_feasible(case):
+    cs, z = case
+    x = project_marginals(z, cs)
+    assert marginal_residual(x, cs) < 1e-10
+    np.testing.assert_allclose(project_marginals(x, cs), x, atol=1e-12)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(lattices())
+def test_projection_agrees_with_oracle(case):
+    cs, z = case
+    ref = pseudoinverse_projection(z, vectorize_constraints(cs))
+    np.testing.assert_allclose(project_marginals(z, cs), ref, atol=1e-10)
