@@ -48,7 +48,7 @@ def _parse_keep(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"bad index set {text!r}") from exc
 
 
-def _load_constraints(dims, marginals):
+def _read_marginals(marginals) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'."""
     if not marginals:
         raise click.UsageError("at least one --marginal is required")
@@ -60,7 +60,7 @@ def _load_constraints(dims, marginals):
                 f"--marginal {spec_text!r}: expected '<keepset>:<file>'")
         target, _target_dims = fileio.read_matrix(path)
         constraints.append((_parse_keep(keep_text), target))
-    return ConstraintSet(dims, constraints)
+    return constraints
 
 
 def _echo_report(report: SolveReport) -> None:
@@ -189,7 +189,7 @@ def trace(input_file, keep_text, out_path):
 def consistency(dims_text, marginals, tol):
     """Check whether the prescribed marginals can coexist."""
     try:
-        cs = _load_constraints(_parse_dims(dims_text), marginals)
+        cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     report = check_consistency(cs, tol)
@@ -228,7 +228,7 @@ def project(input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
         if file_dims.total != dims.total:
             raise ValueError(f"matrix order {file_dims.total} does not match --dims")
         if psd_flag and marginals:
-            cs = _load_constraints(dims, marginals)
+            cs = ConstraintSet(dims, _read_marginals(marginals))
             report = solvers.dykstra_project(
                 matrix, cs, _solver_options(tol, max_iter, 0, 1, mode))
             _echo_report(report)
@@ -240,7 +240,7 @@ def project(input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
         elif spectrum_path:
             result = project_spectrum(matrix, fileio.read_spectrum(spectrum_path))
         else:
-            cs = _load_constraints(dims, marginals)
+            cs = ConstraintSet(dims, _read_marginals(marginals))
             result = project_marginals(matrix, cs)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
@@ -260,13 +260,7 @@ def _run_solver(runner, dims_text, marginals, tol, max_iter, seed, restarts,
                 init_text, out_dir, mode):
     try:
         dims = _parse_dims(dims_text)
-        cs = _load_constraints(dims, marginals)
-        consistency_report = check_consistency(cs, 1e-8)
-        if not consistency_report.consistent:
-            click.echo("consistent: False", err=True)
-            click.echo(f"max discrepancy: {consistency_report.max_discrepancy:.6e}",
-                       err=True)
-            _fail("inconsistent marginals")
+        cs = ConstraintSet(dims, _read_marginals(marginals))
         opts = _solver_options(tol, max_iter, seed, restarts, mode)
         initial = _resolve_init(init_text, cs)
         report = runner(cs, opts, initial)
@@ -339,14 +333,9 @@ def construct():
     """Direct (non-iterative) constructions from two bipartite marginals."""
 
 
-def _run_construct(builder, marginals, out_dir, k=None):
+def _run_construct(builder, marginals, out_dir):
     try:
-        targets = {}
-        for spec_text in marginals:
-            keep_text, _, path = spec_text.partition(":")
-            if not path:
-                raise ValueError(f"--marginal {spec_text!r}: expected '<keepset>:<file>'")
-            targets[_parse_keep(keep_text)] = fileio.read_matrix(path)[0]
+        targets = dict(_read_marginals(marginals))
         if set(targets) != {(1,), (2,)}:
             raise ValueError("construct needs exactly --marginal 1:<file> and "
                              "--marginal 2:<file>")
@@ -420,7 +409,7 @@ def verify(solution_file, dims_text, marginals, tol):
         matrix, file_dims = fileio.read_matrix(solution_file)
         if file_dims.total != dims.total:
             raise ValueError(f"matrix order {file_dims.total} does not match --dims")
-        cs = _load_constraints(dims, marginals)
+        cs = ConstraintSet(dims, _read_marginals(marginals))
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     values = hermitian_eig(matrix).values

@@ -1,7 +1,8 @@
 """Entropy functionals and their gradients.
 
 Natural logarithm throughout. Eigenvalues are floored at 1e-15 before logs
-and fractional powers so gradients stay finite at the PSD boundary.
+and fractional powers so gradients stay finite at the PSD boundary. Each
+formula is one private kernel on (values[, U]), shared with the solvers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,32 @@ from .tensorcore import PSD_ATOL, density_input, hermitian_eig, hermitize
 LOG_FLOOR = 1e-15
 
 
+def _von_neumann(values: np.ndarray) -> float:
+    """-sum v ln v over the positive entries of `values`."""
+    v = np.clip(values, 0.0, None)
+    v = v[v > 0.0]
+    return float(-(v * np.log(v)).sum()) if v.size else 0.0
+
+
+def _renyi(v: np.ndarray, alpha: float) -> float:
+    """ln(sum v^alpha) / (1 - alpha) over exactly the entries given."""
+    return float(np.log(np.sum(v ** alpha)) / (1.0 - alpha))
+
+
+def _grad_von_neumann_objective(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """ln(rho) + I for rho = U diag(values) U*, eigenvalues floored at 1e-15."""
+    g = np.log(np.clip(values, LOG_FLOOR, None)) + 1.0
+    return hermitize((u * g) @ u.conj().T)
+
+
+def _grad_renyi(values: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha/(1 - alpha) * rho^(alpha-1) / tr(rho^alpha), eigenvalues floored at 1e-15."""
+    v = np.clip(values, LOG_FLOOR, None)
+    powers = v ** (alpha - 1.0)
+    scale = alpha / ((1.0 - alpha) * float(np.sum(v ** alpha)))
+    return hermitize(scale * (u * powers) @ u.conj().T)
+
+
 def _clipped_spectrum(rho) -> np.ndarray:
     values = np.linalg.eigvalsh(np.asarray(getattr(rho, "matrix", rho)))
     if values[0] < -PSD_ATOL:
@@ -20,15 +47,9 @@ def _clipped_spectrum(rho) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def entropy_from_spectrum(values: np.ndarray) -> float:
-    v = np.clip(np.asarray(values, dtype=float), 0.0, None)
-    v = v[v > 0.0]
-    return float(-(v * np.log(v)).sum()) if v.size else 0.0
-
-
 def von_neumann(rho) -> float:
     """S(rho) = -sum lambda_j ln lambda_j, with 0 ln 0 = 0."""
-    return entropy_from_spectrum(_clipped_spectrum(rho))
+    return _von_neumann(_clipped_spectrum(rho))
 
 
 def renyi(rho, alpha: float) -> float:
@@ -38,8 +59,7 @@ def renyi(rho, alpha: float) -> float:
     if alpha == 1:
         raise ValueError("alpha = 1 is the von Neumann limit; use von_neumann")
     v = _clipped_spectrum(rho)
-    v = v[v > 0.0]
-    return float(np.log(np.sum(v ** alpha)) / (1.0 - alpha))
+    return _renyi(v[v > 0.0], alpha)
 
 
 def negative_entropy(rho) -> float:
@@ -49,10 +69,7 @@ def negative_entropy(rho) -> float:
 
 def grad_von_neumann_objective(rho) -> np.ndarray:
     """Gradient of tr(rho ln rho): ln(rho) + I, eigenvalues floored at 1e-15."""
-    m = density_input(rho)
-    values, u = hermitian_eig(m)
-    g = np.log(np.clip(values, LOG_FLOOR, None)) + 1.0
-    return hermitize((u * g) @ u.conj().T)
+    return _grad_von_neumann_objective(*hermitian_eig(density_input(rho)))
 
 
 def grad_renyi(rho, alpha: float) -> np.ndarray:
@@ -61,9 +78,4 @@ def grad_renyi(rho, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if alpha == 1:
         raise ValueError("alpha = 1 is the von Neumann limit")
-    m = density_input(rho)
-    values, u = hermitian_eig(m)
-    v = np.clip(values, LOG_FLOOR, None)
-    powers = v ** (alpha - 1.0)
-    scale = alpha / ((1.0 - alpha) * float(np.sum(v ** alpha)))
-    return hermitize(scale * (u * powers) @ u.conj().T)
+    return _grad_renyi(*hermitian_eig(density_input(rho)), alpha)

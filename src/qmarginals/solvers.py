@@ -24,6 +24,7 @@ from .tensorcore import (
     partial_trace,
     random_density,
     _as_square,
+    _finite_square,
 )
 
 
@@ -85,7 +86,7 @@ def marginal_residual(x, cs: ConstraintSet) -> float:
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
     if initial is not None:
-        m = hermitize(_as_square(initial, "initial point"))
+        m = hermitize(_finite_square(initial, "initial point"))
         if m.shape[0] != cs.dims.total:
             raise ValueError(
                 f"initial point order {m.shape[0]} does not match dims {cs.dims.dims}"
@@ -94,49 +95,65 @@ def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
     return np.array(random_density(cs.dims, seed).matrix)
 
 
-def _restart_seeds(opts: SolveOptions):
-    return [opts.seed + i for i in range(opts.restarts)]
+def _alternate(z, cs, second, max_sweeps, increments=False, err_tol=0.0, change_tol=0.0):
+    """Sweep X -> second(project_marginals(X)) from z; returns (x, Err history, converged).
+
+    With `increments` the second leg carries Dykstra's correction term (the
+    affine leg needs none). Err is recorded only when err_tol > 0; the loop
+    stops on Err < err_tol or on a sweep that moves x by at most change_tol.
+    """
+    x = z
+    increment = np.zeros_like(z)
+    history = []
+    for _ in range(max_sweeps):
+        x_prev = x
+        y = project_marginals(x, cs)
+        if increments:
+            t = y + increment
+            x = second(t)
+            increment = t - x
+        else:
+            x = second(y)
+        if err_tol > 0.0:
+            err = marginal_residual(x, cs)
+            history.append(err)
+            if err < err_tol:
+                return x, history, True
+        if change_tol and np.linalg.norm(x - x_prev) <= change_tol:
+            return x, history, True
+    return x, history, False
 
 
-def _pick_best(reports: list[SolveReport]) -> SolveReport:
-    for r in reports:
-        if r.converged:
-            return r
-    return min(reports, key=lambda r: r.final_residual)
+def _sweep_solver(cs, opts, initial, second, entry_ok) -> SolveReport:
+    """Alternate with `second` from each restart until Err < tolerance.
 
-
-def _sweep_solver(cs, opts, initial, sweep, entry_ok=None) -> SolveReport:
-    """Common driver: alternate `sweep` until Err < tolerance."""
+    A start that meets the marginals and `entry_ok` is returned unchanged.
+    """
+    opts = opts or SolveOptions()
+    cs.correction_terms  # validates consistency up front
     t0 = time.perf_counter()
     reports = []
-    for i, seed in enumerate(_restart_seeds(opts)):
-        x = _initial_point(cs, seed, initial if i == 0 else None)
+    for seed in range(opts.seed, opts.seed + opts.restarts):
+        x = _initial_point(cs, seed, initial if seed == opts.seed else None)
         err0 = marginal_residual(x, cs)
-        if err0 < opts.tolerance and (entry_ok is None or entry_ok(x)):
+        if err0 < opts.tolerance and entry_ok(x):
             reports.append(SolveReport(
                 solution=x, iterations=0, residual_history=np.empty(0),
                 converged=True, wall_time=0.0, final_residual=err0, seed_used=seed,
             ))
             break
-        history = []
-        converged = False
-        state = None
-        for _ in range(opts.max_iterations):
-            x, state = sweep(x, state)
-            err = marginal_residual(x, cs)
-            history.append(err)
-            if err < opts.tolerance:
-                converged = True
-                break
+        x, history, converged = _alternate(x, cs, second, opts.max_iterations,
+                                           err_tol=opts.tolerance)
         reports.append(SolveReport(
             solution=x, iterations=len(history),
             residual_history=np.asarray(history), converged=converged,
-            wall_time=0.0, final_residual=history[-1] if history else err0,
-            seed_used=seed,
+            wall_time=0.0, final_residual=history[-1], seed_used=seed,
         ))
         if converged:
             break
-    best = _pick_best(reports)
+    best = reports[-1]  # a converged report ends the restarts
+    if not best.converged:
+        best = min(reports, key=lambda r: r.final_residual)
     best.wall_time = time.perf_counter() - t0
     return best
 
@@ -149,19 +166,14 @@ def solve_with_spectrum(cs: ConstraintSet, c, opts: SolveOptions | None = None,
     carries the prescribed eigenvalues exactly (final projection) and meets
     every marginal within the tolerance.
     """
-    opts = opts or SolveOptions()
     c = as_spectrum(c, probability=True)
     if len(c) != cs.dims.total:
         raise ValueError(f"spectrum length {len(c)} does not match total dim {cs.dims.total}")
-    cs.correction_terms  # validates consistency up front
-
-    def sweep(x, _state):
-        return project_spectrum(project_marginals(x, cs), c), None
 
     def entry_ok(x):
         return bool(np.max(np.abs(hermitian_eig(x).values - c)) <= 1e-8)
 
-    return _sweep_solver(cs, opts, initial, sweep, entry_ok)
+    return _sweep_solver(cs, opts, initial, lambda y: project_spectrum(y, c), entry_ok)
 
 
 def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = None,
@@ -173,24 +185,21 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
     Convergence is not guaranteed; a non-converged report is a signal, not a
     proof, that no rank-r solution exists.
     """
-    opts = opts or SolveOptions()
     if r < 1:
         raise ValueError("rank cap must be >= 1")
-    cs.correction_terms
 
-    def sweep(x, _state):
-        y = project_marginals(x, cs)
+    def project_rank(y):
         values, u = hermitian_eig(y)
         s = np.clip(values, 0.0, None)
         s[r:] = 0.0
-        return hermitize((u * s) @ u.conj().T), None
+        return hermitize((u * s) @ u.conj().T)
 
     def entry_ok(x):
         values = hermitian_eig(x).values
         return bool(values[0] >= -1e-12 and (len(values) <= r or
                                              np.all(values[r:] <= 1e-12)))
 
-    return _sweep_solver(cs, opts, initial, sweep, entry_ok)
+    return _sweep_solver(cs, opts, initial, project_rank, entry_ok)
 
 
 def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
@@ -200,16 +209,10 @@ def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
     Finds some state with the prescribed marginals, starting from a seeded
     random density matrix.
     """
-    opts = opts or SolveOptions()
-    cs.correction_terms
-
-    def sweep(x, _state):
-        return project_psd(project_marginals(x, cs)), None
-
     def entry_ok(x):
         return bool(np.linalg.eigvalsh(x)[0] >= -1e-12)
 
-    return _sweep_solver(cs, opts, initial, sweep, entry_ok)
+    return _sweep_solver(cs, opts, initial, project_psd, entry_ok)
 
 
 def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> SolveReport:
@@ -221,78 +224,39 @@ def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> S
     is some point of the intersection, generally not the projection.
     """
     opts = opts or SolveOptions()
-    cs.correction_terms
     z = hermitize(_as_square(z))
     t0 = time.perf_counter()
-    x, history, converged = _dykstra_loop(
-        z, cs, opts.dykstra_mode, opts.max_iterations, err_tol=opts.tolerance,
+    x, history, converged = _alternate(
+        z, cs, project_psd, opts.max_iterations,
+        increments=opts.dykstra_mode == "with-increments", err_tol=opts.tolerance,
     )
-    err0 = marginal_residual(z, cs)
     return SolveReport(
         solution=x, iterations=len(history), residual_history=np.asarray(history),
         converged=converged, wall_time=time.perf_counter() - t0,
-        final_residual=history[-1] if history else err0, seed_used=None,
+        final_residual=history[-1], seed_used=None,
     )
 
 
-def _dykstra_loop(z, cs, mode, max_sweeps, err_tol=0.0, change_tol=0.0):
-    """Shared Dykstra iteration; stops on Err < err_tol or sweep change < change_tol."""
-    x = z
-    increment = np.zeros_like(z)
-    history = []
-    converged = False
-    with_increments = mode == "with-increments"
-    track_err = err_tol > 0.0
-    for _ in range(max_sweeps):
-        x_prev = x
-        y = project_marginals(x, cs)
-        if with_increments:
-            t = y + increment
-            x = project_psd(t)
-            increment = t - x
-        else:
-            x = project_psd(y)
-        if track_err:
-            err = marginal_residual(x, cs)
-            history.append(err)
-            if err < err_tol:
-                converged = True
-                break
-        if change_tol and np.linalg.norm(x - x_prev) <= change_tol:
-            converged = True
-            break
-    return x, history, converged
+def _entropy_objective(objective: str, alpha: float | None):
+    """(S, grad f) on (values, U) from the kernels of `entropy`, for f = -S.
 
-
-def _objective_and_gradient(kind: str, alpha: float | None):
-    # Internal objective is the negative entropy, so descent drives the
-    # iterates toward the prescribed extremum convention of the report.
-    if kind == "von-neumann":
-        def f(values):
-            v = np.clip(values, 0.0, None)
-            v = v[v > 0.0]
-            return float((v * np.log(v)).sum()) if v.size else 0.0
-
-        def grad(values, u):
-            g = np.log(np.clip(values, _entropy.LOG_FLOOR, None)) + 1.0
-            return hermitize((u * g) @ u.conj().T)
-
-        return f, grad
-    if kind == "renyi":
+    Descending f drives the iterates toward the entropy minimum. The Renyi
+    entropy is taken on the spectrum floored at LOG_FLOOR.
+    """
+    if objective == "von-neumann":
+        return _entropy._von_neumann, _entropy._grad_von_neumann_objective
+    if objective == "renyi":
         if alpha is None or alpha <= 0 or alpha == 1:
             raise ValueError("renyi objective needs alpha > 0, alpha != 1")
 
-        def f(values):
-            v = np.clip(values, _entropy.LOG_FLOOR, None)
-            return float(np.log(np.sum(v ** alpha)) / (alpha - 1.0))
+        def entropy(values):
+            return _entropy._renyi(np.clip(values, _entropy.LOG_FLOOR, None), alpha)
 
-        def grad(values, u):
-            v = np.clip(values, _entropy.LOG_FLOOR, None)
-            scale = alpha / ((alpha - 1.0) * float(np.sum(v ** alpha)))
-            return hermitize(scale * (u * (v ** (alpha - 1.0))) @ u.conj().T)
+        def grad_of(values, u):
+            return -_entropy._grad_renyi(values, u, alpha)
 
-        return f, grad
-    raise ValueError(f"unknown objective {kind!r}; use 'von-neumann' or 'renyi'")
+        return entropy, grad_of
+    raise ValueError(f"unknown objective {objective!r}; use 'von-neumann' or 'renyi'")
 
 
 def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
@@ -308,8 +272,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     tolerance; the residual history records that measure per iteration.
     """
     opts = opts or SolveOptions()
-    cs.correction_terms
-    f_of, grad_of = _objective_and_gradient(objective, alpha)
+    entropy, grad_of = _entropy_objective(objective, alpha)
     t0 = time.perf_counter()
 
     def inner_project(m, cap=5000):
@@ -318,16 +281,14 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         # projections only blunt the search direction; the stationarity
         # certificate fires near the interior optimum, where the projection
         # converges in a handful of sweeps.
-        x, _hist, _ok = _dykstra_loop(
-            hermitize(m), cs, "with-increments", cap, change_tol=1e-14,
-        )
-        return x
+        return _alternate(hermitize(m), cs, project_psd, cap, increments=True,
+                          change_tol=1e-14)[0]
 
     start = _initial_point(cs, opts.seed, initial)
     rho = inner_project(start)
 
     values, u = hermitian_eig(rho)
-    f_cur = f_of(values)
+    f_cur = -entropy(values)
     window = deque([f_cur], maxlen=opts.nspg_window)
     step = 1.0
     station_history = []
@@ -357,7 +318,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
             # leave the calibrated step size alone
             candidate = hermitize(rho + d)
             cand_values, cand_u = hermitian_eig(candidate)
-            f_new = f_of(cand_values)
+            f_new = -entropy(cand_values)
         elif slope > 0:
             collapsed = True   # genuinely ascending: projection too inexact
         else:
@@ -365,7 +326,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
             while True:
                 candidate = hermitize(rho + lam * d)
                 cand_values, cand_u = hermitian_eig(candidate)
-                f_new = f_of(cand_values)
+                f_new = -entropy(cand_values)
                 if f_new <= f_ref + opts.nspg_decrease * lam * slope:
                     break
                 lam = (opts.nspg_sigma1 * lam + opts.nspg_sigma2 * lam) / 2

@@ -84,6 +84,13 @@ def _as_square(a, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def _finite_square(a, what: str) -> np.ndarray:
+    m = _as_square(a, what)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what}: entries must be finite")
+    return m
+
+
 class EigDecomposition(NamedTuple):
     values: np.ndarray   # real, sorted descending
     vectors: np.ndarray  # unitary, column i pairs with values[i]
@@ -178,16 +185,10 @@ class DensityMatrix:
     dims: SystemDims = field(default=None)  # type: ignore[assignment]
 
     def __init__(self, matrix, dims=None):
-        m = hermitize(_as_square(matrix, "density matrix"))
+        m = density_input(matrix)
         d = as_dims(dims) if dims is not None else SystemDims((m.shape[0],))
         if m.shape[0] != d.total:
             raise ValueError(f"matrix order {m.shape[0]} does not match dims {d.dims}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace must be 1 within {TRACE_ATOL}, got {tr}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_ATOL:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {lo}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", d)
@@ -204,10 +205,10 @@ class DensityMatrix:
 
 
 def density_input(rho, what: str = "density matrix") -> np.ndarray:
-    """Validate a DensityMatrix-or-array argument, returning the Hermitized array."""
+    """Check a DensityMatrix-or-array is finite, unit-trace and PSD; return it Hermitized."""
     if isinstance(rho, DensityMatrix):
         return np.array(rho.matrix)
-    m = hermitize(_as_square(rho, what))
+    m = hermitize(_finite_square(rho, what))
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{what}: trace must be 1 within {TRACE_ATOL}, got {tr}")
@@ -220,14 +221,16 @@ def density_input(rho, what: str = "density matrix") -> np.ndarray:
 def as_spectrum(values, *, probability: bool = False, atol: float = TRACE_ATOL) -> np.ndarray:
     """Canonicalize a real spectrum to descending order.
 
-    With probability=True the entries must be nonnegative and sum to 1
-    within `atol` (prescribed-eigenvalue use).
+    With probability=True the entries must be finite, nonnegative and sum
+    to 1 within `atol` (prescribed-eigenvalue use).
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 1:
         raise ValueError("spectrum must be nonempty")
     v = np.sort(v)[::-1]
     if probability:
+        if not np.isfinite(v).all():
+            raise ValueError("spectrum entries must be finite")
         if v[-1] < -PSD_ATOL:
             raise ValueError(f"spectrum entries must be >= 0, got {v[-1]}")
         s = float(v.sum())

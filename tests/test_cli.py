@@ -111,6 +111,16 @@ class TestConsistency:
         assert result.exit_code == 0
         assert "consistent: True" in result.output
 
+    def test_solve_on_inconsistent_marginals_exits_one(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        fileio.write_matrix(bad, 0.9 * np.eye(2) / 2, (2,))
+        result = runner.invoke(main, [
+            "solve", "feasible", "--dims", "2,2",
+            "--marginal", f"1:{FIXTURES}/bipartite_2x3/rho_a.json",
+            "--marginal", f"2:{bad}"])
+        assert result.exit_code == 1
+        assert "max marginal discrepancy" in result.output
+
     def test_trace_mismatch_exits_one(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         fileio.write_matrix(bad, 0.9 * np.eye(2) / 2, (2,))

@@ -188,6 +188,15 @@ class TestSolveFeasible:
         with pytest.raises(ValueError, match="inconsistent"):
             solve_feasible(cs, SolveOptions())
 
+    @pytest.mark.parametrize("solve", [
+        lambda cs, start: solve_feasible(cs, SolveOptions(), initial=start),
+        lambda cs, start: nspg_minimize(cs, opts=SolveOptions(), initial=start),
+    ])
+    def test_non_finite_initial_point_rejected(self, solve):
+        r1, r2 = random_density_pair(np.random.default_rng(0), 2, 2)
+        with pytest.raises(ValueError, match="initial point"):
+            solve(bipartite_cs(r1, r2), np.full((4, 4), np.nan))
+
 
 class TestDykstra:
     def test_fixed_point(self):

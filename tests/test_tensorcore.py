@@ -4,6 +4,10 @@ import pytest
 from qmarginals import (
     DensityMatrix,
     SystemDims,
+    as_spectrum,
+    grad_renyi,
+    grad_von_neumann_objective,
+    greedy_minmatch,
     hermitian_eig,
     hermitize,
     kron,
@@ -14,7 +18,7 @@ from qmarginals import (
     random_unitary,
     subsystem_permutation,
 )
-from qmarginals.tensorcore import kron_all, swap_bipartite
+from qmarginals.tensorcore import density_input, kron_all, swap_bipartite
 
 from conftest import random_hermitian
 
@@ -281,6 +285,22 @@ class TestDensityMatrix:
         m = np.array([[0.5, 0.1 + 1e-14j], [0.1, 0.5]])
         dm = DensityMatrix(m)
         assert np.abs(dm.matrix - dm.matrix.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_everywhere_it_validates(self, bad):
+        m = np.array([[bad, 0.0], [0.0, 1.0]])
+        fine = np.eye(2) / 2
+        for call in [lambda: DensityMatrix(m), lambda: density_input(m, "rho"),
+                     lambda: grad_von_neumann_objective(m), lambda: grad_renyi(m, 2.0),
+                     lambda: greedy_minmatch(fine, m)]:
+            with pytest.raises(ValueError, match="entries must be finite"):
+                call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_spectrum_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="spectrum entries must be finite"):
+        as_spectrum([bad, 0.5, 0.5], probability=True)
 
 
 class TestNumericalRank:
