@@ -34,29 +34,35 @@ from .tensorcore import (
 )
 
 
+class _InputError(click.UsageError):
+    """Malformed --dims, --marginal or index set: an input error, so exit 1, not 2."""
+
+    exit_code = 1
+
+
 def _parse_dims(text: str):
     try:
         return as_dims(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise click.UsageError(f"--dims: {exc}") from exc
+        raise _InputError(f"--dims: {exc}") from exc
 
 
 def _parse_keep(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise click.UsageError(f"bad index set {text!r}") from exc
+        raise _InputError(f"bad index set {text!r}") from exc
 
 
 def _read_marginals(marginals) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'."""
     if not marginals:
-        raise click.UsageError("at least one --marginal is required")
+        raise _InputError("at least one --marginal is required")
     constraints = []
     for spec_text in marginals:
         keep_text, _, path = spec_text.partition(":")
         if not path:
-            raise click.UsageError(
+            raise _InputError(
                 f"--marginal {spec_text!r}: expected '<keepset>:<file>'")
         target, _target_dims = fileio.read_matrix(path)
         constraints.append((_parse_keep(keep_text), target))
@@ -318,7 +324,11 @@ def solve_feasible_cmd(dims_text, marginals, tol, max_iter, seed, restarts,
 @_with_shared
 def solve_entropy_cmd(alpha, stationarity_tol, dims_text, marginals, tol, max_iter,
                       seed, restarts, init_text, out_dir, mode):
-    """Projected-gradient search for an entropy-extremal feasible state."""
+    """Projected-gradient search for an entropy-extremal feasible state.
+
+    Stops on --stationarity-tol or --max-iter; reads none of --mode,
+    --restarts or --tol.
+    """
     def runner(cs, opts, initial):
         opts = solvers.with_options(opts, nspg_stationarity_tol=stationarity_tol)
         objective = "renyi" if alpha is not None else "von-neumann"

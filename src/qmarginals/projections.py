@@ -123,6 +123,44 @@ class ConstraintSet:
                 terms.append((w, labels, _reduced_target(owners[0], labels, self.dims)))
         return tuple(sorted(terms, key=lambda term: term[1]))
 
+    @cached_property
+    def _dual_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, b): an orthonormal basis of span{E x I_{J^c}} over every constraint, and b = <B, X>.
+
+        B is stacked as (m, n, n) Hermitian matrices, orthonormal in the real
+        inner product <A, C> = Re tr(A* C); b holds <B_k, X> for any X that
+        meets the marginals, computed from the targets as <E, sigma_J>.
+        """
+        n = self.dims.total
+        lifted, values = [], []
+        for c in self.constraints:
+            nj = c.target.shape[0]
+            for e in _hermitian_units(nj):
+                out = np.zeros((n, n), dtype=complex)
+                _add_lifted(out, 1.0, e, self.dims, c.keep)   # E x I / n_{J^c}
+                lifted.append(out)
+                values.append(float(np.vdot(e, c.target).real) * nj / n)
+        lifted = np.array(lifted)
+        flat = lifted.reshape(len(lifted), n * n)
+        # generators shared by two constraints leave Gram eigenvalues at
+        # rounding level; every independent direction stays far above 1e-10
+        w, v = np.linalg.eigh((flat.conj() @ flat.T).real)
+        keep = w > 1e-10 * w[-1]
+        coef = v[:, keep] / np.sqrt(w[keep])
+        return np.tensordot(coef.T, lifted, 1), coef.T @ np.array(values)
+
+
+def _hermitian_units(m: int):
+    """m^2 Hermitian m x m matrices spanning the Hermitian matrices over the reals."""
+    for a in range(m):
+        for c in range(m):
+            e = np.zeros((m, m), dtype=complex)
+            if a <= c:
+                e[a, c] = e[c, a] = 1.0
+            else:
+                e[a, c], e[c, a] = 1j, -1j
+            yield e
+
 
 def _reduced_target(c: MarginalConstraint, labels: tuple[int, ...], dims: SystemDims):
     """The target of `c` traced down to `labels` inside its kept set; () gives its trace."""

@@ -95,18 +95,16 @@ def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
     return np.array(random_density(cs.dims, seed).matrix)
 
 
-def _alternate(z, cs, second, max_sweeps, increments=False, err_tol=0.0, change_tol=0.0):
-    """Sweep X -> second(project_marginals(X)) from z; returns (x, Err history, converged).
+def _alternate(z, cs, second, max_sweeps, *, err_tol, increments=False):
+    """Sweep X -> second(project_marginals(X)) from z until Err < err_tol.
 
-    With `increments` the second leg carries Dykstra's correction term (the
-    affine leg needs none). Err is recorded only when err_tol > 0; the loop
-    stops on Err < err_tol or on a sweep that moves x by at most change_tol.
+    Returns (x, Err history, converged). With `increments` the second leg
+    carries Dykstra's correction term (the affine leg needs none).
     """
     x = z
     increment = np.zeros_like(z)
     history = []
     for _ in range(max_sweeps):
-        x_prev = x
         y = project_marginals(x, cs)
         if increments:
             t = y + increment
@@ -114,12 +112,8 @@ def _alternate(z, cs, second, max_sweeps, increments=False, err_tol=0.0, change_
             increment = t - x
         else:
             x = second(y)
-        if err_tol > 0.0:
-            err = marginal_residual(x, cs)
-            history.append(err)
-            if err < err_tol:
-                return x, history, True
-        if change_tol and np.linalg.norm(x - x_prev) <= change_tol:
+        history.append(marginal_residual(x, cs))
+        if history[-1] < err_tol:
             return x, history, True
     return x, history, False
 
@@ -237,6 +231,77 @@ def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> S
     )
 
 
+DUAL_GRAD_TOL = 1e-15
+DUAL_MAX_ITERATIONS = 50
+
+
+def _dual_project(z, cs: ConstraintSet, y=None):
+    """Project Hermitian z onto (marginal set) intersect (PSD cone).
+
+    Semismooth Newton on the dual of this semidefinite least-squares problem
+    (Malick 2004; Qi & Sun 2006). With B the orthonormal basis of the lifted
+    marginal space and b = <B, X> on the marginal set, it minimizes
+    phi(y) = ||P_+(z + sum y_k B_k)||^2 / 2 - <b, y>, whose gradient
+    <B, X(y)> - b is the marginal error of X(y) = P_+(z + sum y_k B_k).
+    Starts from the dual point `y` (zero when None) and stops once the
+    gradient norm is at most DUAL_GRAD_TOL, after DUAL_MAX_ITERATIONS Newton
+    steps, or when the line search can no longer tell a step from rounding.
+    Returns (X(y), y, gradient norm, whether the iteration cap ended it).
+    """
+    basis, b = cs._dual_basis
+    m, n = basis.shape[0], z.shape[0]
+    flat = basis.reshape(m, n * n)
+
+    def evaluate(y):
+        lam, u = np.linalg.eigh((z.ravel() + y @ flat).reshape(n, n))
+        plus = np.clip(lam, 0.0, None)
+        x = (u * plus) @ u.conj().T
+        grad = (flat.conj() @ x.ravel()).real - b
+        return lam, u, x, grad, 0.5 * float(plus @ plus) - float(b @ y)
+
+    y = np.zeros(m) if y is None else y
+    lam, u, x, grad, phi = evaluate(y)
+    gnorm = float(np.linalg.norm(grad))
+    for _ in range(DUAL_MAX_ITERATIONS):
+        if gnorm <= DUAL_GRAD_TOL:
+            break
+        # generalized Hessian <B_k, P_+'(W)[B_l]> in the eigenbasis of W: the
+        # first divided differences of max(lambda, 0) weight each entry
+        pos = lam > 0
+        plus = np.where(pos, lam, 0.0)
+        same = pos[:, None] == pos[None, :]
+        omega = np.where(same, pos[:, None] * 1.0,
+                         (plus[:, None] - plus[None, :])
+                         / np.where(same, 1.0, lam[:, None] - lam[None, :]))
+        c = (u.conj().T @ basis @ u).reshape(m, n * n)
+        h = (c.conj() @ (omega.ravel() * c).T).real
+        # regularized system (h + mu I) d = -grad, mu = min(1e-2, |grad|); h is
+        # PSD up to rounding, and clipping its eigenvalues keeps h + mu I
+        # positive definite
+        w, v = np.linalg.eigh(h)
+        d = -v @ ((v.T @ grad) / (np.clip(w, 0.0, None) + min(1e-2, gnorm)))
+        slope = float(grad @ d)
+        band = 64 * np.finfo(float).eps * max(1.0, abs(phi))
+        t = 1.0
+        while True:
+            trial = evaluate(y + t * d)
+            trial_gnorm, trial_phi = float(np.linalg.norm(trial[3])), trial[4]
+            if trial_gnorm <= gnorm / 2:
+                break
+            # below the band phi cannot confirm the predicted decrease, so
+            # only a halved gradient can still accept a step (a NaN slope
+            # ends the search here too)
+            if not -t * slope > band:
+                return hermitize(x), y, gnorm, False
+            if trial_phi <= phi + 1e-4 * t * slope:
+                break
+            t /= 2
+        y = y + t * d
+        lam, u, x, grad, phi = trial
+        gnorm = trial_gnorm
+    return hermitize(x), y, gnorm, gnorm > DUAL_GRAD_TOL
+
+
 def _entropy_objective(objective: str, alpha: float | None):
     """(S, grad f) on (values, U) from the kernels of `entropy`, for f = -S.
 
@@ -266,23 +331,34 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
 
     Minimizes tr(rho ln rho) (or the matching Renyi-form objective) with a
     windowed Armijo acceptance rule and Barzilai-Borwein step sizes. The
-    inner projection is Dykstra with increments, so search directions are
-    actual projections and stay feasible. Stops when
-    ||Phi(rho - grad f(rho)) - rho||_F falls below the stationarity
-    tolerance; the residual history records that measure per iteration.
+    inner projection Phi solves the dual of the projection problem by
+    semismooth Newton (`_dual_project`), warm-started from the previous
+    call's dual point, so search directions are actual projections and stay
+    feasible. Stops when ||Phi(rho - grad f(rho)) - rho||_F falls below the
+    stationarity tolerance; the residual history records that measure per
+    iteration. Projections that end at their Newton-step cap above the
+    dual-gradient tolerance are counted in `notes`. The suite's three
+    slowest NSPG tests (acceptance criterion 11 and TestNspg's 3x4 window
+    and 2x2 singleton cases) take about 2 s with this projection, against
+    about 43 s with the former inner loop, Dykstra capped at 5000 sweeps
+    (2-core x86-64 machine).
     """
     opts = opts or SolveOptions()
     entropy, grad_of = _entropy_objective(objective, alpha)
     t0 = time.perf_counter()
 
-    def inner_project(m, cap=5000):
-        # Capped: early iterates with singular spectra push the clipped
-        # gradient far from the cone, where Dykstra slows down. Inexact early
-        # projections only blunt the search direction; the stationarity
-        # certificate fires near the interior optimum, where the projection
-        # converges in a handful of sweeps.
-        return _alternate(hermitize(m), cs, project_psd, cap, increments=True,
-                          change_tol=1e-14)[0]
+    cs.correction_terms  # validates consistency up front
+    dual = None          # warm start: each projection starts from the last dual point
+    calls = 0
+    capped = []          # dual gradient norms of projections ended by the cap
+
+    def inner_project(m):
+        nonlocal dual, calls
+        x, dual, gnorm, hit_cap = _dual_project(hermitize(m), cs, dual)
+        calls += 1
+        if hit_cap:
+            capped.append(gnorm)
+        return x
 
     start = _initial_point(cs, opts.seed, initial)
     rho = inner_project(start)
@@ -354,6 +430,11 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         window.append(f_cur)
         objective_history.append(f_cur)
 
+    if capped:
+        cap_note = (f"inner projection stopped at its {DUAL_MAX_ITERATIONS}-step cap in "
+                    f"{len(capped)} of {calls} calls, dual gradient up to "
+                    f"{max(capped):.1e} (tolerance {DUAL_GRAD_TOL:g})")
+        notes = f"{notes}; {cap_note}" if notes else cap_note
     return SolveReport(
         solution=rho, iterations=len(station_history),
         residual_history=np.asarray(station_history), converged=converged,

@@ -219,18 +219,18 @@ def density_input(rho, what: str = "density matrix") -> np.ndarray:
 
 
 def as_spectrum(values, *, probability: bool = False, atol: float = TRACE_ATOL) -> np.ndarray:
-    """Canonicalize a real spectrum to descending order.
+    """Canonicalize a finite real spectrum to descending order.
 
-    With probability=True the entries must be finite, nonnegative and sum
-    to 1 within `atol` (prescribed-eigenvalue use).
+    With probability=True the entries must also be nonnegative and sum to 1
+    within `atol` (prescribed-eigenvalue use).
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 1:
         raise ValueError("spectrum must be nonempty")
+    if not np.isfinite(v).all():
+        raise ValueError("spectrum entries must be finite")
     v = np.sort(v)[::-1]
     if probability:
-        if not np.isfinite(v).all():
-            raise ValueError("spectrum entries must be finite")
         if v[-1] < -PSD_ATOL:
             raise ValueError(f"spectrum entries must be >= 0, got {v[-1]}")
         s = float(v.sum())

@@ -225,6 +225,19 @@ class TestSolveCommands:
             "--spectrum", str(c), "--max-iter", "200"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["--dims", "2,2", "--marginal", "nocolon"],
+         "--marginal 'nocolon': expected '<keepset>:<file>'"),
+        (["--dims", "2,x", "--marginal", "1:m.json"], "--dims: invalid literal"),
+        (["--dims", "2,2", "--marginal", f"x:{FIXTURES / 'bipartite_2x3' / 'rho_a.json'}"],
+         "bad index set 'x'"),
+        (["--dims", "2,2"], "at least one --marginal is required"),
+    ], ids=["malformed-marginal", "bad-dims", "bad-index-set", "no-marginal"])
+    def test_malformed_input_exits_one(self, runner, args, message):
+        result = runner.invoke(main, ["solve", "feasible", *args])
+        assert result.exit_code == 1
+        assert message in result.output
+
 
 class TestConstructCommands:
     def test_greedy_prints_table_values(self, runner, tmp_path):

@@ -90,6 +90,11 @@ class TestSpectrumProjection:
         x = project_spectrum(random_hermitian(rng, 4), c)
         assert np.abs(np.sort(np.linalg.eigvalsh(x))[::-1] - c).max() < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(ValueError, match="spectrum entries must be finite"):
+            project_spectrum(np.eye(2) / 2, [bad, 1.0])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             project_spectrum(np.eye(3), np.array([1.0, 0.0]))
