@@ -47,7 +47,6 @@ from .solvers import (
     solve_feasible,
     solve_with_rank_cap,
     solve_with_spectrum,
-    with_options,
 )
 from .tensorcore import (
     DensityMatrix,

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input or validation error, 2 solver did not
-converge within its iteration limit.
+Exit codes: 0 success, 1 input or validation error (usage errors
+included), 2 solver did not converge within its iteration limit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -34,35 +35,29 @@ from .tensorcore import (
 )
 
 
-class _InputError(click.UsageError):
-    """Malformed --dims, --marginal or index set: an input error, so exit 1, not 2."""
-
-    exit_code = 1
-
-
 def _parse_dims(text: str):
     try:
         return as_dims(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise _InputError(f"--dims: {exc}") from exc
+        raise click.UsageError(f"--dims: {exc}") from exc
 
 
 def _parse_keep(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise _InputError(f"bad index set {text!r}") from exc
+        raise click.UsageError(f"bad index set {text!r}") from exc
 
 
 def _read_marginals(marginals) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'."""
     if not marginals:
-        raise _InputError("at least one --marginal is required")
+        raise click.UsageError("at least one --marginal is required")
     constraints = []
     for spec_text in marginals:
         keep_text, _, path = spec_text.partition(":")
         if not path:
-            raise _InputError(
+            raise click.UsageError(
                 f"--marginal {spec_text!r}: expected '<keepset>:<file>'")
         target, _target_dims = fileio.read_matrix(path)
         constraints.append((_parse_keep(keep_text), target))
@@ -117,33 +112,31 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
+# Options of every `solve` command; those named after a SolveOptions field
+# are passed to it as they are.
 _shared = [
     click.option("--dims", "dims_text", required=True, help="subsystem dims, e.g. 2,3"),
     click.option("--marginal", "marginals", multiple=True,
                  help="prescribed marginal '<keepset>:<file>' (repeatable)"),
-    click.option("--tol", type=float, default=1e-12, show_default=True),
-    click.option("--max-iter", type=int, default=1000, show_default=True),
+    click.option("--max-iter", "max_iterations", type=int, default=1000, show_default=True),
     click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--restarts", type=int, default=1, show_default=True),
     click.option("--init", "init_text", default="random", show_default=True,
                  help="random | greedy | interlace | file:<path>"),
     click.option("--out", "out_dir", default=None, help="directory for result files"),
-    click.option("--mode", type=click.Choice(["dykstra", "plain"]), default="dykstra",
-                 show_default=True, help="projection onto the feasible intersection"),
+]
+# Options of the three alternating solvers only.
+_sweep = [
+    click.option("--tol", "tolerance", type=float, default=1e-12, show_default=True),
+    click.option("--restarts", type=int, default=1, show_default=True),
 ]
 
 
-def _with_shared(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
-
-
-def _solver_options(tol, max_iter, seed, restarts, mode) -> SolveOptions:
-    return SolveOptions(
-        max_iterations=max_iter, tolerance=tol, seed=seed, restarts=restarts,
-        dykstra_mode="with-increments" if mode == "dykstra" else "plain-alternation",
-    )
+def _add_options(options):
+    def apply(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return apply
 
 
 def _resolve_init(init_text, cs):
@@ -164,7 +157,29 @@ def _resolve_init(init_text, cs):
     raise ValueError(f"unknown --init {init_text!r}")
 
 
-@click.group()
+@contextlib.contextmanager
+def _usage_exits_one():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+class _Main(click.Group):
+    """The command group: every usage error, click's own grammar errors
+    included, is an input error and exits 1; 2 means non-convergence."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_exits_one():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exits_one():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Main)
 def main():
     """Construct multipartite density matrices with prescribed marginals."""
 
@@ -191,14 +206,13 @@ def trace(input_file, keep_text, out_path):
 @main.command()
 @click.option("--dims", "dims_text", required=True)
 @click.option("--marginal", "marginals", multiple=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-def consistency(dims_text, marginals, tol):
-    """Check whether the prescribed marginals can coexist."""
+def consistency(dims_text, marginals):
+    """Check whether the prescribed marginals can coexist, as the solvers require."""
     try:
         cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
     except (ValueError, OSError) as exc:
         _fail(str(exc))
-    report = check_consistency(cs, tol)
+    report = check_consistency(cs)
     click.echo(f"consistent: {report.consistent}")
     click.echo(f"max discrepancy: {report.max_discrepancy:.6e}")
     for labels, forced in sorted(report.derived_marginals.items()):
@@ -217,16 +231,14 @@ def consistency(dims_text, marginals, tol):
               "combined with --marginal, onto the feasible intersection")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--max-iter", type=int, default=1000, show_default=True)
-@click.option("--mode", type=click.Choice(["dykstra", "plain"]), default="dykstra",
-              show_default=True, help="scheme for the intersection projection")
 @click.option("--out", "out_path", default=None)
 def project(input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
-            max_iter, mode, out_path):
+            max_iter, out_path):
     """Least-squares projection of a matrix file.
 
     With --marginal alone this is the closed-form affine projection; with
     --psd alone the eigenvalue clipping; with both, the Dykstra scheme onto
-    (marginals) intersect (PSD), controlled by --mode/--tol/--max-iter.
+    (marginals) intersect (PSD), controlled by --tol/--max-iter.
     """
     try:
         dims = _parse_dims(dims_text)
@@ -236,7 +248,7 @@ def project(input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
         if psd_flag and marginals:
             cs = ConstraintSet(dims, _read_marginals(marginals))
             report = solvers.dykstra_project(
-                matrix, cs, _solver_options(tol, max_iter, 0, 1, mode))
+                matrix, cs, SolveOptions(max_iterations=max_iter, tolerance=tol))
             _echo_report(report)
             result = report.solution
             if not report.converged:
@@ -262,12 +274,12 @@ def solve():
     """Iterative solvers."""
 
 
-def _run_solver(runner, dims_text, marginals, tol, max_iter, seed, restarts,
-                init_text, out_dir, mode):
+def _run_solver(runner, dims_text, marginals, init_text, out_dir, **options):
+    """Run `runner(cs, SolveOptions(**options), initial)`; exit 2 unless it converged."""
     try:
         dims = _parse_dims(dims_text)
         cs = ConstraintSet(dims, _read_marginals(marginals))
-        opts = _solver_options(tol, max_iter, seed, restarts, mode)
+        opts = SolveOptions(**options)
         initial = _resolve_init(init_text, cs)
         report = runner(cs, opts, initial)
     except (ValueError, OSError, RuntimeError) as exc:
@@ -283,59 +295,48 @@ def _run_solver(runner, dims_text, marginals, tol, max_iter, seed, restarts,
 
 @solve.command("spectrum")
 @click.option("--spectrum", "spectrum_path", required=True)
-@_with_shared
-def solve_spectrum_cmd(spectrum_path, dims_text, marginals, tol, max_iter, seed,
-                       restarts, init_text, out_dir, mode):
+@_add_options(_shared + _sweep)
+def solve_spectrum_cmd(spectrum_path, **shared):
     """Find a state with the prescribed marginals and eigenvalues."""
     try:
         c = fileio.read_spectrum(spectrum_path)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     _run_solver(lambda cs, opts, initial: solvers.solve_with_spectrum(cs, c, opts, initial),
-                dims_text, marginals, tol, max_iter, seed, restarts, init_text,
-                out_dir, mode)
+                **shared)
 
 
 @solve.command("rank")
 @click.option("--cap", type=int, required=True, help="target rank bound")
-@_with_shared
-def solve_rank_cmd(cap, dims_text, marginals, tol, max_iter, seed, restarts,
-                   init_text, out_dir, mode):
+@_add_options(_shared + _sweep)
+def solve_rank_cmd(cap, **shared):
     """Find a state with the prescribed marginals and rank at most --cap."""
     _run_solver(lambda cs, opts, initial: solvers.solve_with_rank_cap(cs, cap, opts, initial),
-                dims_text, marginals, tol, max_iter, seed, restarts, init_text,
-                out_dir, mode)
+                **shared)
 
 
 @solve.command("feasible")
-@_with_shared
-def solve_feasible_cmd(dims_text, marginals, tol, max_iter, seed, restarts,
-                       init_text, out_dir, mode):
+@_add_options(_shared + _sweep)
+def solve_feasible_cmd(**shared):
     """Find any state with the prescribed marginals."""
-    _run_solver(lambda cs, opts, initial: solvers.solve_feasible(cs, opts, initial),
-                dims_text, marginals, tol, max_iter, seed, restarts, init_text,
-                out_dir, mode)
+    _run_solver(solvers.solve_feasible, **shared)
 
 
 @solve.command("min-entropy")
 @click.option("--alpha", type=float, default=None,
               help="Renyi order; omit for the von Neumann objective")
-@click.option("--stationarity-tol", type=float, default=1e-8, show_default=True)
-@_with_shared
-def solve_entropy_cmd(alpha, stationarity_tol, dims_text, marginals, tol, max_iter,
-                      seed, restarts, init_text, out_dir, mode):
+@click.option("--stationarity-tol", "nspg_stationarity_tol", type=float, default=1e-8,
+              show_default=True)
+@_add_options(_shared)
+def solve_entropy_cmd(alpha, **shared):
     """Projected-gradient search for an entropy-extremal feasible state.
 
-    Stops on --stationarity-tol or --max-iter; reads none of --mode,
-    --restarts or --tol.
+    Stops on --stationarity-tol or --max-iter.
     """
-    def runner(cs, opts, initial):
-        opts = solvers.with_options(opts, nspg_stationarity_tol=stationarity_tol)
-        objective = "renyi" if alpha is not None else "von-neumann"
-        return solvers.nspg_minimize(cs, objective, alpha, opts, initial)
-
-    _run_solver(runner, dims_text, marginals, tol, max_iter, seed, restarts,
-                init_text, out_dir, mode)
+    objective = "renyi" if alpha is not None else "von-neumann"
+    _run_solver(lambda cs, opts, initial: solvers.nspg_minimize(cs, objective, alpha, opts,
+                                                                initial),
+                **shared)
 
 
 @main.group()

@@ -27,6 +27,7 @@ ZERO_EIG = 1e-12      # eigenvalues at or below this count as exact zeros
 TIE_EPS = 1e-12       # spectral ties within this width may chain either way
 RADICAND_CLIP = 1e-12
 ISOSPECTRAL_TOL = 1e-8
+INTERLACE_TOL = 1e-10  # interlacing violations up to this width count as round-off
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,17 @@ def _descending_eig(m):
     return np.where(values > ZERO_EIG, values, 0.0), vectors
 
 
-def pure_state_from_isospectral(rho1, rho2, tol: float = ISOSPECTRAL_TOL) -> DensityMatrix:
+def _ranked_eig(m):
+    """(values, vectors, r): descending eigenpairs whose values beyond the
+    numerical rank r are set to zero, so that a construction uses exactly
+    the eigenvalues that `numerical_rank` counts."""
+    values, vectors = hermitian_eig(m)
+    r = numerical_rank(values)
+    values[r:] = 0.0
+    return values, vectors, r
+
+
+def pure_state_from_isospectral(rho1, rho2) -> DensityMatrix:
     """Rank-one state with marginals rho1, rho2 (which must be isospectral).
 
     With rho1 = sum gamma_i x_i x_i* and rho2 = sum gamma_i y_i y_i*, the
@@ -63,14 +74,13 @@ def pure_state_from_isospectral(rho1, rho2, tol: float = ISOSPECTRAL_TOL) -> Den
     tr_1(ww*) = rho2; eigenvalues are paired in descending order.
     """
     r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
-    a, u = _descending_eig(r1)
-    b, v = _descending_eig(r2)
-    ra, rb = numerical_rank(a), numerical_rank(b)
+    a, u, ra = _ranked_eig(r1)
+    b, v, rb = _ranked_eig(r2)
     r = max(ra, rb)
-    if ra != rb or np.max(np.abs(a[:r] - b[:r])) > tol:
+    if ra != rb or np.max(np.abs(a[:r] - b[:r])) > ISOSPECTRAL_TOL:
         raise ValueError(
-            "marginals are not isospectral within "
-            f"{tol}: spectra {np.round(a[:max(ra, 1)], 6)} vs {np.round(b[:max(rb, 1)], 6)}"
+            f"marginals are not isospectral within {ISOSPECTRAL_TOL}: "
+            f"spectra {np.round(a[:max(ra, 1)], 6)} vs {np.round(b[:max(rb, 1)], 6)}"
         )
     w = np.zeros(n1 * n2, dtype=complex)
     for i in range(r):
@@ -88,9 +98,8 @@ def rank_k_roots_of_unity(rho1, rho2, k: int) -> DensityMatrix:
     Fourier structure keeps the k components independent.
     """
     r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
-    a, u = _descending_eig(r1)
-    b, v = _descending_eig(r2)
-    ra, rb = numerical_rank(a), numerical_rank(b)
+    a, u, ra = _ranked_eig(r1)
+    b, v, rb = _ranked_eig(r2)
     lo, hi = max(ra, rb), ra + rb - 1
     if not lo <= k <= hi:
         raise ValueError(f"k={k} outside the admissible interval [{lo}, {hi}]")
@@ -123,9 +132,8 @@ def rank_sweep(rho1, rho2, k: int) -> DensityMatrix:
     spectrum. The two pieces occupy disjoint slots, so ranks add exactly.
     """
     r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
-    a, u = _descending_eig(r1)
-    b, v = _descending_eig(r2)
-    ra, rb = numerical_rank(a), numerical_rank(b)
+    a, u, ra = _ranked_eig(r1)
+    b, v, rb = _ranked_eig(r2)
     lo, hi = max(ra, rb), ra * rb
     if not lo <= k <= hi:
         raise ValueError(f"k={k} outside the admissible interval [{lo}, {hi}]")
@@ -153,13 +161,14 @@ def _sweep_component(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return (1.0 - t) * tau + t * kron(np.diag(a), np.diag(e))
 
 
-def rank_one_downdate(a, b, tol: float = 1e-10) -> np.ndarray:
+def rank_one_downdate(a, b) -> np.ndarray:
     """Vector d with eig(diag(a) - dd^T) = b under interlacing a1>=b1>=a2>=...>=bk>=0.
 
     Exactly matched entries (a_i == b_i, which interlacing forces whenever
     a has duplicates or zeros) are deflated with d_i = 0; the remaining
     strictly separated entries use the characteristic-polynomial product
-    formula. Round-off radicands down to -1e-12 are clipped to zero.
+    formula. Interlacing violations up to INTERLACE_TOL are accepted as
+    round-off, and radicands down to -RADICAND_CLIP are clipped to zero.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -170,13 +179,13 @@ def rank_one_downdate(a, b, tol: float = 1e-10) -> np.ndarray:
     chain[0::2] = a
     chain[1::2] = b
     for i in range(2 * k - 1):
-        if chain[i + 1] > chain[i] + tol:
+        if chain[i + 1] > chain[i] + INTERLACE_TOL:
             hi_name = ("a" if i % 2 == 0 else "b") + f"[{i // 2}]"
             lo_name = ("b" if i % 2 == 0 else "a") + f"[{(i + 1) // 2}]"
             raise ValueError(
                 f"interlacing violated: {lo_name}={chain[i + 1]} > {hi_name}={chain[i]}"
             )
-    if b[-1] < -tol:
+    if b[-1] < -INTERLACE_TOL:
         raise ValueError(f"interlacing violated: b[{k - 1}]={b[-1]} < 0")
     d = np.zeros(k)
     scale = max(1.0, float(a[0]) if k else 1.0)

@@ -59,7 +59,7 @@ def write_spectrum(path, values) -> None:
     Path(path).write_text(json.dumps({"values": [float(x) for x in v]}, indent=1) + "\n")
 
 
-def read_spectrum(path, *, renormalize: bool = True) -> np.ndarray:
+def read_spectrum(path) -> np.ndarray:
     """Parse a spectrum file, sorted descending.
 
     Values printed to few decimals may sum slightly off 1; deviations up to
@@ -77,10 +77,7 @@ def read_spectrum(path, *, renormalize: bool = True) -> np.ndarray:
         raise ValueError(f"{path}: empty spectrum")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{path}: values must be finite")
-    if renormalize:
-        s = float(v.sum())
-        if abs(s - 1.0) > 1e-3:
-            raise ValueError(f"{path}: values sum to {s}, not a probability vector")
-        if s != 0:
-            v = v / s
-    return v
+    s = float(v.sum())
+    if abs(s - 1.0) > 1e-3:
+        raise ValueError(f"{path}: values sum to {s}, not a probability vector")
+    return v / s

@@ -108,7 +108,7 @@ class ConstraintSet:
         the c(S') of all nodes S' strictly containing S. Targets come from
         the first constraint containing S; the empty set carries the trace.
         """
-        report = check_consistency(self, CONSISTENCY_TOL)
+        report = check_consistency(self)
         if not report.consistent:
             raise ValueError(
                 f"inconsistent constraint set: max marginal discrepancy "
@@ -179,13 +179,14 @@ class ConsistencyReport:
     max_discrepancy: float
 
 
-def check_consistency(cs: ConstraintSet, tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
+def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     """Test whether the prescribed marginals can coexist.
 
     At every nonempty node of the intersection lattice that two or more kept
     sets contain, the targets of those constraints traced down to the node
     must agree pairwise; the empty intersection degenerates to all targets
-    having unit trace. A NaN discrepancy counts as inconsistent.
+    having unit trace. The set is consistent when the largest discrepancy is
+    at most CONSISTENCY_TOL; a NaN discrepancy counts as inconsistent.
     """
     gaps = [abs(float(np.trace(c.target).real) - 1.0) for c in cs.constraints]
     derived: dict[tuple[int, ...], np.ndarray] = {}
@@ -197,8 +198,8 @@ def check_consistency(cs: ConstraintSet, tol: float = CONSISTENCY_TOL) -> Consis
         derived[labels] = reduced[0]
         gaps += [float(np.linalg.norm(x - y)) for x, y in itertools.combinations(reduced, 2)]
     worst = float(np.max(gaps))  # np.max, unlike max(), propagates NaN
-    return ConsistencyReport(consistent=bool(worst <= tol), derived_marginals=derived,
-                             max_discrepancy=worst)
+    return ConsistencyReport(consistent=bool(worst <= CONSISTENCY_TOL),
+                             derived_marginals=derived, max_discrepancy=worst)
 
 
 def _add_lifted(out: np.ndarray, w: float, deficit: np.ndarray, dims: SystemDims,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +30,12 @@ from .tensorcore import (
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Iteration limits, tolerances, and scheme parameters shared by the solvers."""
+    """Iteration limits, tolerances and seeding shared by the solvers."""
 
     max_iterations: int = 1000
     tolerance: float = 1e-12
     seed: int = 0
     restarts: int = 1
-    dykstra_mode: str = "with-increments"   # or "plain-alternation"
-    nspg_window: int = 10
-    nspg_decrease: float = 1e-4
-    nspg_sigma1: float = 0.1
-    nspg_sigma2: float = 0.9
-    nspg_alpha_min: float = 1e-10
-    nspg_alpha_max: float = 1e10
     nspg_stationarity_tol: float = 1e-8
 
     def __post_init__(self):
@@ -52,14 +45,6 @@ class SolveOptions:
             raise ValueError("tolerance must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.dykstra_mode not in ("with-increments", "plain-alternation"):
-            raise ValueError(f"unknown dykstra_mode {self.dykstra_mode!r}")
-        if not 0 < self.nspg_sigma1 < self.nspg_sigma2 < 1:
-            raise ValueError("need 0 < sigma1 < sigma2 < 1")
-        if not 0 < self.nspg_alpha_min < self.nspg_alpha_max:
-            raise ValueError("need 0 < alpha_min < alpha_max")
-        if self.nspg_window < 1:
-            raise ValueError("window must be >= 1")
 
 
 @dataclass
@@ -210,19 +195,18 @@ def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
 
 
 def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> SolveReport:
-    """Project z onto (marginal set) intersect (PSD cone).
+    """Project z onto (marginal set) intersect (PSD cone) by Dykstra's scheme.
 
-    In "with-increments" mode the PSD leg carries Dykstra's correction term
-    (the affine leg needs none), and the limit is the Frobenius projection of
-    z. "plain-alternation" replays the bare alternation instead, whose limit
-    is some point of the intersection, generally not the projection.
+    The PSD leg carries Dykstra's correction term (the affine leg needs
+    none), so the limit is the Frobenius projection of z. The bare
+    alternation from z, whose limit is some point of the intersection but
+    generally not the projection, is `solve_feasible(cs, opts, initial=z)`.
     """
     opts = opts or SolveOptions()
     z = hermitize(_as_square(z))
     t0 = time.perf_counter()
     x, history, converged = _alternate(
-        z, cs, project_psd, opts.max_iterations,
-        increments=opts.dykstra_mode == "with-increments", err_tol=opts.tolerance,
+        z, cs, project_psd, opts.max_iterations, increments=True, err_tol=opts.tolerance,
     )
     return SolveReport(
         solution=x, iterations=len(history), residual_history=np.asarray(history),
@@ -324,6 +308,12 @@ def _entropy_objective(objective: str, alpha: float | None):
     raise ValueError(f"unknown objective {objective!r}; use 'von-neumann' or 'renyi'")
 
 
+NSPG_WINDOW = 10          # nonmonotone window: Armijo compares with the worst of these
+NSPG_DECREASE = 1e-4      # Armijo sufficient-decrease factor
+NSPG_ALPHA_MIN = 1e-10    # Barzilai-Borwein step-size safeguards
+NSPG_ALPHA_MAX = 1e10
+
+
 def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
                   alpha: float | None = None, opts: SolveOptions | None = None,
                   initial=None) -> SolveReport:
@@ -337,11 +327,10 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     feasible. Stops when ||Phi(rho - grad f(rho)) - rho||_F falls below the
     stationarity tolerance; the residual history records that measure per
     iteration. Projections that end at their Newton-step cap above the
-    dual-gradient tolerance are counted in `notes`. The suite's three
-    slowest NSPG tests (acceptance criterion 11 and TestNspg's 3x4 window
-    and 2x2 singleton cases) take about 2 s with this projection, against
-    about 43 s with the former inner loop, Dykstra capped at 5000 sweeps
-    (2-core x86-64 machine).
+    dual-gradient tolerance are counted in `notes`. The line-search and
+    step-size constants NSPG_WINDOW, NSPG_DECREASE, NSPG_ALPHA_MIN and
+    NSPG_ALPHA_MAX are the defaults of Birgin, Martinez & Raydan (2000);
+    backtracking halves the step.
     """
     opts = opts or SolveOptions()
     entropy, grad_of = _entropy_objective(objective, alpha)
@@ -365,7 +354,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
 
     values, u = hermitian_eig(rho)
     f_cur = -entropy(values)
-    window = deque([f_cur], maxlen=opts.nspg_window)
+    window = deque([f_cur], maxlen=NSPG_WINDOW)
     step = 1.0
     station_history = []
     objective_history = [f_cur]
@@ -403,9 +392,9 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
                 candidate = hermitize(rho + lam * d)
                 cand_values, cand_u = hermitian_eig(candidate)
                 f_new = -entropy(cand_values)
-                if f_new <= f_ref + opts.nspg_decrease * lam * slope:
+                if f_new <= f_ref + NSPG_DECREASE * lam * slope:
                     break
-                lam = (opts.nspg_sigma1 * lam + opts.nspg_sigma2 * lam) / 2
+                lam /= 2
                 if lam < 1e-16:
                     collapsed = True
                     break
@@ -422,10 +411,10 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
             g_new = grad_of(cand_values, cand_u)
             b = float(np.real(np.trace(s.conj().T @ (g_new - g))))
             if b <= 0:
-                step = opts.nspg_alpha_max
+                step = NSPG_ALPHA_MAX
             else:
                 a = float(np.real(np.trace(s.conj().T @ s)))
-                step = min(opts.nspg_alpha_max, max(opts.nspg_alpha_min, a / b))
+                step = min(NSPG_ALPHA_MAX, max(NSPG_ALPHA_MIN, a / b))
         rho, values, u, f_cur = candidate, cand_values, cand_u, f_new
         window.append(f_cur)
         objective_history.append(f_cur)
@@ -443,8 +432,3 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         seed_used=opts.seed, objective_history=np.asarray(objective_history),
         notes=notes,
     )
-
-
-def with_options(opts: SolveOptions | None = None, **changes) -> SolveOptions:
-    """Copy of `opts` (or the defaults) with the given fields replaced."""
-    return replace(opts or SolveOptions(), **changes)

@@ -218,11 +218,11 @@ def density_input(rho, what: str = "density matrix") -> np.ndarray:
     return m
 
 
-def as_spectrum(values, *, probability: bool = False, atol: float = TRACE_ATOL) -> np.ndarray:
+def as_spectrum(values, *, probability: bool = False) -> np.ndarray:
     """Canonicalize a finite real spectrum to descending order.
 
     With probability=True the entries must also be nonnegative and sum to 1
-    within `atol` (prescribed-eigenvalue use).
+    within TRACE_ATOL (prescribed-eigenvalue use).
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 1:
@@ -234,8 +234,8 @@ def as_spectrum(values, *, probability: bool = False, atol: float = TRACE_ATOL) 
         if v[-1] < -PSD_ATOL:
             raise ValueError(f"spectrum entries must be >= 0, got {v[-1]}")
         s = float(v.sum())
-        if abs(s - 1.0) > atol:
-            raise ValueError(f"spectrum must sum to 1 within {atol}, got {s}")
+        if abs(s - 1.0) > TRACE_ATOL:
+            raise ValueError(f"spectrum must sum to 1 within {TRACE_ATOL}, got {s}")
         v = np.clip(v, 0.0, None)
     return v
 

@@ -232,11 +232,29 @@ class TestSolveCommands:
         (["--dims", "2,2", "--marginal", f"x:{FIXTURES / 'bipartite_2x3' / 'rho_a.json'}"],
          "bad index set 'x'"),
         (["--dims", "2,2"], "at least one --marginal is required"),
-    ], ids=["malformed-marginal", "bad-dims", "bad-index-set", "no-marginal"])
+        (["--marginal", "1:m.json"], "Missing option '--dims'"),
+        (["--dims", "2,2", "--marginal", "1:m.json", "--seed", "x"],
+         "'x' is not a valid integer"),
+        (["--dims", "2,2", "--marginal", "1:m.json", "--mode", "plain"],
+         "No such option '--mode'"),
+    ], ids=["malformed-marginal", "bad-dims", "bad-index-set", "no-marginal",
+            "missing-dims", "bad-seed", "removed-mode"])
     def test_malformed_input_exits_one(self, runner, args, message):
         result = runner.invoke(main, ["solve", "feasible", *args])
         assert result.exit_code == 1
         assert message in result.output
+
+    @pytest.mark.parametrize("command,option", [
+        (["solve", "min-entropy"], ["--tol", "1e-3"]),
+        (["solve", "min-entropy"], ["--restarts", "5"]),
+        (["consistency"], ["--tol", "1e-3"]),
+        (["project", "z.json"], ["--mode", "dykstra"]),
+    ], ids=["min-entropy-tol", "min-entropy-restarts", "consistency-tol", "project-mode"])
+    def test_options_a_command_does_not_read_are_rejected(self, runner, command, option):
+        result = runner.invoke(main, [*command, "--dims", "2,2", "--marginal", "1:m.json",
+                                      *option])
+        assert result.exit_code == 1
+        assert f"No such option '{option[0]}'" in result.output
 
 
 class TestConstructCommands:
@@ -360,8 +378,7 @@ class TestProjectCommand:
         x, _ = fileio.read_matrix(out)
         assert np.abs(x - np.diag([1.0, 0.0])).max() < 1e-12
 
-    @pytest.mark.parametrize("mode", ["dykstra", "plain"])
-    def test_project_intersection(self, runner, tmp_path, mode):
+    def test_project_intersection(self, runner, tmp_path):
         rng = np.random.default_rng(4)
         z = rng.normal(size=(4, 4))
         z = (z + z.T) / 2
@@ -373,7 +390,7 @@ class TestProjectCommand:
         out = tmp_path / "x.json"
         result = invoke(runner, "project", src, "--dims", "2,2", "--psd",
                         "--marginal", f"1:{ra}", "--marginal", f"2:{rb}",
-                        "--mode", mode, "--tol", "1e-10", "--max-iter", "20000", "--out", out)
+                        "--tol", "1e-10", "--max-iter", "20000", "--out", out)
         assert result.exit_code == 0
         assert "converged: True" in result.output
         x, _ = fileio.read_matrix(out)

@@ -146,6 +146,30 @@ class TestRankSweep:
             rank_sweep(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]), 5)
 
 
+class TestRankThreshold:
+    """An eigenvalue in (1e-12, 1e-10], below the numerical-rank cut, takes
+    no part in the low-rank constructions."""
+
+    SPEC_A = np.array([0.6, 0.4 - 5e-11, 5e-11])
+    SPEC_B = np.array([0.5, 0.5])
+
+    @pytest.mark.parametrize("build,top", [
+        (rank_k_roots_of_unity, lambda ra, rb: ra + rb - 1),
+        (rank_sweep, lambda ra, rb: ra * rb),
+    ], ids=["roots-of-unity", "sweep"])
+    @pytest.mark.parametrize("pair", ["diagonal", "swapped", "rotated"])
+    def test_every_admissible_k(self, build, top, pair):
+        r1, r2 = {"diagonal": (np.diag(self.SPEC_A), np.diag(self.SPEC_B)),
+                  "swapped": (np.diag(self.SPEC_B), np.diag(self.SPEC_A)),
+                  "rotated": rotated_pair(self.SPEC_A, self.SPEC_B, 3)}[pair]
+        ra, rb = numerical_rank(r1), numerical_rank(r2)
+        assert (ra, rb) == (2, 2)
+        for k in range(max(ra, rb), top(ra, rb) + 1):
+            state = build(r1, r2, k)
+            check_membership(state, r1, r2)
+            assert numerical_rank(state.matrix) == k
+
+
 class TestRankOneDowndate:
     def test_equal_spectra(self):
         a = np.array([0.5, 0.3, 0.2])

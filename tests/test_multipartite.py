@@ -40,7 +40,7 @@ def chained_constraints(seed):
 class TestChainedConstraints:
     def test_consistent(self):
         cs = chained_constraints(0)
-        rep = check_consistency(cs, 1e-8)
+        rep = check_consistency(cs)
         assert rep.consistent
         assert (2,) in rep.derived_marginals and (3,) in rep.derived_marginals
 

@@ -161,14 +161,14 @@ class TestConsistency:
         r1 = np.array(random_density((2,), 1))
         r2 = np.array(random_density((3,), 2))
         cs = bipartite_cs(r1, r2)
-        rep = check_consistency(cs, 1e-8)
+        rep = check_consistency(cs)
         assert rep.consistent and rep.max_discrepancy < 1e-12
 
     def test_overlapping_fixture_targets(self):
         rho23, _ = load_matrix("tripartite_222/rho_23.json")
         rho12, _ = load_matrix("tripartite_222/rho_12.json")
         cs = ConstraintSet((2, 2, 2), [((2, 3), rho23), ((1, 2), rho12)])
-        rep = check_consistency(cs, 1e-8)
+        rep = check_consistency(cs)
         assert rep.consistent
         assert (2,) in rep.derived_marginals
 
@@ -176,7 +176,7 @@ class TestConsistency:
         r1 = np.array(random_density((2,), 3))
         r2 = 0.9 * np.array(random_density((3,), 4))
         cs = ConstraintSet((2, 3), [((1,), r1), ((2,), r2)])
-        rep = check_consistency(cs, 1e-8)
+        rep = check_consistency(cs)
         assert not rep.consistent and rep.max_discrepancy >= 0.1 - 1e-12
 
     def test_incompatible_overlap(self):
@@ -184,7 +184,7 @@ class TestConsistency:
         r12 = np.array(random_density((2, 2), 13))
         r23 = np.array(random_density((2, 2), 14))  # independent: middle marginals differ
         cs = ConstraintSet((2, 2, 2), [((1, 2), r12), ((2, 3), r23)])
-        rep = check_consistency(cs, 1e-8)
+        rep = check_consistency(cs)
         assert not rep.consistent
 
 

@@ -1,4 +1,5 @@
-"""Property tests of the affine layer on random small constraint lattices.
+"""Property tests of the projections: the affine layer on random small
+constraint lattices, the PSD cone and the unitary orbit of a spectrum.
 
 The examples are derandomized so that every run checks the same cases.
 """
@@ -15,6 +16,8 @@ from qmarginals import (
     marginal_residual,
     partial_trace,
     project_marginals,
+    project_psd,
+    project_spectrum,
     pseudoinverse_projection,
     random_density,
     vectorize_constraints,
@@ -84,3 +87,36 @@ def test_projection_agrees_with_oracle(case):
     cs, z = case
     ref = pseudoinverse_projection(z, vectorize_constraints(cs))
     np.testing.assert_allclose(project_marginals(z, cs), ref, atol=1e-10)
+
+
+@st.composite
+def hermitian_points(draw):
+    """A random Hermitian matrix of order 1..8 at scale 1e-3, 1 or 1e3."""
+    n = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return random_hermitian(np.random.default_rng(draw(st.integers(0, 2**16))), n, scale)
+
+
+def descending_eigenvalues(x):
+    return np.sort(np.linalg.eigvalsh(x))[::-1]
+
+
+@PROPERTY
+@given(hermitian_points())
+def test_psd_projection_is_idempotent_and_feasible(z):
+    x = project_psd(z)
+    atol = 1e-13 * max(1.0, np.abs(z).max())
+    assert np.array_equal(x, x.conj().T)
+    assert descending_eigenvalues(x)[-1] >= -atol
+    np.testing.assert_allclose(project_psd(x), x, atol=atol)
+
+
+@PROPERTY
+@given(hermitian_points(), st.data())
+def test_spectrum_projection_is_idempotent_and_feasible(p, data):
+    c = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=len(p), max_size=len(p))))
+    x = project_spectrum(p, c)
+    atol = 1e-13 * max(1.0, np.abs(c).max())
+    assert np.array_equal(x, x.conj().T)
+    np.testing.assert_allclose(descending_eigenvalues(x), np.sort(c)[::-1], atol=atol)
+    np.testing.assert_allclose(project_spectrum(x, c), x, atol=atol)

@@ -22,7 +22,6 @@ from qmarginals import (
     solve_with_spectrum,
     variational_inequality_check,
     von_neumann,
-    with_options,
 )
 
 from conftest import load_matrix, load_spectrum, random_density_pair, random_hermitian
@@ -36,23 +35,12 @@ class TestSolveOptions:
     def test_defaults(self):
         o = SolveOptions()
         assert o.max_iterations == 1000 and o.tolerance == 1e-12
-        assert o.dykstra_mode == "with-increments"
-        assert (o.nspg_window, o.nspg_decrease) == (10, 1e-4)
-        assert (o.nspg_sigma1, o.nspg_sigma2) == (0.1, 0.9)
-        assert (o.nspg_alpha_min, o.nspg_alpha_max) == (1e-10, 1e10)
+        assert (o.seed, o.restarts) == (0, 1)
         assert o.nspg_stationarity_tol == 1e-8
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolveOptions(nspg_sigma1=0.9, nspg_sigma2=0.1)
-        with pytest.raises(ValueError):
             SolveOptions(tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolveOptions(dykstra_mode="bogus")
-
-    def test_with_options(self):
-        o = with_options(None, seed=7)
-        assert o.seed == 7 and o.max_iterations == 1000
 
 
 class TestSolveWithSpectrum:
@@ -238,7 +226,7 @@ class TestDykstra:
         z = random_hermitian(rng, 4)
         opts = SolveOptions(max_iterations=30000, tolerance=1e-11)
         a = dykstra_project(z, cs, opts)
-        b = dykstra_project(z, cs, with_options(opts, dykstra_mode="plain-alternation"))
+        b = solve_feasible(cs, opts, initial=z)  # the bare alternation from z
         for rep in (a, b):
             assert rep.converged
             assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-12
@@ -339,6 +327,28 @@ class TestDeterminismAndRestarts:
         assert np.array_equal(a.solution, b.solution)
         assert np.array_equal(a.residual_history, b.residual_history)
         assert (a.iterations, a.converged, a.seed_used) == (b.iterations, b.converged, b.seed_used)
+
+    @pytest.mark.parametrize("solve", [
+        lambda cs, z: solve_feasible(cs, SolveOptions(max_iterations=40, tolerance=1e-14,
+                                                      seed=2, restarts=2)),
+        lambda cs, z: solve_with_spectrum(cs, [0.4, 0.3, 0.2, 0.1],
+                                          SolveOptions(max_iterations=40, seed=2, restarts=2)),
+        lambda cs, z: solve_with_rank_cap(cs, 2, SolveOptions(max_iterations=40, seed=2,
+                                                              restarts=2)),
+        lambda cs, z: dykstra_project(z, cs, SolveOptions(max_iterations=200)),
+        lambda cs, z: nspg_minimize(cs, "von-neumann", opts=SolveOptions(max_iterations=60,
+                                                                         seed=2)),
+        lambda cs, z: nspg_minimize(cs, "renyi", 2.0, SolveOptions(max_iterations=60, seed=2)),
+    ], ids=["feasible", "spectrum", "rank-cap", "dykstra", "nspg-von-neumann", "nspg-renyi"])
+    def test_every_solver_is_bit_reproducible(self, solve):
+        rng = np.random.default_rng(14)
+        cs = bipartite_cs(*random_density_pair(rng, 2, 2))
+        z = random_hermitian(rng, 4)
+        a, b = solve(cs, z), solve(cs, z)
+        for name in ("solution", "residual_history", "objective_history"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert ((a.iterations, a.converged, a.final_residual, a.seed_used, a.notes)
+                == (b.iterations, b.converged, b.final_residual, b.seed_used, b.notes))
 
     def test_restarts_pick_first_converged_seed(self):
         r1, _ = load_matrix("bipartite_2x3/rho_a.json")
