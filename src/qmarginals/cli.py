@@ -13,6 +13,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import constructive, fileio, solvers
 from .entropy import von_neumann
@@ -88,9 +89,9 @@ def _describe_solution(x, cs) -> dict:
 
 
 def _write_outputs(out_dir, report: SolveReport, cs, dims) -> None:
+    """Write report.json and history.csv, then solution.json: each file is
+    renamed into place whole, so a solution never exists without its report."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    fileio.write_matrix(out / "solution.json", report.solution, dims)
     summary = {
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
@@ -100,10 +101,15 @@ def _write_outputs(out_dir, report: SolveReport, cs, dims) -> None:
         "notes": report.notes,
     }
     summary.update(_describe_solution(report.solution, cs))
-    (out / "report.json").write_text(json.dumps(summary, indent=1) + "\n")
     lines = ["iteration,residual"]
     lines += [f"{i + 1},{r:.17g}" for i, r in enumerate(report.residual_history)]
-    (out / "history.csv").write_text("\n".join(lines) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        fileio.write_text(out / "report.json", json.dumps(summary, indent=1) + "\n")
+        fileio.write_text(out / "history.csv", "\n".join(lines) + "\n")
+        fileio.write_matrix(out / "solution.json", report.solution, dims)
+    except OSError as exc:
+        _fail(str(exc))
     click.echo(f"wrote {out / 'solution.json'}")
 
 
@@ -226,26 +232,38 @@ def consistency(dims_text, marginals):
 @click.option("--dims", "dims_text", required=True)
 @click.option("--marginal", "marginals", multiple=True)
 @click.option("--spectrum", "spectrum_path", default=None,
-              help="project onto the unitary orbit of this spectrum instead")
+              help="project onto the unitary orbit of this spectrum (alone)")
 @click.option("--psd", "psd_flag", is_flag=True, help="project onto the PSD cone; "
               "combined with --marginal, onto the feasible intersection")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-iter", type=int, default=1000, show_default=True)
+@click.option("--tol", type=float, default=1e-10, show_default=True,
+              help="with --psd and --marginal only")
+@click.option("--max-iter", type=int, default=1000, show_default=True,
+              help="with --psd and --marginal only")
 @click.option("--out", "out_path", default=None)
-def project(input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
+@click.pass_context
+def project(ctx, input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
             max_iter, out_path):
     """Least-squares projection of a matrix file.
 
     With --marginal alone this is the closed-form affine projection; with
-    --psd alone the eigenvalue clipping; with both, the Dykstra scheme onto
-    (marginals) intersect (PSD), controlled by --tol/--max-iter.
+    --psd alone the eigenvalue clipping; with --spectrum, which takes no
+    other target, the nearest matrix with that spectrum; with --psd and
+    --marginal, the Dykstra scheme onto (marginals) intersect (PSD),
+    controlled by --tol/--max-iter.
     """
+    if spectrum_path and (marginals or psd_flag):
+        raise click.UsageError("--spectrum cannot be combined with --marginal or --psd")
+    iterative = psd_flag and marginals
+    for name in ("tol", "max_iter"):
+        if not iterative and ctx.get_parameter_source(name) != ParameterSource.DEFAULT:
+            raise click.UsageError(f"--{name.replace('_', '-')} applies only to "
+                                   "--psd with --marginal")
     try:
         dims = _parse_dims(dims_text)
         matrix, file_dims = fileio.read_matrix(input_file)
         if file_dims.total != dims.total:
             raise ValueError(f"matrix order {file_dims.total} does not match --dims")
-        if psd_flag and marginals:
+        if iterative:
             cs = ConstraintSet(dims, _read_marginals(marginals))
             report = solvers.dykstra_project(
                 matrix, cs, SolveOptions(max_iterations=max_iter, tolerance=tol))
@@ -329,9 +347,11 @@ def solve_feasible_cmd(**shared):
               show_default=True)
 @_add_options(_shared)
 def solve_entropy_cmd(alpha, **shared):
-    """Projected-gradient search for an entropy-extremal feasible state.
+    """Projected-gradient search for the maximum-entropy feasible state.
 
-    Stops on --stationarity-tol or --max-iter.
+    It descends -S, so despite the command's name it returns the state of
+    largest entropy with the given marginals. Stops on --stationarity-tol or
+    --max-iter.
     """
     objective = "renyi" if alpha is not None else "von-neumann"
     _run_solver(lambda cs, opts, initial: solvers.nspg_minimize(cs, objective, alpha, opts,
@@ -451,10 +471,7 @@ def random_unitary_cmd(dims_text, seed, out_path):
     dims = _parse_dims(dims_text)
     u = random_unitary(dims.total, seed)
     if out_path:
-        # unitaries are not Hermitian, so bypass the matrix-file validation
-        payload = {"dims": list(dims.dims),
-                   "entries": [[float(z.real), float(z.imag)] for z in u.ravel()]}
-        Path(out_path).write_text(json.dumps(payload, indent=1) + "\n")
+        fileio.write_matrix(out_path, u, dims)
         click.echo(f"wrote {out_path}")
     else:
         click.echo(np.array2string(u, precision=6, suppress_small=True))

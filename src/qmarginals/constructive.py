@@ -95,7 +95,8 @@ def rank_k_roots_of_unity(rho1, rho2, k: int) -> DensityMatrix:
     Admissible k: max(rank rho1, rank rho2) <= k <= rank rho1 + rank rho2 - 1.
     Component i is z_i = (U w_i x V x_i)/sqrt(k) with w_i[j] = omega^(ij) sqrt(a_j);
     averaging the phases over a full period reproduces both marginals while the
-    Fourier structure keeps the k components independent.
+    Fourier structure keeps the k components independent. Raises ValueError
+    when the result falls short of numerical rank k.
     """
     r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
     a, u, ra = _ranked_eig(r1)
@@ -105,7 +106,7 @@ def rank_k_roots_of_unity(rho1, rho2, k: int) -> DensityMatrix:
         raise ValueError(f"k={k} outside the admissible interval [{lo}, {hi}]")
     m = _roots_component(a, b, k)
     big = kron(u, v)
-    return DensityMatrix(hermitize(big @ m @ big.conj().T), SystemDims((n1, n2)))
+    return _of_rank(DensityMatrix(hermitize(big @ m @ big.conj().T), SystemDims((n1, n2))), k)
 
 
 def _roots_component(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -130,6 +131,8 @@ def rank_sweep(rho1, rho2, k: int) -> DensityMatrix:
     is split off as a product block (diagonal slot tensored with the other
     marginal) and the remainder recurses on the reduced, renormalized
     spectrum. The two pieces occupy disjoint slots, so ranks add exactly.
+    Raises ValueError when the result falls short of numerical rank k, as it
+    does when a marginal eigenvalue lies just above the rank cut.
     """
     r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
     a, u, ra = _ranked_eig(r1)
@@ -139,7 +142,20 @@ def rank_sweep(rho1, rho2, k: int) -> DensityMatrix:
         raise ValueError(f"k={k} outside the admissible interval [{lo}, {hi}]")
     m = _sweep_component(a, b, k)
     big = kron(u, v)
-    return DensityMatrix(hermitize(big @ m @ big.conj().T), SystemDims((n1, n2)))
+    return _of_rank(DensityMatrix(hermitize(big @ m @ big.conj().T), SystemDims((n1, n2))), k)
+
+
+def _of_rank(state: DensityMatrix, k: int) -> DensityMatrix:
+    """`state`, checked to have numerical rank k.
+
+    A marginal eigenvalue just above the rank cut can put products of
+    eigenvalues below it, and with them the rank below k.
+    """
+    rank = numerical_rank(state.spectrum())
+    if rank != k:
+        raise ValueError(f"k={k} not reached: the constructed state has numerical rank "
+                         f"{rank} (a marginal eigenvalue lies too close to the rank cut)")
+    return state
 
 
 def _sweep_component(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:

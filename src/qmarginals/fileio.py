@@ -1,14 +1,18 @@
 """Matrix and spectrum files.
 
 A matrix file is JSON with the subsystem dimensions and the complex entries
-in row-major order as [re, im] pairs; a spectrum file holds a flat list of
-real values. Plain text keeps fixture diffs readable, and Python's float
-repr round-trips exactly, so write-then-read is bit-exact.
+in row-major order as [re, im] pairs, written one pair per line; a spectrum
+file holds a flat list of real values. Plain text keeps fixture diffs
+readable, and Python's float repr round-trips exactly, so write-then-read is
+bit-exact. Every file is written under a temporary name beside its target
+and then renamed into place, so a reader never sees a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +21,31 @@ from .tensorcore import SystemDims, as_dims, hermitize
 
 
 def write_matrix(path, matrix, dims) -> None:
+    """Write a square complex matrix on `dims` as a matrix file.
+
+    No Hermiticity check: unitaries are written too, though `read_matrix`
+    reads back only Hermitian matrices.
+    """
     m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
     dims = as_dims(dims)
     if m.shape != (dims.total, dims.total):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims.dims}")
-    payload = {
-        "dims": list(dims.dims),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    pairs = json.dumps(np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist())
+    write_text(path, f'{{"dims": {json.dumps(list(dims.dims))}, "entries": [\n '
+                     + pairs[1:-1].replace("], [", "],\n [") + "\n]}\n")
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it onto `path`."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            tmp.unlink()
+        raise
 
 
 def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
@@ -56,7 +76,7 @@ def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
 
 def write_spectrum(path, values) -> None:
     v = np.asarray(values, dtype=float).ravel()
-    Path(path).write_text(json.dumps({"values": [float(x) for x in v]}, indent=1) + "\n")
+    write_text(path, json.dumps({"values": [float(x) for x in v]}, indent=1) + "\n")
 
 
 def read_spectrum(path) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -210,15 +210,22 @@ def _add_lifted(out: np.ndarray, w: float, deficit: np.ndarray, dims: SystemDims
     change: a strided view of the C-contiguous `out` that steps along row and
     column of each complement axis at once, with the kept block broadcast.
     """
-    n = out.shape[0]
-    col = [out.itemsize * math.prod(dims.dims[a:]) for a in range(1, dims.k + 1)]
+    shape, strides, block, njc = _lifted_layout(dims, keep, out.itemsize)
+    view = np.ndarray(shape, out.dtype, buffer=out, strides=strides)
+    view += (w * ((1.0 / njc) * deficit)).reshape(block)
+
+
+@lru_cache(maxsize=256)
+def _lifted_layout(dims: SystemDims, keep: tuple[int, ...], itemsize: int):
+    """(shape, strides) of the `_add_lifted` view, the kept block's shape, and n_{J^c}."""
+    n = dims.total
+    col = [itemsize * math.prod(dims.dims[a:]) for a in range(1, dims.k + 1)]
     comp = [a for a in range(1, dims.k + 1) if a not in keep]
     kept = [dims.dims[a - 1] for a in keep]
-    view = np.ndarray([dims.dims[a - 1] for a in comp] + kept + kept, out.dtype, buffer=out,
-                      strides=[(n + 1) * col[a - 1] for a in comp]
-                      + [n * col[a - 1] for a in keep] + [col[a - 1] for a in keep])
-    njc = n // deficit.shape[0]
-    view += (w * ((1.0 / njc) * deficit)).reshape(kept + kept)
+    shape = tuple([dims.dims[a - 1] for a in comp] + kept + kept)
+    strides = tuple([(n + 1) * col[a - 1] for a in comp]
+                    + [n * col[a - 1] for a in keep] + [col[a - 1] for a in keep])
+    return shape, strides, tuple(kept + kept), n // dims.subdim(keep)
 
 
 def marginal_correction(z, sigma, dims, keep) -> np.ndarray:
@@ -242,13 +249,14 @@ def marginal_correction(z, sigma, dims, keep) -> np.ndarray:
 
 
 def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
-    """Frobenius projection onto {X : tr_{J_i^c}(X) = sigma_i for all i}.
+    """Frobenius projection of the Hermitian part of z onto {X : tr_{J_i^c}(X) = sigma_i}.
 
     Inclusion-exclusion over the intersection lattice of the kept sets;
     intersections carry the derived marginals, the empty intersection the
-    global trace.
+    global trace. The corrections are linear in z and commute with taking
+    the Hermitian part, so that is taken once, of the result.
     """
-    z = hermitize(_as_square(z))
+    z = _as_square(z)
     n = z.shape[0]
     if n != cs.dims.total:
         raise ValueError(f"matrix order {n} does not match dims {cs.dims.dims}")
@@ -289,7 +297,8 @@ def project_spectrum(p, c) -> np.ndarray:
     """Nearest Hermitian matrix with the prescribed eigenvalues.
 
     If P = U diag(mu) U* with mu descending, the optimum for any unitary
-    similarity invariant norm is U diag(c) U* with c descending.
+    similarity invariant norm is U diag(c) U* with c descending. P must be
+    Hermitian; as in `hermitian_eig`, only its lower triangle is read.
     """
     p = _as_square(p)
     c = as_spectrum(c)
@@ -300,7 +309,10 @@ def project_spectrum(p, c) -> np.ndarray:
 
 
 def project_psd(z) -> np.ndarray:
-    """Nearest PSD matrix: clip negative eigenvalues at zero."""
+    """Nearest PSD matrix to a Hermitian z: clip negative eigenvalues at zero.
+
+    As in `hermitian_eig`, only the lower triangle of z is read.
+    """
     values, u = hermitian_eig(_as_square(z))
     clipped = np.clip(values, 0.0, None)
     return hermitize((u * clipped) @ u.conj().T)

@@ -289,7 +289,7 @@ def _dual_project(z, cs: ConstraintSet, y=None):
 def _entropy_objective(objective: str, alpha: float | None):
     """(S, grad f) on (values, U) from the kernels of `entropy`, for f = -S.
 
-    Descending f drives the iterates toward the entropy minimum. The Renyi
+    Descending f drives the iterates toward the entropy maximum. The Renyi
     entropy is taken on the spectrum floored at LOG_FLOOR.
     """
     if objective == "von-neumann":

@@ -7,8 +7,9 @@ throughout the package. Kept-index sets are arbitrary nonempty subsets of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -38,7 +39,7 @@ class SystemDims:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def validate_keep(self, keep: Iterable[int]) -> tuple[int, ...]:
         """Normalize a kept-index set to a sorted tuple of 1-based labels."""
@@ -55,7 +56,7 @@ class SystemDims:
 
     def subdim(self, labels: Iterable[int]) -> int:
         """Product of the dimensions of the given subsystem labels."""
-        return int(np.prod([self.dims[i - 1] for i in labels], initial=1.0))
+        return math.prod(self.dims[i - 1] for i in labels)
 
     def local_dims(self, labels: Iterable[int]) -> "SystemDims":
         return SystemDims(self.dims[i - 1] for i in sorted(set(labels)))
@@ -99,20 +100,21 @@ class EigDecomposition(NamedTuple):
 def hermitian_eig(h) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Degenerate clusters keep the backend's ordering (stable sort); each
-    eigenvector is phase-fixed so its largest-magnitude entry is real
-    positive, which makes repeated runs reproducible.
+    Only the lower triangle of `h` is read, as LAPACK does: pass
+    `hermitize(a)` for a matrix that carries rounding drift. Degenerate
+    clusters keep the backend's ordering (stable sort); each eigenvector is
+    phase-fixed so its largest-magnitude entry is real positive, which makes
+    repeated runs reproducible.
     """
-    m = hermitize(_as_square(h))
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = np.linalg.eigh(_as_square(h))
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    anchors = np.argmax(np.abs(vectors), axis=0)
-    for col, row in enumerate(anchors):
-        pivot = vectors[row, col]
-        if abs(pivot) > 0:
-            vectors[:, col] *= pivot.conjugate() / abs(pivot)
+    # a unit column has an entry of magnitude >= 1/sqrt(n), so no pivot is 0;
+    # np.hypot rounds each magnitude as scalar abs() does, np.abs on an array
+    # can differ in the last bit (tests/test_kernels.py pins the phases)
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
+    vectors *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
     return EigDecomposition(values, vectors)
 
 
@@ -121,7 +123,7 @@ def numerical_rank(a) -> int:
     if isinstance(a, np.ndarray) and a.ndim == 1:
         values = np.sort(a)[::-1]
     else:
-        values = hermitian_eig(a).values
+        values = hermitian_eig(hermitize(_as_square(a))).values
     if len(values) == 0:
         return 0
     return int(np.sum(values > RANK_RTOL * max(1.0, float(values[0]))))
@@ -147,14 +149,24 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     m = _as_square(rho)
     if m.shape[0] != dims.total:
         raise ValueError(f"matrix order {m.shape[0]} does not match dims {dims.dims}")
+    return _reducer(dims, tuple(keep))(m)
+
+
+@lru_cache(maxsize=256)
+def _reducer(dims: SystemDims, keep: tuple[int, ...]):
+    """The einsum that traces a matrix on `dims` down to `keep`, built once per pair."""
     j = dims.validate_keep(keep)
     keep0 = [i - 1 for i in j]
     k = dims.k
-    t = m.reshape(*dims.dims, *dims.dims)
+    shape = dims.dims * 2
     in_labels = list(range(k)) + [k + i if i in keep0 else i for i in range(k)]
     out_labels = keep0 + [k + i for i in keep0]
     nj = dims.subdim(j)
-    return np.einsum(t, in_labels, out_labels).reshape(nj, nj)
+
+    def trace_down(m: np.ndarray) -> np.ndarray:
+        return np.einsum(m.reshape(shape), in_labels, out_labels).reshape(nj, nj)
+
+    return trace_down
 
 
 def subsystem_permutation(dims, keep) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qmarginals import fileio
+from qmarginals import fileio, random_unitary
 from qmarginals.cli import main
 
 from conftest import FIXTURES
@@ -150,6 +150,17 @@ class TestSolveCommands:
         solution, dims = fileio.read_matrix(out / "solution.json")
         assert dims.total == 6
 
+    def test_failed_report_write_leaves_no_solution(self, runner, tmp_path):
+        out = tmp_path / "run"
+        (out / "report.json").mkdir(parents=True)   # renaming onto it fails
+        result = runner.invoke(main, [
+            "solve", "feasible", "--dims", "2,2,2",
+            "--marginal", f"1,2:{FIXTURES}/tripartite_222/rho_12.json",
+            "--marginal", f"2,3:{FIXTURES}/tripartite_222/rho_23.json", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "report.json" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
     def test_solve_spectrum_nan_spectrum_exits_one(self, runner, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text('{"values": [0.5, 0.2, 0.1, 0.1, 0.1, NaN]}')
@@ -289,6 +300,19 @@ class TestConstructCommands:
         assert result.exit_code == 1
         assert "admissible" in result.output
 
+    @pytest.mark.parametrize("command,k", [("sweep", 4), ("sweep", 6), ("rank-k", 4)])
+    def test_rank_short_of_k_exits_one(self, runner, tmp_path, command, k):
+        ra = tmp_path / "ra.json"
+        rb = tmp_path / "rb.json"
+        fileio.write_matrix(ra, np.diag([0.6, 0.4]), (2,))
+        fileio.write_matrix(rb, np.diag([0.5, 0.5 - 2e-10, 2e-10]), (3,))
+        result = runner.invoke(main, [
+            "construct", command, "--k", str(k),
+            "--marginal", f"1:{ra}", "--marginal", f"2:{rb}", "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert f"k={k} not reached" in result.output
+        assert not (tmp_path / "run").exists()
+
     def test_sweep_writes_solution(self, runner, tmp_path):
         ra = tmp_path / "ra.json"
         rb = tmp_path / "rb.json"
@@ -334,6 +358,9 @@ class TestRandomCommands:
         invoke(runner, "random", "unitary", "--dims", "4", "--seed", "7", "--out", a)
         invoke(runner, "random", "unitary", "--dims", "4", "--seed", "7", "--out", b)
         assert a.read_text() == b.read_text()
+        payload = json.loads(a.read_text())
+        u = np.array([complex(re, im) for re, im in payload["entries"]]).reshape(4, 4)
+        assert np.array_equal(u, random_unitary(4, 7))
 
     def test_density_valid(self, runner, tmp_path):
         out = tmp_path / "rho.json"
@@ -398,3 +425,19 @@ class TestProjectCommand:
         d = SystemDims((2, 2))
         assert np.linalg.eigvalsh(x)[0] >= -1e-12
         assert np.abs(partial_trace(x, d, (1,)) - np.diag([0.6, 0.4])).max() < 1e-9
+
+    @pytest.mark.parametrize("args,message", [
+        (["--marginal", "1:x.json", "--spectrum", "c.json"],
+         "--spectrum cannot be combined with --marginal or --psd"),
+        (["--psd", "--spectrum", "c.json"],
+         "--spectrum cannot be combined with --marginal or --psd"),
+        (["--psd", "--tol", "1e-3"], "--tol applies only to --psd with --marginal"),
+        (["--marginal", "1:x.json", "--max-iter", "5"],
+         "--max-iter applies only to --psd with --marginal"),
+    ], ids=["spectrum-marginal", "spectrum-psd", "psd-tol", "marginal-max-iter"])
+    def test_inputs_the_mode_does_not_read_exit_one(self, runner, tmp_path, args, message):
+        src = tmp_path / "z.json"
+        fileio.write_matrix(src, np.eye(4) / 4, (2, 2))
+        result = runner.invoke(main, ["project", str(src), "--dims", "2,2", *args])
+        assert result.exit_code == 1
+        assert message in result.output

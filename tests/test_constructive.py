@@ -170,6 +170,28 @@ class TestRankThreshold:
             assert numerical_rank(state.matrix) == k
 
 
+class TestRankNearTheCut:
+    """A marginal eigenvalue just above the numerical-rank cut: products of
+    eigenvalues fall below it, so some k cannot be reached and are refused."""
+
+    R1 = np.diag([0.6, 0.4])
+    R2 = np.diag([0.5, 0.5 - 2e-10, 2e-10])
+
+    @pytest.mark.parametrize("build,reached", [
+        (rank_k_roots_of_unity, {3: 3, 4: 3}),
+        (rank_sweep, {3: 3, 4: 3, 5: 4, 6: 5}),
+    ], ids=["roots-of-unity", "sweep"])
+    def test_rank_is_k_or_refused(self, build, reached):
+        for k, rank in reached.items():
+            if rank == k:
+                state = build(self.R1, self.R2, k)
+                check_membership(state, self.R1, self.R2)
+                assert numerical_rank(state.matrix) == k
+            else:
+                with pytest.raises(ValueError, match=rf"k={k} not reached: .* rank {rank} "):
+                    build(self.R1, self.R2, k)
+
+
 class TestRankOneDowndate:
     def test_equal_spectra(self):
         a = np.array([0.5, 0.3, 0.2])

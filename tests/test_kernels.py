@@ -1,14 +1,22 @@
-"""The shared entropy kernels and the single alternation loop against the
-separate implementations they replaced, kept here as test-only references.
+"""Kernels against the implementations they replaced, kept here as
+test-only references: the shared entropy kernels, the single alternation
+loop, the vectorized eigenvector phase fix and the one-pair-per-line matrix
+writer.
 
-Agreement is exact: `==` on values, `np.array_equal` on matrices.
+Agreement is exact: `==` on values, `np.array_equal` on matrices, and equal
+bytes where the sign of a zero matters.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmarginals import (
     ConstraintSet,
+    EigDecomposition,
+    fileio,
     hermitian_eig,
     hermitize,
     marginal_residual,
@@ -124,3 +132,70 @@ def test_alternate_matches_reference_loop_exactly(mode, tols):
         assert np.array_equal(x, x_ref)
         assert history == history_ref
         assert converged == converged_ref
+
+
+def reference_hermitian_eig(h):
+    """The former eigendecomposition, with its per-column phase-fix loop."""
+    m = hermitize(np.asarray(h, dtype=complex))
+    values, vectors = np.linalg.eigh(m)
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+    anchors = np.argmax(np.abs(vectors), axis=0)
+    for col, row in enumerate(anchors):
+        pivot = vectors[row, col]
+        if abs(pivot) > 0:
+            vectors[:, col] *= pivot.conjugate() / abs(pivot)
+    return EigDecomposition(values, vectors)
+
+
+def eig_inputs(n, seed):
+    """Hermitian matrices of order n: generic, with repeated eigenvalues, and diagonal."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(n, seed)
+    generic = random_hermitian(rng, n)
+    repeated = np.repeat(rng.exponential(size=(n + 2) // 3), 3)[:n]
+    degenerate = (u * repeated) @ u.conj().T
+    diagonal = np.diag(np.repeat([0.5, 0.0, -0.25], n)[:n])
+    return [hermitize(generic), hermitize(degenerate), hermitize(diagonal)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 48])
+def test_hermitian_eig_matches_per_column_phase_fix_exactly(n):
+    for seed in range(20):
+        for h in eig_inputs(n, seed):
+            values, vectors = hermitian_eig(h)
+            ref_values, ref_vectors = reference_hermitian_eig(h)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(vectors, ref_vectors)
+
+
+def reference_write_matrix(path, m, dims):
+    """The former writer: Python's pure-Python encoder at indent=1."""
+    payload = {"dims": list(dims),
+               "entries": [[float(z.real), float(z.imag)] for z in np.asarray(m).ravel()]}
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+
+
+def file_matrices(seed):
+    """Hermitian matrices carrying -0.0, the smallest subnormal, 1e300 and random entries."""
+    rng = np.random.default_rng(seed)
+    special = np.array([[-0.0, 5e-324 + 1e300j, 0.0],
+                        [5e-324 - 1e300j, 1e300, -0.0 - 5e-324j],
+                        [0.0, -0.0 + 5e-324j, 5e-324]])
+    return [hermitize(special), hermitize(random_hermitian(rng, 6, scale=1e-3)),
+            hermitize(random_hermitian(rng, 12))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_files_round_trip_bit_exact_in_either_layout(tmp_path, seed):
+    for m in file_matrices(seed):
+        dims = (m.shape[0],)
+        fileio.write_matrix(tmp_path / "new.json", m, dims)
+        reference_write_matrix(tmp_path / "old.json", m, dims)
+        new, new_dims = fileio.read_matrix(tmp_path / "new.json")
+        old, old_dims = fileio.read_matrix(tmp_path / "old.json")
+        assert new_dims == old_dims
+        assert new.tobytes() == old.tobytes() == m.tobytes()
+        lines = (tmp_path / "new.json").read_text().splitlines()
+        assert len(lines) == m.size + 2   # one [re, im] pair per line

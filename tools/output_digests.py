@@ -1,0 +1,187 @@
+"""Digest every solver and CLI output of a qmarginals checkout, to show that a
+change leaves results bit-identical.
+
+    python3 tools/output_digests.py <checkout>   # e.g. . or a clone of the parent
+
+Prints one digest per item and a total. Covered: every SolveReport field
+except wall_time for the five solvers over seeds 0-3; the parsed values of
+every file the CLI writes with --out (report.json without wall_time_s).
+Floats are hashed by their bytes, so even the sign of a zero counts.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+REPO = Path(sys.argv[1]).resolve()
+sys.path.insert(0, str(REPO / "src"))
+
+import numpy as np  # noqa: E402
+
+import qmarginals as qm  # noqa: E402
+import qmarginals.cli  # noqa: E402
+from qmarginals import fileio  # noqa: E402
+
+FX = REPO / "fixtures"
+REPORT_FIELDS = ["solution", "iterations", "residual_history", "converged", "final_residual",
+                 "seed_used", "objective_history", "notes"]
+
+
+def digest(obj) -> str:
+    h = hashlib.sha256()
+
+    def feed(o):
+        if isinstance(o, np.ndarray):
+            h.update(f"{o.dtype}{o.shape}".encode())
+            h.update(np.ascontiguousarray(o).tobytes())
+        elif isinstance(o, float):
+            h.update(np.float64(o).tobytes())
+        elif isinstance(o, (list, tuple)):
+            h.update(b"[")
+            for x in o:
+                feed(x)
+            h.update(b"]")
+        elif isinstance(o, dict):
+            for k in sorted(o):
+                h.update(str(k).encode())
+                feed(o[k])
+        else:
+            h.update(repr(o).encode())
+
+    feed(obj)
+    return h.hexdigest()[:16]
+
+
+def report(r) -> dict:
+    return {k: getattr(r, k) for k in REPORT_FIELDS}
+
+
+def spectrum_state(name: str) -> np.ndarray:
+    v = np.array(json.loads((FX / name).read_text())["values"])
+    return np.diag(v / v.sum())
+
+
+def solver_digests() -> dict:
+    out = {}
+    bi_a, _ = fileio.read_matrix(FX / "bipartite_2x3/rho_a.json")
+    bi_b, _ = fileio.read_matrix(FX / "bipartite_2x3/rho_b.json")
+    bi_c = fileio.read_spectrum(FX / "bipartite_2x3/target_spectrum.json")
+    cs_bi = qm.ConstraintSet((2, 3), [((1,), bi_a), ((2,), bi_b)])
+    r12, _ = fileio.read_matrix(FX / "tripartite_222/rho_12.json")
+    r23, _ = fileio.read_matrix(FX / "tripartite_222/rho_23.json")
+    cs_tri = qm.ConstraintSet((2, 2, 2), [((1, 2), r12), ((2, 3), r23)])
+    a34, b34 = spectrum_state("rank_3x4/spectrum_a.json"), spectrum_state("rank_3x4/spectrum_b.json")
+    cs34 = qm.ConstraintSet((3, 4), [((1,), a34), ((2,), b34)])
+    greedy = qm.greedy_minmatch(a34, b34)[0].matrix
+    cs22 = qm.ConstraintSet((2, 2), [((1,), qm.random_density((2,), 3).matrix),
+                                     ((2,), qm.random_density((2,), 4).matrix)])
+    rng = np.random.default_rng(11)
+    for seed in range(4):
+        o = qm.SolveOptions(seed=seed, tolerance=1e-10, max_iterations=3000)
+        out[f"feasible-tri-{seed}"] = report(qm.solve_feasible(cs_tri, o))
+        out[f"feasible-3x4-{seed}"] = report(qm.solve_feasible(cs34, o))
+        out[f"spectrum-2x3-{seed}"] = report(qm.solve_with_spectrum(cs_bi, bi_c, o))
+        out[f"rank-3x4-{seed}"] = report(qm.solve_with_rank_cap(
+            cs34, 2, qm.SolveOptions(seed=seed, max_iterations=4000),
+            initial=greedy if seed == 0 else None))
+        z = 2 * qm.random_density((2, 2, 2), 100 + seed).matrix - np.eye(8) / 8
+        z = qm.hermitize(z + 0.3 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))))
+        out[f"dykstra-tri-{seed}"] = report(qm.dykstra_project(
+            z, cs_tri, qm.SolveOptions(tolerance=1e-10, max_iterations=5000)))
+        nspg = qm.SolveOptions(seed=seed, max_iterations=200)
+        out[f"nspg-2x2-{seed}"] = report(qm.nspg_minimize(cs22, opts=nspg))
+        out[f"nspg-renyi-2x2-{seed}"] = report(qm.nspg_minimize(cs22, "renyi", 2.0, opts=nspg))
+    return out
+
+
+def cli(args) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            qmarginals.cli.main([str(a) for a in args], prog_name="qmarginals",
+                                standalone_mode=False)
+        except SystemExit as exc:
+            return exc.code
+    return 0
+
+
+def parsed(path: Path):
+    if path.suffix != ".json":
+        return path.read_text()
+    payload = json.loads(path.read_text())
+    payload.pop("wall_time_s", None)
+    if "entries" in payload:
+        payload["entries"] = np.array(payload["entries"], dtype=float)
+    return payload
+
+
+def cli_digests(tmp: Path) -> dict:
+    inp = tmp / "in"
+    inp.mkdir()
+    for name in ("rank_3x4", "rank_6x8"):
+        for side in "ab":
+            m = spectrum_state(f"{name}/spectrum_{side}.json")
+            fileio.write_matrix(inp / f"{name}_{side}.json", m, (len(m),))
+    fileio.write_spectrum(inp / "c2.json", [0.7, 0.3])
+
+    def pair(a, b):
+        return ["--marginal", f"1:{a}", "--marginal", f"2:{b}"]
+
+    m34 = pair(inp / "rank_3x4_a.json", inp / "rank_3x4_b.json")
+    m68 = pair(inp / "rank_6x8_a.json", inp / "rank_6x8_b.json")
+    mbi = pair(FX / "bipartite_2x3/rho_a.json", FX / "bipartite_2x3/rho_b.json")
+    mtri = ["--marginal", f"1,2:{FX}/tripartite_222/rho_12.json",
+            "--marginal", f"2,3:{FX}/tripartite_222/rho_23.json"]
+    runs = {
+        "solve-spectrum": ["solve", "spectrum", "--dims", "2,3", *mbi, "--spectrum",
+                           FX / "bipartite_2x3/target_spectrum.json", "--tol", "1e-10",
+                           "--max-iter", "5000"],
+        "solve-rank": ["solve", "rank", "--cap", "2", "--dims", "3,4", *m34, "--init", "greedy",
+                       "--max-iter", "20000"],
+        "solve-feasible": ["solve", "feasible", "--dims", "2,2,2", *mtri],
+        "solve-entropy": ["solve", "min-entropy", "--dims", "2,3", *mbi, "--max-iter", "50"],
+        "greedy": ["construct", "greedy", *m34],
+        "interlace": ["construct", "interlace", *m34],
+        "pure": ["construct", "pure", *pair(inp / "rank_3x4_a.json", inp / "rank_3x4_a.json")],
+        "rank-k": ["construct", "rank-k", "--k", "4", *m34],
+        **{f"sweep-{k}": ["construct", "sweep", "--k", k, *m68] for k in range(8, 49, 5)},
+    }
+    out = {}
+    for label, command in runs.items():
+        code = cli([*command, "--out", tmp / label])
+        out[f"cli-{label}"] = [code, {f.name: parsed(f) for f in sorted((tmp / label).iterdir())}]
+    files = {
+        "project-marginals": ["project", tmp / "solve-feasible/solution.json", "--dims", "2,2,2",
+                              *mtri],
+        "project-psd": ["project", FX / "tripartite_222/rho_12.json", "--dims", "2,2", "--psd"],
+        "project-spectrum": ["project", FX / "bipartite_2x3/rho_a.json", "--dims", "2",
+                             "--spectrum", inp / "c2.json"],
+        "project-intersection": ["project", tmp / "greedy/solution.json", "--dims", "3,4",
+                                 "--psd", *m34, "--tol", "1e-10"],
+        "trace": ["trace", tmp / "solve-feasible/solution.json", "--keep", "1,3"],
+        "random-unitary": ["random", "unitary", "--dims", "2,3", "--seed", "4"],
+        "random-density": ["random", "density", "--dims", "2,3", "--seed", "4"],
+    }
+    for label, command in files.items():
+        path = tmp / f"{label}.json"
+        code = cli([*command, "--out", path])
+        out[f"cli-{label}"] = [code, parsed(path) if path.exists() else None]
+    return out
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        items = {**solver_digests(), **cli_digests(Path(tmp))}
+    digests = {name: digest(value) for name, value in items.items()}
+    for name, d in digests.items():
+        print(name, d)
+    print("TOTAL", digest(digests))
+
+
+if __name__ == "__main__":
+    main()
