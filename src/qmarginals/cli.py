@@ -16,7 +16,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import constructive, fileio, solvers
-from .entropy import von_neumann
+from .entropy import _von_neumann, von_neumann  # noqa: F401 (von_neumann: a perfbench seam)
 from .projections import (
     ConstraintSet,
     check_consistency,
@@ -27,7 +27,6 @@ from .projections import (
 from .solvers import SolveOptions, SolveReport, marginal_residual
 from .tensorcore import (
     as_dims,
-    hermitian_eig,
     numerical_rank,
     partial_trace,
     random_density,
@@ -77,18 +76,22 @@ def _echo_report(report: SolveReport) -> None:
 
 
 def _describe_solution(x, cs) -> dict:
-    values = hermitian_eig(x).values
-    return {
+    """Print and return a summary of x; its spectral entries share one eigvalsh."""
+    values = np.linalg.eigvalsh(x)   # ascending
+    description = {
         "rank": numerical_rank(values),
-        "lambda_max": float(values[0]),
-        "lambda_min": float(values[-1]),
-        "entropy": von_neumann(project_psd(x)),
+        "lambda_max": float(values[-1]),
+        "lambda_min": float(values[0]),
+        "entropy": _von_neumann(values),
         "marginal_residual": marginal_residual(x, cs),
         "trace": float(np.trace(x).real),
     }
+    for key, value in description.items():
+        click.echo(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
+    return description
 
 
-def _write_outputs(out_dir, report: SolveReport, cs, dims) -> None:
+def _write_outputs(out_dir, report: SolveReport, description: dict, dims) -> None:
     """Write report.json and history.csv, then solution.json: each file is
     renamed into place whole, so a solution never exists without its report."""
     out = Path(out_dir)
@@ -99,23 +102,39 @@ def _write_outputs(out_dir, report: SolveReport, cs, dims) -> None:
         "wall_time_s": float(report.wall_time),
         "seed": report.seed_used,
         "notes": report.notes,
+        **description,
     }
-    summary.update(_describe_solution(report.solution, cs))
     lines = ["iteration,residual"]
     lines += [f"{i + 1},{r:.17g}" for i, r in enumerate(report.residual_history)]
-    try:
+    with _writing(out / "solution.json"):
         out.mkdir(parents=True, exist_ok=True)
         fileio.write_text(out / "report.json", json.dumps(summary, indent=1) + "\n")
         fileio.write_text(out / "history.csv", "\n".join(lines) + "\n")
         fileio.write_matrix(out / "solution.json", report.solution, dims)
-    except OSError as exc:
-        _fail(str(exc))
-    click.echo(f"wrote {out / 'solution.json'}")
 
 
 def _fail(message: str, code: int = 1):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report `path` as written, or exit 1 on an OSError with the file it names."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(str(exc))
+    click.echo(f"wrote {path}")
+
+
+def _emit_matrix(out_path, matrix, dims) -> None:
+    """Write `matrix` to out_path, or print it when no path is given."""
+    if not out_path:
+        click.echo(np.array2string(matrix, precision=6, suppress_small=True))
+        return
+    with _writing(out_path):
+        fileio.write_matrix(out_path, matrix, dims)
 
 
 # Options of every `solve` command; those named after a SolveOptions field
@@ -202,11 +221,7 @@ def trace(input_file, keep_text, out_path):
         reduced = partial_trace(matrix, dims, keep)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
-    if out_path:
-        fileio.write_matrix(out_path, reduced, dims.local_dims(keep))
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(np.array2string(reduced, precision=6, suppress_small=True))
+    _emit_matrix(out_path, reduced, dims.local_dims(keep))
 
 
 @main.command()
@@ -280,11 +295,7 @@ def project(ctx, input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
             result = project_marginals(matrix, cs)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
-    if out_path:
-        fileio.write_matrix(out_path, result, dims)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(np.array2string(result, precision=6, suppress_small=True))
+    _emit_matrix(out_path, result, dims)
 
 
 @main.group()
@@ -303,10 +314,9 @@ def _run_solver(runner, dims_text, marginals, init_text, out_dir, **options):
     except (ValueError, OSError, RuntimeError) as exc:
         _fail(str(exc))
     _echo_report(report)
-    for key, value in _describe_solution(report.solution, cs).items():
-        click.echo(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
+    description = _describe_solution(report.solution, cs)
     if out_dir:
-        _write_outputs(out_dir, report, cs, cs.dims)
+        _write_outputs(out_dir, report, description, cs.dims)
     if not report.converged:
         sys.exit(2)
 
@@ -376,13 +386,12 @@ def _run_construct(builder, marginals, out_dir):
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     cs = ConstraintSet(state.dims, [((1,), targets[(1,)]), ((2,), targets[(2,)])])
-    for key, value in _describe_solution(state.matrix, cs).items():
-        click.echo(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
+    _describe_solution(state.matrix, cs)
     if out_dir:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        fileio.write_matrix(out / "solution.json", state.matrix, state.dims)
-        click.echo(f"wrote {out / 'solution.json'}")
+        with _writing(out / "solution.json"):
+            out.mkdir(parents=True, exist_ok=True)
+            fileio.write_matrix(out / "solution.json", state.matrix, state.dims)
 
 
 @construct.command("pure")
@@ -443,10 +452,9 @@ def verify(solution_file, dims_text, marginals, tol):
         cs = ConstraintSet(dims, _read_marginals(marginals))
     except (ValueError, OSError) as exc:
         _fail(str(exc))
-    values = hermitian_eig(matrix).values
     checks = {
         "hermitian": True,  # read_matrix enforces it
-        "psd": bool(values[-1] >= -1e-10),
+        "psd": bool(np.linalg.eigvalsh(matrix)[0] >= -1e-10),
         "unit_trace": bool(abs(float(np.trace(matrix).real) - 1.0) <= max(tol, 1e-10)),
         "marginals": bool(marginal_residual(matrix, cs) <= tol),
     }
@@ -470,11 +478,7 @@ def random_unitary_cmd(dims_text, seed, out_path):
     """Haar-random unitary of order prod(dims)."""
     dims = _parse_dims(dims_text)
     u = random_unitary(dims.total, seed)
-    if out_path:
-        fileio.write_matrix(out_path, u, dims)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(np.array2string(u, precision=6, suppress_small=True))
+    _emit_matrix(out_path, u, dims)
 
 
 @random_group.command("density")
@@ -485,11 +489,7 @@ def random_density_cmd(dims_text, seed, out_path):
     """Random density matrix (Haar basis, flat-Dirichlet spectrum)."""
     dims = _parse_dims(dims_text)
     rho = random_density(dims, seed)
-    if out_path:
-        fileio.write_matrix(out_path, rho.matrix, dims)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(np.array2string(rho.matrix, precision=6, suppress_small=True))
+    _emit_matrix(out_path, rho.matrix, dims)
 
 
 @random_group.command("probvec")
@@ -501,8 +501,8 @@ def random_probvec_cmd(dims_text, seed, out_path):
     dims = _parse_dims(dims_text)
     p = random_probability_vector(dims.total, seed)
     if out_path:
-        fileio.write_spectrum(out_path, p)
-        click.echo(f"wrote {out_path}")
+        with _writing(out_path):
+            fileio.write_spectrum(out_path, p)
     else:
         click.echo(np.array2string(p, precision=6))
 

@@ -151,7 +151,7 @@ def _of_rank(state: DensityMatrix, k: int) -> DensityMatrix:
     A marginal eigenvalue just above the rank cut can put products of
     eigenvalues below it, and with them the rank below k.
     """
-    rank = numerical_rank(state.spectrum())
+    rank = numerical_rank(np.linalg.eigvalsh(state.matrix))
     if rank != k:
         raise ValueError(f"k={k} not reached: the constructed state has numerical rank "
                          f"{rank} (a marginal eigenvalue lies too close to the rank cut)")

@@ -42,9 +42,11 @@ def write_text(path, text: str) -> None:
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             tmp.unlink()
+        if isinstance(exc, OSError):   # name the target, not the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -23,7 +23,7 @@ from .tensorcore import (
     SystemDims,
     as_dims,
     as_spectrum,
-    hermitian_eig,
+    hermitian_eig,  # noqa: F401 (a perfbench seam)
     hermitize,
     kron,
     partial_trace,
@@ -297,22 +297,29 @@ def project_spectrum(p, c) -> np.ndarray:
     """Nearest Hermitian matrix with the prescribed eigenvalues.
 
     If P = U diag(mu) U* with mu descending, the optimum for any unitary
-    similarity invariant norm is U diag(c) U* with c descending. P must be
-    Hermitian; as in `hermitian_eig`, only its lower triangle is read.
+    similarity invariant norm is U diag(c) U* with c descending; ties in mu
+    pair with c in `hermitian_eig`'s stable order. P must be Hermitian; only
+    its lower triangle is read.
     """
     p = _as_square(p)
     c = as_spectrum(c)
     if len(c) != p.shape[0]:
         raise ValueError(f"spectrum length {len(c)} does not match order {p.shape[0]}")
-    values, u = hermitian_eig(p)
+    values, u = np.linalg.eigh(p)   # U f(Lambda) U* needs no phase fix
+    u = u[:, np.argsort(-values, kind="stable")]
     return hermitize((u * c) @ u.conj().T)
 
 
 def project_psd(z) -> np.ndarray:
     """Nearest PSD matrix to a Hermitian z: clip negative eigenvalues at zero.
 
-    As in `hermitian_eig`, only the lower triangle of z is read.
+    z must be Hermitian, as both triangles are read: the result is z - V_ L_ V_*
+    over the negative eigenpairs when they are the fewer (Higham 1988), else
+    V+ L+ V+* over the others.
     """
-    values, u = hermitian_eig(_as_square(z))
-    clipped = np.clip(values, 0.0, None)
-    return hermitize((u * clipped) @ u.conj().T)
+    z = _as_square(z)
+    values, u = np.linalg.eigh(z)   # ascending; U f(Lambda) U* needs no phase fix
+    k = int(np.searchsorted(values, 0.0))
+    if 2 * k < len(values):
+        return hermitize(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)
+    return hermitize((u[:, k:] * values[k:]) @ u[:, k:].conj().T)

@@ -167,18 +167,20 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
     if r < 1:
         raise ValueError("rank cap must be >= 1")
 
-    def project_rank(y):
-        values, u = hermitian_eig(y)
-        s = np.clip(values, 0.0, None)
-        s[r:] = 0.0
-        return hermitize((u * s) @ u.conj().T)
-
     def entry_ok(x):
         values = hermitian_eig(x).values
         return bool(values[0] >= -1e-12 and (len(values) <= r or
                                              np.all(values[r:] <= 1e-12)))
 
-    return _sweep_solver(cs, opts, initial, project_rank, entry_ok)
+    return _sweep_solver(cs, opts, initial, lambda y: _project_rank(y, r), entry_ok)
+
+
+def _project_rank(y, r: int) -> np.ndarray:
+    """Hermitian y cut to its top r eigenvalues (stable descending order), clipped at 0."""
+    values, u = np.linalg.eigh(y)   # U f(Lambda) U* needs no phase fix
+    top = np.argsort(-values, kind="stable")[:r]
+    v = u[:, top]
+    return hermitize((v * np.maximum(values[top], 0.0)) @ v.conj().T)
 
 
 def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,

@@ -104,7 +104,9 @@ def hermitian_eig(h) -> EigDecomposition:
     `hermitize(a)` for a matrix that carries rounding drift. Degenerate
     clusters keep the backend's ordering (stable sort); each eigenvector is
     phase-fixed so its largest-magnitude entry is real positive, which makes
-    repeated runs reproducible.
+    repeated runs reproducible. The direct constructions, NSPG and the sweep
+    solvers' entry checks need this; the spectral projections call
+    np.linalg.eigh directly, as U f(Lambda) U* does not depend on phases.
     """
     values, vectors = np.linalg.eigh(_as_square(h))
     order = np.argsort(-values, kind="stable")
@@ -120,13 +122,11 @@ def hermitian_eig(h) -> EigDecomposition:
 
 def numerical_rank(a) -> int:
     """Count of eigenvalues above 1e-10 * max(1, lambda_max)."""
-    if isinstance(a, np.ndarray) and a.ndim == 1:
-        values = np.sort(a)[::-1]
-    else:
-        values = hermitian_eig(hermitize(_as_square(a))).values
+    values = (a if isinstance(a, np.ndarray) and a.ndim == 1
+              else np.linalg.eigvalsh(hermitize(_as_square(a))))
     if len(values) == 0:
         return 0
-    return int(np.sum(values > RANK_RTOL * max(1.0, float(values[0]))))
+    return int(np.sum(values > RANK_RTOL * max(1.0, float(np.max(values)))))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,9 +211,6 @@ class DensityMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype) if dtype else np.array(self.matrix)
-
-    def spectrum(self) -> np.ndarray:
-        return hermitian_eig(self.matrix).values
 
 
 def density_input(rho, what: str = "density matrix") -> np.ndarray:

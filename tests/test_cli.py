@@ -441,3 +441,37 @@ class TestProjectCommand:
         result = runner.invoke(main, ["project", str(src), "--dims", "2,2", *args])
         assert result.exit_code == 1
         assert message in result.output
+
+
+class TestSingleFileWriteErrors:
+    """An unwritable --out exits 1 with an error line naming the target file."""
+
+    def command(self, name, tmp_path):
+        m = tmp_path / "m.json"
+        fileio.write_matrix(m, np.eye(4) / 4, (2, 2))
+        r = tmp_path / "r.json"
+        fileio.write_matrix(r, np.diag([0.7, 0.3]), (2,))
+        target = tmp_path / "missing" / "x.json"
+        return {
+            "trace": (["trace", m, "--keep", "1", "--out", target], target),
+            "project": (["project", m, "--dims", "2,2", "--psd", "--out", target], target),
+            "random-unitary": (["random", "unitary", "--dims", "2", "--out", target], target),
+            "random-density": (["random", "density", "--dims", "2", "--out", target], target),
+            "random-probvec": (["random", "probvec", "--dims", "2", "--out", target], target),
+            "construct": (["construct", "greedy", "--marginal", f"1:{r}",
+                           "--marginal", f"2:{r}", "--out", tmp_path / "run"],
+                          tmp_path / "run" / "solution.json"),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["trace", "project", "random-unitary", "random-density",
+                                      "random-probvec", "construct"])
+    def test_unwritable_out_exits_one_naming_the_file(self, runner, tmp_path, name):
+        args, target = self.command(name, tmp_path)
+        if name == "construct":
+            target.mkdir(parents=True)   # renaming onto a directory fails
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert "error: [Errno" in result.output
+        assert str(target) in result.output
+        assert ".tmp" not in result.output
+        assert not any(p.name.endswith(".tmp") for p in tmp_path.rglob("*"))

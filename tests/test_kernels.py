@@ -1,10 +1,12 @@
 """Kernels against the implementations they replaced, kept here as
 test-only references: the shared entropy kernels, the single alternation
-loop, the vectorized eigenvector phase fix and the one-pair-per-line matrix
-writer.
+loop, the vectorized eigenvector phase fix, the one-pair-per-line matrix
+writer and the phase-free spectral projections.
 
 Agreement is exact: `==` on values, `np.array_equal` on matrices, and equal
-bytes where the sign of a zero matters.
+bytes where the sign of a zero matters. The spectral projections round
+differently from the full phase-fixed reconstruction they replaced, so they
+agree within 1e-13 of the input's norm instead.
 """
 
 import json
@@ -21,13 +23,18 @@ from qmarginals import (
     hermitize,
     marginal_residual,
     project_marginals,
+    partial_trace,
     project_psd,
+    project_spectrum,
+    random_density,
     random_unitary,
+    solve_feasible,
+    solvers,
 )
 from qmarginals.entropy import LOG_FLOOR
-from qmarginals.solvers import _alternate, _entropy_objective
+from qmarginals.solvers import _alternate, _entropy_objective, _project_rank
 
-from conftest import random_density_pair, random_hermitian
+from conftest import load_matrix, random_density_pair, random_hermitian
 
 
 def reference_objective_and_gradient(kind, alpha):
@@ -199,3 +206,97 @@ def test_matrix_files_round_trip_bit_exact_in_either_layout(tmp_path, seed):
         assert new.tobytes() == old.tobytes() == m.tobytes()
         lines = (tmp_path / "new.json").read_text().splitlines()
         assert len(lines) == m.size + 2   # one [re, im] pair per line
+
+
+def reference_project_psd(z):
+    """The former PSD projection: full reconstruction from the phase-fixed eigenbasis."""
+    values, u = hermitian_eig(z)
+    return hermitize((u * np.clip(values, 0.0, None)) @ u.conj().T)
+
+
+def reference_project_spectrum(p, c):
+    """The former spectrum projection, c paired with the descending eigenvalues."""
+    values, u = hermitian_eig(p)
+    return hermitize((u * np.sort(c)[::-1]) @ u.conj().T)
+
+
+def reference_project_rank(y, r):
+    """The former rank step of the rank-cap solver."""
+    values, u = hermitian_eig(y)
+    s = np.clip(values, 0.0, None)
+    s[r:] = 0.0
+    return hermitize((u * s) @ u.conj().T)
+
+
+NEGATIVE_SHARES = {"none": 0.0, "few": 0.1, "half": 0.5, "most": 0.9, "all": 1.0}
+
+
+def signed_hermitian(n, share, seed):
+    """Hermitian of order n with round(share * n) negative eigenvalues; a share
+    strictly between 0 and 1 leaves at least one of either sign when n > 1."""
+    k = round(share * n)
+    if 0 < share < 1:
+        k = min(max(k, 1), n - 1)
+    magnitudes = np.random.default_rng(seed).uniform(0.1, 1.0, n)
+    u = random_unitary(n, seed)
+    return hermitize((u * np.where(np.arange(n) < k, -magnitudes, magnitudes)) @ u.conj().T)
+
+
+def assert_projections_match_references(z, c):
+    n = z.shape[0]
+    for r in sorted({1, max(1, n // 3), n}):
+        pairs = [(project_psd(z), reference_project_psd(z)),
+                 (project_spectrum(z, c), reference_project_spectrum(z, c)),
+                 (_project_rank(z, r), reference_project_rank(z, r))]
+        for x, x_ref in pairs:
+            assert np.array_equal(x, x.conj().T)
+            assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("share", NEGATIVE_SHARES)
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 48, 128])
+def test_spectral_projections_match_full_reconstruction(n, share):
+    c = np.random.default_rng(n).exponential(size=n)
+    c /= c.sum()
+    for seed in range(3):
+        assert_projections_match_references(signed_hermitian(n, NEGATIVE_SHARES[share], seed), c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 48])
+def test_spectral_projections_pair_ties_and_tiny_eigenvalues_alike(n):
+    """Exact ties must pair with targets in the reference's stable order."""
+    c = np.arange(n, 0, -1.0)
+    cycled = np.diag(np.resize([0.5, 1e-10, 0.0, -0.25, 0.5, -1e-10], n)).astype(complex)
+    for z in eig_inputs(n, n) + [cycled]:
+        assert_projections_match_references(z, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 48, 128])
+def test_psd_projection_fixes_psd_input_exactly(n):
+    for seed in range(3):
+        z = signed_hermitian(n, NEGATIVE_SHARES["none"], seed)
+        assert np.array_equal(project_psd(z), z)
+
+
+def tripartite_fixture():
+    return ConstraintSet((2, 2, 2), [((1, 2), load_matrix("tripartite_222/rho_12.json")[0]),
+                                     ((2, 3), load_matrix("tripartite_222/rho_23.json")[0])])
+
+
+def five_qubit_chain():
+    dims = (2,) * 5
+    rho = random_density(dims, 7).matrix
+    return ConstraintSet(dims, [((i, i + 1), partial_trace(rho, dims, (i, i + 1)))
+                                for i in range(1, 5)])
+
+
+@pytest.mark.parametrize("make_cs", [tripartite_fixture, five_qubit_chain],
+                         ids=["tripartite_222", "chain-5q"])
+def test_feasible_solver_takes_the_reference_sweeps(monkeypatch, make_cs):
+    cs = make_cs()
+    rep = solve_feasible(cs)
+    monkeypatch.setattr(solvers, "project_psd", reference_project_psd)
+    ref = solve_feasible(cs)
+    assert ref.converged and rep.converged
+    assert rep.iterations == ref.iterations
+    assert np.abs(rep.solution - ref.solution).max() <= 1e-12
