@@ -16,7 +16,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import constructive, fileio, solvers
-from .entropy import _von_neumann, von_neumann  # noqa: F401 (von_neumann: a perfbench seam)
+from .entropy import _von_neumann
 from .projections import (
     ConstraintSet,
     check_consistency,

@@ -23,7 +23,6 @@ from .tensorcore import (
     SystemDims,
     as_dims,
     as_spectrum,
-    hermitian_eig,  # noqa: F401 (a perfbench seam)
     hermitize,
     kron,
     partial_trace,
@@ -311,15 +310,14 @@ def project_spectrum(p, c) -> np.ndarray:
 
 
 def project_psd(z) -> np.ndarray:
-    """Nearest PSD matrix to a Hermitian z: clip negative eigenvalues at zero.
+    """Nearest PSD matrix to a Hermitian z: z - V_ L_ V_* over its negative
+    eigenpairs (Higham 1988).
 
-    z must be Hermitian, as both triangles are read: the result is z - V_ L_ V_*
-    over the negative eigenpairs when they are the fewer (Higham 1988), else
-    V+ L+ V+* over the others.
+    z must be exactly Hermitian, as both triangles are read; pass
+    `hermitize(z)` for any other square matrix, which projects its Hermitian
+    part.
     """
     z = _as_square(z)
     values, u = np.linalg.eigh(z)   # ascending; U f(Lambda) U* needs no phase fix
     k = int(np.searchsorted(values, 0.0))
-    if 2 * k < len(values):
-        return hermitize(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)
-    return hermitize((u[:, k:] * values[k:]) @ u[:, k:].conj().T)
+    return hermitize(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)

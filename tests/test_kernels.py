@@ -278,6 +278,18 @@ def test_psd_projection_fixes_psd_input_exactly(n):
         assert np.array_equal(project_psd(z), z)
 
 
+@pytest.mark.parametrize("share", NEGATIVE_SHARES)
+def test_psd_projection_of_lower_triangle_input_needs_hermitize(share):
+    """project_psd reads both triangles: a matrix held in its lower triangle is
+    completed by hermitize, and the result projects that Hermitian part."""
+    for n in [2, 12]:
+        z = signed_hermitian(n, NEGATIVE_SHARES[share], n)
+        lower = np.tril(z)
+        x = project_psd(hermitize(lower))
+        assert np.array_equal(x, x.conj().T)
+        assert np.linalg.norm(x - reference_project_psd(hermitize(lower))) <= 1e-13 * np.linalg.norm(z)
+
+
 def tripartite_fixture():
     return ConstraintSet((2, 2, 2), [((1, 2), load_matrix("tripartite_222/rho_12.json")[0]),
                                      ((2, 3), load_matrix("tripartite_222/rho_23.json")[0])])
