@@ -1,10 +1,14 @@
-"""Iterative schemes: alternating projections, Dykstra, and projected gradient.
+"""Iterative schemes: Douglas-Rachford, alternating projections, Dykstra, and
+projected gradient.
 
-Every solver runs from a seeded random start (or an explicit initial
-matrix), records one marginal residual per sweep, and returns a SolveReport.
-Identical seeds and options reproduce bit-identical reports. Non-convergence
-within the iteration limit is reported, not raised: for a prescribed
-spectrum it may simply mean the instance is infeasible.
+`solve_feasible` runs Douglas-Rachford between the marginal set and the PSD
+cone. The spectrum and rank solvers alternate: on those nonconvex sets
+Douglas-Rachford takes more sweeps. Every solver runs from a seeded random
+start (or an explicit initial matrix), records one marginal residual per
+sweep, and returns a SolveReport. Identical seeds and options reproduce
+bit-identical reports. Non-convergence within the iteration limit is
+reported, not raised: for a prescribed spectrum it may simply mean the
+instance is infeasible.
 """
 
 from __future__ import annotations
@@ -103,8 +107,28 @@ def _alternate(z, cs, second, max_sweeps, *, err_tol, increments=False):
     return x, history, False
 
 
-def _sweep_solver(cs, opts, initial, second, entry_ok) -> SolveReport:
-    """Alternate with `second` from each restart until Err < tolerance.
+def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
+    """Douglas-Rachford between the marginal set A and the PSD cone from z.
+
+    Starts at z_0 = a_0 = P_A(z); each sweep takes x = P_psd(2 a - z), records
+    Err(x), then steps z <- z + x - a and a <- P_A(z). The first sweep is
+    therefore exactly one alternation sweep. Every iterate is exactly
+    Hermitian, as `project_psd` requires. Returns (x, Err history, converged);
+    x is PSD.
+    """
+    a = z = project_marginals(z, cs)
+    history = []
+    while True:
+        x = project_psd(2 * a - z)
+        history.append(marginal_residual(x, cs))
+        if history[-1] < err_tol or len(history) == max_sweeps:
+            return x, history, history[-1] < err_tol
+        z = z + x - a
+        a = project_marginals(z, cs)
+
+
+def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
+    """Run `loop(x, max_sweeps, err_tol)` from each restart until Err < tolerance.
 
     A start that meets the marginals and `entry_ok` is returned unchanged.
     """
@@ -121,8 +145,7 @@ def _sweep_solver(cs, opts, initial, second, entry_ok) -> SolveReport:
                 converged=True, wall_time=0.0, final_residual=err0, seed_used=seed,
             ))
             break
-        x, history, converged = _alternate(x, cs, second, opts.max_iterations,
-                                           err_tol=opts.tolerance)
+        x, history, converged = loop(x, opts.max_iterations, opts.tolerance)
         reports.append(SolveReport(
             solution=x, iterations=len(history),
             residual_history=np.asarray(history), converged=converged,
@@ -152,7 +175,10 @@ def solve_with_spectrum(cs: ConstraintSet, c, opts: SolveOptions | None = None,
     def entry_ok(x):
         return bool(np.max(np.abs(hermitian_eig(x).values - c)) <= 1e-8)
 
-    return _sweep_solver(cs, opts, initial, lambda y: project_spectrum(y, c), entry_ok)
+    def loop(x, sweeps, tol):
+        return _alternate(x, cs, lambda y: project_spectrum(y, c), sweeps, err_tol=tol)
+
+    return _sweep_solver(cs, opts, initial, loop, entry_ok)
 
 
 def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = None,
@@ -168,11 +194,14 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
         raise ValueError("rank cap must be >= 1")
 
     def entry_ok(x):
-        values = hermitian_eig(x).values
-        return bool(values[0] >= -1e-12 and (len(values) <= r or
-                                             np.all(values[r:] <= 1e-12)))
+        values = hermitian_eig(x).values   # descending
+        return bool(values[-1] >= -1e-12 and (len(values) <= r or
+                                              np.all(values[r:] <= 1e-12)))
 
-    return _sweep_solver(cs, opts, initial, lambda y: _project_rank(y, r), entry_ok)
+    def loop(x, sweeps, tol):
+        return _alternate(x, cs, lambda y: _project_rank(y, r), sweeps, err_tol=tol)
+
+    return _sweep_solver(cs, opts, initial, loop, entry_ok)
 
 
 def _project_rank(y, r: int) -> np.ndarray:
@@ -185,24 +214,35 @@ def _project_rank(y, r: int) -> np.ndarray:
 
 def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
                    initial=None) -> SolveReport:
-    """Plain alternation between the marginal set and the PSD cone.
+    """Douglas-Rachford between the marginal set and the PSD cone.
 
     Finds some state with the prescribed marginals, starting from a seeded
-    random density matrix.
+    random density matrix or `initial`. The iteration (Lions & Mercier 1979)
+    starts from the affine projection of that start, so its first sweep is
+    one alternation sweep, and makes the same two projections per sweep as
+    alternation in far fewer sweeps (`_douglas_rachford`). The solution is
+    the PSD point of the last sweep, so it is PSD by construction. When the
+    marginals admit no state, the governing iterate grows linearly, the
+    report is not converged, and the solution stays finite and PSD up to
+    rounding that grows with that iterate.
     """
     def entry_ok(x):
         return bool(np.linalg.eigvalsh(x)[0] >= -1e-12)
 
-    return _sweep_solver(cs, opts, initial, project_psd, entry_ok)
+    def loop(x, sweeps, tol):
+        return _douglas_rachford(x, cs, sweeps, err_tol=tol)
+
+    return _sweep_solver(cs, opts, initial, loop, entry_ok)
 
 
 def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> SolveReport:
     """Project z onto (marginal set) intersect (PSD cone) by Dykstra's scheme.
 
     The PSD leg carries Dykstra's correction term (the affine leg needs
-    none), so the limit is the Frobenius projection of z. The bare
-    alternation from z, whose limit is some point of the intersection but
-    generally not the projection, is `solve_feasible(cs, opts, initial=z)`.
+    none), so the limit is the Frobenius projection of z. Without the
+    correction term the alternation from z reaches some point of the
+    intersection, but generally not the projection; so does
+    `solve_feasible(cs, opts, initial=z)`.
     """
     opts = opts or SolveOptions()
     z = hermitize(_as_square(z))

@@ -184,6 +184,31 @@ class TestSolveCommands:
         assert "rank: 2" in result.output
         assert "entropy: 0.189" in result.output
 
+    def test_solve_rank_iterates_a_non_psd_start_that_meets_the_marginals(self, runner,
+                                                                          tmp_path):
+        half, start = tmp_path / "half.json", tmp_path / "x.json"
+        fileio.write_matrix(half, np.eye(2) / 2, (2,))
+        fileio.write_matrix(start, np.eye(4) / 4 + 0.3 * np.diag([1.0, -1.0, -1.0, 1.0]),
+                            (2, 2))
+        marginals = ["--marginal", f"1:{half}", "--marginal", f"2:{half}"]
+        out = tmp_path / "run"
+        result = invoke(runner, "solve", "rank", "--cap", "2", "--dims", "2,2", *marginals,
+                        "--init", f"file:{start}", "--out", out)
+        assert result.exit_code == 0
+        assert "iterations: 0" not in result.output
+        result = invoke(runner, "verify", out / "solution.json", "--dims", "2,2", *marginals)
+        assert result.exit_code == 0, result.output
+
+    def test_solve_feasible_on_singlet_triangle_exits_two(self, runner, tmp_path):
+        v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+        singlet = tmp_path / "singlet.json"
+        fileio.write_matrix(singlet, np.outer(v, v), (2, 2))
+        result = invoke(runner, "solve", "feasible", "--dims", "2,2,2",
+                        *[a for pair in ["1,2", "1,3", "2,3"]
+                          for a in ("--marginal", f"{pair}:{singlet}")],
+                        "--tol", "1e-10", "--max-iter", "500")
+        assert result.exit_code == 2
+
     def test_solve_feasible_trace_mismatch_exits_one(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         fileio.write_matrix(bad, 0.9 * np.eye(3) / 3, (3,))

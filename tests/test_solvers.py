@@ -6,11 +6,13 @@ from qmarginals import (
     SolveOptions,
     dykstra_project,
     greedy_minmatch,
+    hermitize,
     interlace_decomposition,
     kron,
     marginal_residual,
     nspg_minimize,
     numerical_rank,
+    partial_trace,
     project_marginals,
     project_psd,
     project_spectrum,
@@ -23,6 +25,7 @@ from qmarginals import (
     variational_inequality_check,
     von_neumann,
 )
+from qmarginals import solvers
 
 from conftest import load_matrix, load_spectrum, random_density_pair, random_hermitian
 
@@ -157,6 +160,17 @@ class TestSolveWithRankCap:
         assert values[0] >= -1e-12
         assert numerical_rank(rep.solution) <= 3
 
+    def test_start_meeting_marginals_but_not_psd_is_iterated(self):
+        # eigenvalues 0.55, 0.55, -0.05, -0.05: the marginals hold and the
+        # rank is at most 2 only in the sense of the two largest eigenvalues
+        cs = bipartite_cs(np.eye(2) / 2, np.eye(2) / 2)
+        x0 = np.eye(4) / 4 + 0.3 * np.diag([1.0, -1.0, -1.0, 1.0])
+        rep = solve_with_rank_cap(cs, 2, SolveOptions(), initial=x0)
+        assert rep.converged and rep.iterations > 0
+        assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-12
+        assert numerical_rank(rep.solution) <= 2
+        assert marginal_residual(rep.solution, cs) < 1e-12
+
 
 class TestSolveFeasible:
     def test_tripartite_fixture(self):
@@ -168,6 +182,57 @@ class TestSolveFeasible:
         assert rep.converged
         assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-12
         assert marginal_residual(rep.solution, cs) <= 1e-10
+
+    def test_pure_state_marginals_certify(self):
+        # the marginals of a pure state leave a thin feasible set: plain
+        # alternation does not reach 1e-10 here within 5,000 sweeps
+        rng = np.random.default_rng(100)
+        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        cs = ConstraintSet((2, 3), [(keep, partial_trace(rho, (2, 3), keep))
+                                    for keep in [(1,), (2,)]])
+        rep = solve_feasible(cs, SolveOptions(max_iterations=1000, tolerance=1e-10, seed=0))
+        assert rep.converged
+        assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-12
+        assert marginal_residual(rep.solution, cs) <= 1e-10
+
+    def test_start_with_psd_affine_projection_takes_one_sweep(self):
+        rng = np.random.default_rng(8)
+        r1, r2 = random_density_pair(rng, 2, 3)
+        cs = bipartite_cs(r1, r2)
+        h = random_hermitian(rng, 6)
+        x0 = hermitize(kron(r1, r2) + 0.001 * h / np.linalg.norm(h))  # P_A(x0) stays PSD
+        rep = solve_feasible(cs, SolveOptions(), initial=x0)
+        assert rep.converged and rep.iterations == 1
+        assert np.array_equal(rep.solution, project_psd(project_marginals(x0, cs)))
+
+    def test_every_psd_step_takes_an_exactly_hermitian_matrix(self, monkeypatch):
+        rho23, _ = load_matrix("tripartite_222/rho_23.json")
+        rho12, _ = load_matrix("tripartite_222/rho_12.json")
+        cs = ConstraintSet((2, 2, 2), [((2, 3), rho23), ((1, 2), rho12)])
+        exact = []
+
+        def spy(z):
+            exact.append(np.array_equal(z, z.conj().T))
+            return project_psd(z)
+
+        monkeypatch.setattr(solvers, "project_psd", spy)
+        rep = solve_feasible(cs, SolveOptions(tolerance=1e-12, seed=1))
+        assert rep.converged
+        assert len(exact) == rep.iterations > 1 and all(exact)
+
+    def test_singlet_triangle_is_reported_infeasible(self):
+        # consistent marginals with no state: no three qubits share a singlet
+        # on every pair; the Douglas-Rachford iterate grows linearly, while
+        # the returned point stays finite and PSD up to rounding
+        v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+        singlet = np.outer(v, v).astype(complex)
+        cs = ConstraintSet((2, 2, 2), [(pair, singlet) for pair in [(1, 2), (1, 3), (2, 3)]])
+        rep = solve_feasible(cs, SolveOptions(max_iterations=2000, tolerance=1e-10))
+        assert not rep.converged and rep.iterations == 2000
+        assert np.isfinite(rep.solution).all()
+        assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-10
+        assert rep.final_residual == pytest.approx(np.sqrt(3), abs=1e-6)
 
     def test_inconsistent_rejected(self):
         r1 = np.array(random_density((2,), 1))
@@ -226,7 +291,7 @@ class TestDykstra:
         z = random_hermitian(rng, 4)
         opts = SolveOptions(max_iterations=30000, tolerance=1e-11)
         a = dykstra_project(z, cs, opts)
-        b = solve_feasible(cs, opts, initial=z)  # the bare alternation from z
+        b = solve_feasible(cs, opts, initial=z)  # Douglas-Rachford from z
         for rep in (a, b):
             assert rep.converged
             assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-12
