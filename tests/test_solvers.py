@@ -161,8 +161,8 @@ class TestSolveWithRankCap:
         assert numerical_rank(rep.solution) <= 3
 
     def test_start_meeting_marginals_but_not_psd_is_iterated(self):
-        # eigenvalues 0.55, 0.55, -0.05, -0.05: the marginals hold and the
-        # rank is at most 2 only in the sense of the two largest eigenvalues
+        # eigenvalues 0.55, 0.55, -0.05, -0.05: the start meets the marginals
+        # and has two positive eigenvalues, but it is not PSD
         cs = bipartite_cs(np.eye(2) / 2, np.eye(2) / 2)
         x0 = np.eye(4) / 4 + 0.3 * np.diag([1.0, -1.0, -1.0, 1.0])
         rep = solve_with_rank_cap(cs, 2, SolveOptions(), initial=x0)
