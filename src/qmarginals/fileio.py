@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,15 +66,22 @@ def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
         raise ValueError(f"{path}: expected {n * n} entries for dims {dims.dims}, "
                          f"got {len(entries)}")
     try:
+        _numbers_only(chain.from_iterable(entries))
         flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: entries must be [re, im] pairs") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: entries must be [re, im] pairs of floats") from exc
     m = flat.reshape(n, n)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise ValueError(f"{path}: matrix is not Hermitian within 1e-12")
     return hermitize(m), dims
+
+
+def _numbers_only(items) -> None:
+    """TypeError unless every item is a JSON number; a boolean is not one."""
+    if not {int, float}.issuperset(map(type, items)):
+        raise TypeError("expected numbers")
 
 
 def write_spectrum(path, values) -> None:
@@ -94,7 +102,11 @@ def read_spectrum(path) -> np.ndarray:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "values" not in payload:
         raise ValueError(f"{path}: expected an object with 'values'")
-    v = np.sort(np.asarray(payload["values"], dtype=float).ravel())[::-1]
+    try:
+        _numbers_only(payload["values"])
+        v = np.sort(np.array(payload["values"], dtype=float))[::-1]
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: values must be a list of floats") from exc
     if v.size == 0:
         raise ValueError(f"{path}: empty spectrum")
     if not np.all(np.isfinite(v)):

@@ -270,10 +270,11 @@ def _dual_project(z, cs: ConstraintSet, y=None):
     marginal space and b = <B, X> on the marginal set, it minimizes
     phi(y) = ||P_+(z + sum y_k B_k)||^2 / 2 - <b, y>, whose gradient
     <B, X(y)> - b is the marginal error of X(y) = P_+(z + sum y_k B_k).
-    Starts from the dual point `y` (zero when None) and stops once the
-    gradient norm is at most DUAL_GRAD_TOL, after DUAL_MAX_ITERATIONS Newton
-    steps, or when the line search can no longer tell a step from rounding.
-    Returns (X(y), y, gradient norm, whether the iteration cap ended it).
+    Starts from `y`; by default from the affine projection's dual point
+    b - <B, z>, where X = P_+(P_A(z)) (the answer when P_A(z) is PSD), so the
+    result depends on z alone. Stops at gradient norm DUAL_GRAD_TOL, after
+    DUAL_MAX_ITERATIONS Newton steps, or when the line search cannot tell a
+    step from rounding. Returns (X(y), y, gradient norm, whether the cap ended it).
     """
     basis, b = cs._dual_basis
     m, n = basis.shape[0], z.shape[0]
@@ -286,7 +287,7 @@ def _dual_project(z, cs: ConstraintSet, y=None):
         grad = (flat.conj() @ x.ravel()).real - b
         return lam, u, x, grad, 0.5 * float(plus @ plus) - float(b @ y)
 
-    y = np.zeros(m) if y is None else y
+    y = b - (flat.conj() @ z.ravel()).real if y is None else y
     lam, u, x, grad, phi = evaluate(y)
     gnorm = float(np.linalg.norm(grad))
     for _ in range(DUAL_MAX_ITERATIONS):
@@ -365,31 +366,26 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     Minimizes tr(rho ln rho) (or the matching Renyi-form objective) with a
     windowed Armijo acceptance rule and Barzilai-Borwein step sizes. The
     inner projection Phi solves the dual of the projection problem by
-    semismooth Newton (`_dual_project`), warm-started from the previous
-    call's dual point, so search directions are actual projections and stay
-    feasible. Stops when ||Phi(rho - grad f(rho)) - rho||_F falls below the
-    stationarity tolerance; the residual history records that measure per
-    iteration. Projections that end at their Newton-step cap above the
-    dual-gradient tolerance are counted in `notes`. The line-search and
-    step-size constants NSPG_WINDOW, NSPG_DECREASE, NSPG_ALPHA_MIN and
-    NSPG_ALPHA_MAX are the defaults of Birgin, Martinez & Raydan (2000);
-    backtracking halves the step.
+    semismooth Newton (`_dual_project`) from the affine projection's dual
+    point, so search directions are actual projections and stay feasible.
+    Stops when ||Phi(rho - grad f(rho)) - rho||_F falls below the
+    stationarity tolerance (a unit step reuses that projection); the residual
+    history records that measure per iteration. Projections that end at
+    their Newton-step cap above the dual-gradient tolerance are counted in
+    `notes`. The line-search and step-size constants NSPG_WINDOW,
+    NSPG_DECREASE, NSPG_ALPHA_MIN and NSPG_ALPHA_MAX are the defaults of
+    Birgin, Martinez & Raydan (2000); backtracking halves the step.
     """
     opts = opts or SolveOptions()
     entropy, grad_of = _entropy_objective(objective, alpha)
     t0 = time.perf_counter()
 
     cs.correction_terms  # validates consistency up front
-    dual = None          # warm start: each projection starts from the last dual point
-    calls = 0
-    capped = []          # dual gradient norms of projections ended by the cap
+    ends = []            # per projection: its dual gradient norm if the cap ended it
 
     def inner_project(m):
-        nonlocal dual, calls
-        x, dual, gnorm, hit_cap = _dual_project(hermitize(m), cs, dual)
-        calls += 1
-        if hit_cap:
-            capped.append(gnorm)
+        x, _y, gnorm, hit_cap = _dual_project(hermitize(m), cs)
+        ends.append(gnorm if hit_cap else None)
         return x
 
     start = _initial_point(cs, opts.seed, initial)
@@ -407,40 +403,31 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     eps = np.finfo(float).eps
     for _ in range(opts.max_iterations):
         g = grad_of(values, u)
-        station = float(np.linalg.norm(inner_project(rho - g) - rho))
-        station_history.append(station)
-        if station <= opts.nspg_stationarity_tol:
+        projected = inner_project(rho - g)
+        station_history.append(float(np.linalg.norm(projected - rho)))
+        if station_history[-1] <= opts.nspg_stationarity_tol:
             converged = True
             break
-        d = inner_project(rho - step * g) - rho
+        d = (projected if step == 1.0 else inner_project(rho - step * g)) - rho
         slope = float(np.real(np.trace(d.conj().T @ g)))
         f_ref = max(window)
         # below this band the directional derivative is indistinguishable
         # from the floating-point resolution of the objective
         band = 64 * eps * max(1.0, abs(f_ref))
         unverified = abs(slope) <= band
-        collapsed = False
-        if unverified:
-            # noise-scale slope: take the unit step unchecked (it is a
-            # projected gradient step, non-ascent up to that same noise) and
-            # leave the calibrated step size alone
-            candidate = hermitize(rho + d)
+        collapsed = slope > 0 and not unverified   # ascending: projection too inexact
+        lam = 1.0
+        while not collapsed:
+            candidate = hermitize(rho + lam * d)
             cand_values, cand_u = hermitian_eig(candidate)
             f_new = -entropy(cand_values)
-        elif slope > 0:
-            collapsed = True   # genuinely ascending: projection too inexact
-        else:
-            lam = 1.0
-            while True:
-                candidate = hermitize(rho + lam * d)
-                cand_values, cand_u = hermitian_eig(candidate)
-                f_new = -entropy(cand_values)
-                if f_new <= f_ref + NSPG_DECREASE * lam * slope:
-                    break
-                lam /= 2
-                if lam < 1e-16:
-                    collapsed = True
-                    break
+            # a noise-scale slope takes the unit step unchecked (a projected
+            # gradient step, non-ascent up to that same noise) and leaves the
+            # calibrated step size alone
+            if unverified or f_new <= f_ref + NSPG_DECREASE * lam * slope:
+                break
+            lam /= 2
+            collapsed = lam < 1e-16
         if collapsed:
             stalls += 1
             step = 1.0
@@ -462,9 +449,10 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         window.append(f_cur)
         objective_history.append(f_cur)
 
+    capped = [gnorm for gnorm in ends if gnorm is not None]
     if capped:
         cap_note = (f"inner projection stopped at its {DUAL_MAX_ITERATIONS}-step cap in "
-                    f"{len(capped)} of {calls} calls, dual gradient up to "
+                    f"{len(capped)} of {len(ends)} calls, dual gradient up to "
                     f"{max(capped):.1e} (tolerance {DUAL_GRAD_TOL:g})")
         notes = f"{notes}; {cap_note}" if notes else cap_note
     return SolveReport(

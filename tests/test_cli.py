@@ -63,6 +63,32 @@ class TestFileFormat:
         c = fileio.read_spectrum(path)
         assert c.sum() == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", ["1" * 400, "true"], ids=["huge-int", "true"])
+    def test_rejects_numbers_that_are_not_floats(self, tmp_path, bad):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dims": [1], "entries": [[{bad}, 0]]}}')
+        with pytest.raises(ValueError, match=f"{path.name}: entries must be .* floats"):
+            fileio.read_matrix(path)
+        spec = tmp_path / "c.json"
+        spec.write_text(f'{{"values": [{bad}, 0]}}')
+        with pytest.raises(ValueError, match=f"{spec.name}: values must be .* floats"):
+            fileio.read_spectrum(spec)
+
+    @pytest.mark.parametrize("bad", ["1" * 400, "true"], ids=["huge-int", "true"])
+    def test_cli_rejects_numbers_that_are_not_floats(self, runner, tmp_path, bad):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dims": [1], "entries": [[{bad}, 0]]}}')
+        spec = tmp_path / "c.json"
+        spec.write_text(f'{{"values": [{bad}, 0]}}')
+        good = tmp_path / "good.json"
+        fileio.write_matrix(good, np.eye(2) / 2, (2,))
+        for args, named in [(["verify", path, "--dims", "1", "--marginal", f"1:{path}"], path),
+                            (["project", path, "--dims", "1", "--psd"], path),
+                            (["project", good, "--dims", "2", "--spectrum", spec], spec)]:
+            result = invoke(runner, *args)
+            assert result.exit_code == 1
+            assert f"error: {named}: " in result.output
+
 
 class TestTrace:
     def test_fixture_solution_reproduces_target(self, runner, tmp_path):

@@ -7,6 +7,8 @@ chosen so that the PSD constraint is active (the affine projection of z has
 a negative eigenvalue) and Dykstra reaches Err < 1e-12 within its budget.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,42 @@ def test_nspg_notes_projections_ended_by_the_cap(monkeypatch):
     monkeypatch.setattr(solvers, "DUAL_MAX_ITERATIONS", 1)
     notes = nspg_minimize(cs, opts=SolveOptions(max_iterations=3, seed=5)).notes
     assert "inner projection stopped at its 1-step cap" in notes
+
+
+def test_affine_start_is_the_answer_when_the_affine_projection_is_psd(monkeypatch):
+    r1, r2 = random_density_pair(np.random.default_rng(2), 2, 3)
+    cs = ConstraintSet((2, 3), [((1,), r1), ((2,), r2)])
+    z = hermitize(kron(r1, r2) + 1e-3 * _unit(random_hermitian(np.random.default_rng(3), 6)))
+    affine = project_marginals(z, cs)
+    assert np.linalg.eigvalsh(affine)[0] > 0   # the PSD constraint is inactive
+    monkeypatch.setattr(solvers, "DUAL_MAX_ITERATIONS", 0)
+    x = _dual_project(z, cs)[0]
+    assert np.linalg.norm(x - affine) <= 1e-14
+
+
+def test_nspg_certifies_near_singular_marginals():
+    r1, r2 = random_density_pair(np.random.default_rng(0), 2, 2)   # eigenvalue 3.9e-4
+    cs = ConstraintSet((2, 2), [((1,), r1), ((2,), r2)])
+    rep = nspg_minimize(cs, opts=SolveOptions(max_iterations=600, seed=5))
+    assert rep.converged
+    assert np.linalg.norm(rep.solution - kron(r1, r2)) <= 1e-8
+    capped = re.search(r"cap in (\d+) of", rep.notes)
+    assert capped is None or int(capped.group(1)) <= 1
+
+
+def test_nspg_certifies_a_3x3_draw():
+    r1, r2 = random_density_pair(np.random.default_rng(12), 3, 3)
+    cs = ConstraintSet((3, 3), [((1,), r1), ((2,), r2)])
+    assert nspg_minimize(cs, opts=SolveOptions(max_iterations=300, seed=2)).converged
+
+
+def test_nspg_unit_step_reuses_the_stationarity_projection(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _dual_project(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_dual_project", counted)
+    nspg_minimize(small_nspg_case(), opts=SolveOptions(max_iterations=1, seed=5))
+    assert len(calls) == 2   # the start and rho - grad f; the unit step reuses the latter
