@@ -32,8 +32,8 @@ from .projections import (
     ConstraintSet,
     MarginalConstraint,
     check_consistency,
-    marginal_correction,
     project_bipartite_affine,
+    project_intersection,
     project_marginals,
     project_psd,
     project_spectrum,
@@ -61,7 +61,6 @@ from .tensorcore import (
     random_density,
     random_probability_vector,
     random_unitary,
-    subsystem_permutation,
 )
 
 __version__ = "0.1.0"

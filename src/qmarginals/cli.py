@@ -13,13 +13,13 @@ from pathlib import Path
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import constructive, fileio, solvers
 from .entropy import _von_neumann
 from .projections import (
     ConstraintSet,
     check_consistency,
+    project_intersection,
     project_marginals,
     project_psd,
     project_spectrum,
@@ -69,8 +69,7 @@ def _echo_report(report: SolveReport) -> None:
     click.echo(f"iterations: {report.iterations}")
     click.echo(f"final residual: {report.final_residual:.6e}")
     click.echo(f"wall time: {report.wall_time:.3f}s")
-    if report.seed_used is not None:
-        click.echo(f"seed: {report.seed_used}")
+    click.echo(f"seed: {report.seed_used}")
     if report.notes:
         click.echo(f"notes: {report.notes}")
 
@@ -250,41 +249,30 @@ def consistency(dims_text, marginals):
               help="project onto the unitary orbit of this spectrum (alone)")
 @click.option("--psd", "psd_flag", is_flag=True, help="project onto the PSD cone; "
               "combined with --marginal, onto the feasible intersection")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="with --psd and --marginal only")
-@click.option("--max-iter", type=int, default=1000, show_default=True,
-              help="with --psd and --marginal only")
 @click.option("--out", "out_path", default=None)
-@click.pass_context
-def project(ctx, input_file, dims_text, marginals, spectrum_path, psd_flag, tol,
-            max_iter, out_path):
+def project(input_file, dims_text, marginals, spectrum_path, psd_flag, out_path):
     """Least-squares projection of a matrix file.
 
     With --marginal alone this is the closed-form affine projection; with
     --psd alone the eigenvalue clipping; with --spectrum, which takes no
     other target, the nearest matrix with that spectrum; with --psd and
-    --marginal, the Dykstra scheme onto (marginals) intersect (PSD),
-    controlled by --tol/--max-iter.
+    --marginal, the exact projection onto (marginals) intersect (PSD) by
+    semismooth Newton on its dual, which exits 2 when it stops at its
+    Newton-step cap (as it does on marginals that no state has).
     """
     if spectrum_path and (marginals or psd_flag):
         raise click.UsageError("--spectrum cannot be combined with --marginal or --psd")
-    iterative = psd_flag and marginals
-    for name in ("tol", "max_iter"):
-        if not iterative and ctx.get_parameter_source(name) != ParameterSource.DEFAULT:
-            raise click.UsageError(f"--{name.replace('_', '-')} applies only to "
-                                   "--psd with --marginal")
     try:
         dims = _parse_dims(dims_text)
         matrix, file_dims = fileio.read_matrix(input_file)
         if file_dims.total != dims.total:
             raise ValueError(f"matrix order {file_dims.total} does not match --dims")
-        if iterative:
+        if psd_flag and marginals:
             cs = ConstraintSet(dims, _read_marginals(marginals))
-            report = solvers.dykstra_project(
-                matrix, cs, SolveOptions(max_iterations=max_iter, tolerance=tol))
-            _echo_report(report)
-            result = report.solution
-            if not report.converged:
+            result, gnorm, hit_cap = project_intersection(matrix, cs)
+            click.echo(f"converged: {not hit_cap}")
+            click.echo(f"dual gradient: {gnorm:.6e}")
+            if hit_cap:
                 _fail("intersection projection did not converge", code=2)
         elif psd_flag:
             result = project_psd(matrix)

@@ -59,9 +59,14 @@ def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "dims" not in payload or "entries" not in payload:
         raise ValueError(f"{path}: expected an object with 'dims' and 'entries'")
-    dims = as_dims(payload["dims"])
+    dims, entries = payload["dims"], payload["entries"]
+    if not (isinstance(dims, list) and dims
+            and all(type(d) is int and d >= 1 for d in dims)):   # a boolean is not an int
+        raise ValueError(f"{path}: dims must be a nonempty list of positive integers")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: entries must be a list of [re, im] pairs")
+    dims = SystemDims(dims)
     n = dims.total
-    entries = payload["entries"]
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries for dims {dims.dims}, "
                          f"got {len(entries)}")

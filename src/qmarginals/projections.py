@@ -5,7 +5,7 @@ Three families of constraint sets appear:
 * the affine set of Hermitian matrices with prescribed reduced states
   (bipartite closed form and the general multipartite inclusion-exclusion),
 * the unitary orbit of a fixed spectrum,
-* the PSD cone.
+* the PSD cone, alone and intersected with the affine set.
 
 All projections are in the Frobenius norm.
 """
@@ -130,6 +130,7 @@ class ConstraintSet:
         inner product <A, C> = Re tr(A* C); b holds <B_k, X> for any X that
         meets the marginals, computed from the targets as <E, sigma_J>.
         """
+        self.correction_terms  # validates consistency, which b assumes
         n = self.dims.total
         lifted, values = [], []
         for c in self.constraints:
@@ -227,26 +228,6 @@ def _lifted_layout(dims: SystemDims, keep: tuple[int, ...], itemsize: int):
     return shape, strides, tuple(kept + kept), n // dims.subdim(keep)
 
 
-def marginal_correction(z, sigma, dims, keep) -> np.ndarray:
-    """M_J(Z, sigma) = (tr_{J^c}(Z) - sigma) x I/n_{J^c}, factors in label order.
-
-    Z - M_J(Z, sigma) is the least-squares point whose marginal on `keep`
-    equals sigma. With `keep` covering every subsystem the correction is
-    Z - sigma itself.
-    """
-    dims = as_dims(dims)
-    z = _as_square(z)
-    j = dims.validate_keep(keep)
-    sigma = np.asarray(getattr(sigma, "matrix", sigma), dtype=complex)
-    nj = dims.subdim(j)
-    if sigma.shape != (nj, nj):
-        raise ValueError(f"target for keep={j} must have order {nj}, got {sigma.shape}")
-    deficit = partial_trace(z, dims, j) - sigma
-    out = np.zeros((dims.total, dims.total), dtype=complex)
-    _add_lifted(out, 1.0, deficit, dims, j)
-    return out
-
-
 def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     """Frobenius projection of the Hermitian part of z onto {X : tr_{J_i^c}(X) = sigma_i}.
 
@@ -321,3 +302,80 @@ def project_psd(z) -> np.ndarray:
     values, u = np.linalg.eigh(z)   # ascending; U f(Lambda) U* needs no phase fix
     k = int(np.searchsorted(values, 0.0))
     return hermitize(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)
+
+
+DUAL_GRAD_TOL = 1e-15
+DUAL_MAX_ITERATIONS = 50
+
+
+def project_intersection(z, cs: ConstraintSet):
+    """Project the Hermitian part of z onto (marginal set) intersect (PSD cone).
+
+    Semismooth Newton on the dual of this semidefinite least-squares problem
+    (Malick 2004; Qi & Sun 2006). With B the orthonormal basis of the lifted
+    marginal space and b = <B, X> on the marginal set, it minimizes
+    phi(y) = ||P_+(z + sum y_k B_k)||^2 / 2 - <b, y>, whose gradient
+    <B, X(y)> - b is the marginal error of X(y) = P_+(z + sum y_k B_k).
+    Starts from the affine projection's dual point b - <B, z>, where
+    X = P_+(P_A(z)) (the answer when P_A(z) is PSD). Stops at gradient norm
+    DUAL_GRAD_TOL, after DUAL_MAX_ITERATIONS Newton steps, or when the line
+    search cannot tell a step from rounding. Returns (X(y), gradient norm,
+    whether the step cap ended it); on marginals that no state has, the cap
+    ends it. The basis is dense, m * n^2 complex numbers for m independent
+    marginal directions: 10 MB for all pairs of 6 qubits, 290 MB at 8.
+    """
+    z = hermitize(_as_square(z))
+    if z.shape[0] != cs.dims.total:
+        raise ValueError(f"matrix order {z.shape[0]} does not match dims {cs.dims.dims}")
+    basis, b = cs._dual_basis
+    m, n = basis.shape[0], z.shape[0]
+    flat = basis.reshape(m, n * n)
+
+    def evaluate(y):
+        lam, u = np.linalg.eigh((z.ravel() + y @ flat).reshape(n, n))
+        plus = np.clip(lam, 0.0, None)
+        x = (u * plus) @ u.conj().T
+        grad = (flat.conj() @ x.ravel()).real - b
+        return lam, u, x, grad, 0.5 * float(plus @ plus) - float(b @ y)
+
+    y = b - (flat.conj() @ z.ravel()).real
+    lam, u, x, grad, phi = evaluate(y)
+    gnorm = float(np.linalg.norm(grad))
+    for _ in range(DUAL_MAX_ITERATIONS):
+        if gnorm <= DUAL_GRAD_TOL:
+            break
+        # generalized Hessian <B_k, P_+'(W)[B_l]> in the eigenbasis of W: the
+        # first divided differences of max(lambda, 0) weight each entry
+        pos = lam > 0
+        plus = np.where(pos, lam, 0.0)
+        same = pos[:, None] == pos[None, :]
+        omega = np.where(same, pos[:, None] * 1.0,
+                         (plus[:, None] - plus[None, :])
+                         / np.where(same, 1.0, lam[:, None] - lam[None, :]))
+        c = (u.conj().T @ basis @ u).reshape(m, n * n)
+        h = (c.conj() @ (omega.ravel() * c).T).real
+        # regularized system (h + mu I) d = -grad, mu = min(1e-2, |grad|); h is
+        # PSD up to rounding, and clipping its eigenvalues keeps h + mu I
+        # positive definite
+        w, v = np.linalg.eigh(h)
+        d = -v @ ((v.T @ grad) / (np.clip(w, 0.0, None) + min(1e-2, gnorm)))
+        slope = float(grad @ d)
+        band = 64 * np.finfo(float).eps * max(1.0, abs(phi))
+        t = 1.0
+        while True:
+            trial = evaluate(y + t * d)
+            trial_gnorm, trial_phi = float(np.linalg.norm(trial[3])), trial[4]
+            if trial_gnorm <= gnorm / 2:
+                break
+            # below the band phi cannot confirm the predicted decrease, so
+            # only a halved gradient can still accept a step (a NaN slope
+            # ends the search here too)
+            if not -t * slope > band:
+                return hermitize(x), gnorm, False
+            if trial_phi <= phi + 1e-4 * t * slope:
+                break
+            t /= 2
+        y = y + t * d
+        lam, u, x, grad, phi = trial
+        gnorm = trial_gnorm
+    return hermitize(x), gnorm, gnorm > DUAL_GRAD_TOL

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy as _entropy
-from .projections import ConstraintSet, project_marginals, project_psd, project_spectrum
+from . import projections as _projections
+from .projections import (
+    ConstraintSet,
+    project_intersection,
+    project_marginals,
+    project_psd,
+    project_spectrum,
+)
 from .tensorcore import (
     as_spectrum,
     hermitian_eig,
@@ -173,7 +180,7 @@ def solve_with_spectrum(cs: ConstraintSet, c, opts: SolveOptions | None = None,
         raise ValueError(f"spectrum length {len(c)} does not match total dim {cs.dims.total}")
 
     def entry_ok(x):
-        return bool(np.max(np.abs(hermitian_eig(x).values - c)) <= 1e-8)
+        return bool(np.max(np.abs(np.linalg.eigvalsh(x)[::-1] - c)) <= 1e-8)
 
     def loop(x, sweeps, tol):
         return _alternate(x, cs, lambda y: project_spectrum(y, c), sweeps, err_tol=tol)
@@ -194,9 +201,8 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
         raise ValueError("rank cap must be >= 1")
 
     def entry_ok(x):
-        values = hermitian_eig(x).values   # descending
-        return bool(values[-1] >= -1e-12 and (len(values) <= r or
-                                              np.all(values[r:] <= 1e-12)))
+        values = np.linalg.eigvalsh(x)   # ascending; all but the top r must vanish
+        return bool(values[0] >= -1e-12 and np.all(values[:-r] <= 1e-12))
 
     def loop(x, sweeps, tol):
         return _alternate(x, cs, lambda y: _project_rank(y, r), sweeps, err_tol=tol)
@@ -258,78 +264,6 @@ def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> S
     )
 
 
-DUAL_GRAD_TOL = 1e-15
-DUAL_MAX_ITERATIONS = 50
-
-
-def _dual_project(z, cs: ConstraintSet, y=None):
-    """Project Hermitian z onto (marginal set) intersect (PSD cone).
-
-    Semismooth Newton on the dual of this semidefinite least-squares problem
-    (Malick 2004; Qi & Sun 2006). With B the orthonormal basis of the lifted
-    marginal space and b = <B, X> on the marginal set, it minimizes
-    phi(y) = ||P_+(z + sum y_k B_k)||^2 / 2 - <b, y>, whose gradient
-    <B, X(y)> - b is the marginal error of X(y) = P_+(z + sum y_k B_k).
-    Starts from `y`; by default from the affine projection's dual point
-    b - <B, z>, where X = P_+(P_A(z)) (the answer when P_A(z) is PSD), so the
-    result depends on z alone. Stops at gradient norm DUAL_GRAD_TOL, after
-    DUAL_MAX_ITERATIONS Newton steps, or when the line search cannot tell a
-    step from rounding. Returns (X(y), y, gradient norm, whether the cap ended it).
-    """
-    basis, b = cs._dual_basis
-    m, n = basis.shape[0], z.shape[0]
-    flat = basis.reshape(m, n * n)
-
-    def evaluate(y):
-        lam, u = np.linalg.eigh((z.ravel() + y @ flat).reshape(n, n))
-        plus = np.clip(lam, 0.0, None)
-        x = (u * plus) @ u.conj().T
-        grad = (flat.conj() @ x.ravel()).real - b
-        return lam, u, x, grad, 0.5 * float(plus @ plus) - float(b @ y)
-
-    y = b - (flat.conj() @ z.ravel()).real if y is None else y
-    lam, u, x, grad, phi = evaluate(y)
-    gnorm = float(np.linalg.norm(grad))
-    for _ in range(DUAL_MAX_ITERATIONS):
-        if gnorm <= DUAL_GRAD_TOL:
-            break
-        # generalized Hessian <B_k, P_+'(W)[B_l]> in the eigenbasis of W: the
-        # first divided differences of max(lambda, 0) weight each entry
-        pos = lam > 0
-        plus = np.where(pos, lam, 0.0)
-        same = pos[:, None] == pos[None, :]
-        omega = np.where(same, pos[:, None] * 1.0,
-                         (plus[:, None] - plus[None, :])
-                         / np.where(same, 1.0, lam[:, None] - lam[None, :]))
-        c = (u.conj().T @ basis @ u).reshape(m, n * n)
-        h = (c.conj() @ (omega.ravel() * c).T).real
-        # regularized system (h + mu I) d = -grad, mu = min(1e-2, |grad|); h is
-        # PSD up to rounding, and clipping its eigenvalues keeps h + mu I
-        # positive definite
-        w, v = np.linalg.eigh(h)
-        d = -v @ ((v.T @ grad) / (np.clip(w, 0.0, None) + min(1e-2, gnorm)))
-        slope = float(grad @ d)
-        band = 64 * np.finfo(float).eps * max(1.0, abs(phi))
-        t = 1.0
-        while True:
-            trial = evaluate(y + t * d)
-            trial_gnorm, trial_phi = float(np.linalg.norm(trial[3])), trial[4]
-            if trial_gnorm <= gnorm / 2:
-                break
-            # below the band phi cannot confirm the predicted decrease, so
-            # only a halved gradient can still accept a step (a NaN slope
-            # ends the search here too)
-            if not -t * slope > band:
-                return hermitize(x), y, gnorm, False
-            if trial_phi <= phi + 1e-4 * t * slope:
-                break
-            t /= 2
-        y = y + t * d
-        lam, u, x, grad, phi = trial
-        gnorm = trial_gnorm
-    return hermitize(x), y, gnorm, gnorm > DUAL_GRAD_TOL
-
-
 def _entropy_objective(objective: str, alpha: float | None):
     """(S, grad f) on (values, U) from the kernels of `entropy`, for f = -S.
 
@@ -366,8 +300,8 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     Minimizes tr(rho ln rho) (or the matching Renyi-form objective) with a
     windowed Armijo acceptance rule and Barzilai-Borwein step sizes. The
     inner projection Phi solves the dual of the projection problem by
-    semismooth Newton (`_dual_project`) from the affine projection's dual
-    point, so search directions are actual projections and stay feasible.
+    semismooth Newton (`project_intersection`) from the affine projection's
+    dual point, so search directions are actual projections and stay feasible.
     Stops when ||Phi(rho - grad f(rho)) - rho||_F falls below the
     stationarity tolerance (a unit step reuses that projection); the residual
     history records that measure per iteration. Projections that end at
@@ -379,12 +313,10 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     opts = opts or SolveOptions()
     entropy, grad_of = _entropy_objective(objective, alpha)
     t0 = time.perf_counter()
-
-    cs.correction_terms  # validates consistency up front
     ends = []            # per projection: its dual gradient norm if the cap ended it
 
     def inner_project(m):
-        x, _y, gnorm, hit_cap = _dual_project(hermitize(m), cs)
+        x, gnorm, hit_cap = project_intersection(m, cs)
         ends.append(gnorm if hit_cap else None)
         return x
 
@@ -451,9 +383,9 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
 
     capped = [gnorm for gnorm in ends if gnorm is not None]
     if capped:
-        cap_note = (f"inner projection stopped at its {DUAL_MAX_ITERATIONS}-step cap in "
-                    f"{len(capped)} of {len(ends)} calls, dual gradient up to "
-                    f"{max(capped):.1e} (tolerance {DUAL_GRAD_TOL:g})")
+        cap_note = (f"inner projection stopped at its {_projections.DUAL_MAX_ITERATIONS}-step "
+                    f"cap in {len(capped)} of {len(ends)} calls, dual gradient up to "
+                    f"{max(capped):.1e} (tolerance {_projections.DUAL_GRAD_TOL:g})")
         notes = f"{notes}; {cap_note}" if notes else cap_note
     return SolveReport(
         solution=rho, iterations=len(station_history),

@@ -14,7 +14,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 RANK_RTOL = 1e-10
@@ -49,10 +48,6 @@ class SystemDims:
         if j[0] < 1 or j[-1] > self.k:
             raise ValueError(f"kept indices {j} outside 1..{self.k}")
         return tuple(j)
-
-    def complement(self, keep: Iterable[int]) -> tuple[int, ...]:
-        j = set(self.validate_keep(keep))
-        return tuple(i for i in range(1, self.k + 1) if i not in j)
 
     def subdim(self, labels: Iterable[int]) -> int:
         """Product of the dimensions of the given subsystem labels."""
@@ -104,9 +99,9 @@ def hermitian_eig(h) -> EigDecomposition:
     `hermitize(a)` for a matrix that carries rounding drift. Degenerate
     clusters keep the backend's ordering (stable sort); each eigenvector is
     phase-fixed so its largest-magnitude entry is real positive, which makes
-    repeated runs reproducible. The direct constructions, NSPG and the sweep
-    solvers' entry checks need this; the spectral projections call
-    np.linalg.eigh directly, as U f(Lambda) U* does not depend on phases.
+    repeated runs reproducible. The direct constructions and NSPG need this;
+    the spectral projections call np.linalg.eigh directly, as U f(Lambda) U*
+    does not depend on phases.
     """
     values, vectors = np.linalg.eigh(_as_square(h))
     order = np.argsort(-values, kind="stable")
@@ -167,19 +162,6 @@ def _reducer(dims: SystemDims, keep: tuple[int, ...]):
         return np.einsum(m.reshape(shape), in_labels, out_labels).reshape(nj, nj)
 
     return trace_down
-
-
-def subsystem_permutation(dims, keep) -> np.ndarray:
-    """Permutation P with P (a_1 x ... x a_k) P^T = (x_{i not in J} a_i) x (x_{i in J} a_i).
-
-    Factors of the complement come first, then the kept factors, each group
-    in ascending label order.
-    """
-    dims = as_dims(dims)
-    j = dims.validate_keep(keep)
-    order = [i - 1 for i in dims.complement(j)] + [i - 1 for i in j]
-    # row `new` of P is the basis vector of the entry that the axis reorder moves to `new`
-    return np.eye(dims.total)[np.arange(dims.total).reshape(dims.dims).transpose(order).ravel()]
 
 
 def swap_bipartite(m: np.ndarray, n1: int, n2: int) -> np.ndarray:

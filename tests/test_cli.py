@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qmarginals import fileio, random_unitary
+from qmarginals import ConstraintSet, SolveOptions, dykstra_project, fileio, random_unitary
 from qmarginals.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_hermitian
 
 
 @pytest.fixture()
@@ -88,6 +88,32 @@ class TestFileFormat:
             result = invoke(runner, *args)
             assert result.exit_code == 1
             assert f"error: {named}: " in result.output
+
+
+MALFORMED_MATRIX_FILES = {
+    "dims-true": '{"dims": [true], "entries": [[1, 0]]}',
+    "dims-fraction": '{"dims": [2.5], "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+    "dims-overflow": '{"dims": [1e400], "entries": [[1, 0]]}',
+    "dims-string": '{"dims": ["a"], "entries": [[1, 0]]}',
+    "entries-number": '{"dims": [1], "entries": 5}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_MATRIX_FILES.values(),
+                         ids=list(MALFORMED_MATRIX_FILES))
+class TestMalformedMatrixFile:
+    def test_read_raises_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path.name}: (dims|entries) must be a"):
+            fileio.read_matrix(path)
+
+    def test_verify_exits_one_naming_the_file(self, runner, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        result = invoke(runner, "verify", path, "--dims", "1", "--marginal", f"1:{path}")
+        assert result.exit_code == 1
+        assert f"error: {path}: " in result.output
 
 
 class TestTrace:
@@ -311,7 +337,10 @@ class TestSolveCommands:
         (["solve", "min-entropy"], ["--restarts", "5"]),
         (["consistency"], ["--tol", "1e-3"]),
         (["project", "z.json"], ["--mode", "dykstra"]),
-    ], ids=["min-entropy-tol", "min-entropy-restarts", "consistency-tol", "project-mode"])
+        (["project", "z.json"], ["--tol", "1e-3", "--psd"]),
+        (["project", "z.json"], ["--max-iter", "5", "--psd"]),
+    ], ids=["min-entropy-tol", "min-entropy-restarts", "consistency-tol", "project-mode",
+            "project-tol", "project-max-iter"])
     def test_options_a_command_does_not_read_are_rejected(self, runner, command, option):
         result = runner.invoke(main, [*command, "--dims", "2,2", "--marginal", "1:m.json",
                                       *option])
@@ -467,8 +496,7 @@ class TestProjectCommand:
         fileio.write_matrix(rb, np.diag([0.7, 0.3]), (2,))
         out = tmp_path / "x.json"
         result = invoke(runner, "project", src, "--dims", "2,2", "--psd",
-                        "--marginal", f"1:{ra}", "--marginal", f"2:{rb}",
-                        "--tol", "1e-10", "--max-iter", "20000", "--out", out)
+                        "--marginal", f"1:{ra}", "--marginal", f"2:{rb}", "--out", out)
         assert result.exit_code == 0
         assert "converged: True" in result.output
         x, _ = fileio.read_matrix(out)
@@ -477,15 +505,64 @@ class TestProjectCommand:
         assert np.linalg.eigvalsh(x)[0] >= -1e-12
         assert np.abs(partial_trace(x, d, (1,)) - np.diag([0.6, 0.4])).max() < 1e-9
 
+    def fixture_marginals(self, name, tmp_path):
+        """(dims text, --marginal arguments, constraint set) of a fixture instance."""
+        if name == "rank_3x4":   # marginals diagonal in the fixture spectra
+            files = {}
+            for keep, side in [("1", "a"), ("2", "b")]:
+                spectrum = fileio.read_spectrum(FIXTURES / f"rank_3x4/spectrum_{side}.json")
+                files[keep] = tmp_path / f"rho_{side}.json"
+                fileio.write_matrix(files[keep], np.diag(spectrum), (len(spectrum),))
+            dims_text = "3,4"
+        elif name == "bipartite_2x3":
+            files = {"1": FIXTURES / "bipartite_2x3/rho_a.json",
+                     "2": FIXTURES / "bipartite_2x3/rho_b.json"}
+            dims_text = "2,3"
+        else:
+            files = {"1,2": FIXTURES / "tripartite_222/rho_12.json",
+                     "2,3": FIXTURES / "tripartite_222/rho_23.json"}
+            dims_text = "2,2,2"
+        args = [a for keep, path in files.items() for a in ("--marginal", f"{keep}:{path}")]
+        cs = ConstraintSet([int(d) for d in dims_text.split(",")],
+                           [([int(i) for i in keep.split(",")], fileio.read_matrix(path)[0])
+                            for keep, path in files.items()])
+        return dims_text, args, cs
+
+    @pytest.mark.parametrize("name", ["bipartite_2x3", "rank_3x4", "tripartite_222"])
+    def test_project_intersection_matches_dykstra(self, runner, tmp_path, name):
+        dims_text, marginals, cs = self.fixture_marginals(name, tmp_path)
+        z = random_hermitian(np.random.default_rng(7), cs.dims.total)
+        src, out = tmp_path / "z.json", tmp_path / "x.json"
+        fileio.write_matrix(src, z, cs.dims)
+        result = invoke(runner, "project", src, "--dims", dims_text, "--psd", *marginals,
+                        "--out", out)
+        assert result.exit_code == 0, result.output
+        assert "converged: True" in result.output
+        reference = dykstra_project(z, cs, SolveOptions(max_iterations=20000, tolerance=1e-12))
+        assert reference.converged
+        assert np.linalg.norm(fileio.read_matrix(out)[0] - reference.solution) <= 1e-8
+        result = invoke(runner, "verify", out, "--dims", dims_text, *marginals, "--tol", "1e-12")
+        assert result.exit_code == 0, result.output
+
+    def test_project_intersection_on_singlet_triangle_exits_two(self, runner, tmp_path):
+        v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+        singlet = tmp_path / "singlet.json"
+        fileio.write_matrix(singlet, np.outer(v, v), (2, 2))
+        src, out = tmp_path / "z.json", tmp_path / "x.json"
+        fileio.write_matrix(src, np.eye(8) / 8, (2, 2, 2))
+        result = invoke(runner, "project", src, "--dims", "2,2,2", "--psd",
+                        *[a for pair in ["1,2", "1,3", "2,3"]
+                          for a in ("--marginal", f"{pair}:{singlet}")], "--out", out)
+        assert result.exit_code == 2
+        assert "converged: False" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("args,message", [
         (["--marginal", "1:x.json", "--spectrum", "c.json"],
          "--spectrum cannot be combined with --marginal or --psd"),
         (["--psd", "--spectrum", "c.json"],
          "--spectrum cannot be combined with --marginal or --psd"),
-        (["--psd", "--tol", "1e-3"], "--tol applies only to --psd with --marginal"),
-        (["--marginal", "1:x.json", "--max-iter", "5"],
-         "--max-iter applies only to --psd with --marginal"),
-    ], ids=["spectrum-marginal", "spectrum-psd", "psd-tol", "marginal-max-iter"])
+    ], ids=["spectrum-marginal", "spectrum-psd"])
     def test_inputs_the_mode_does_not_read_exit_one(self, runner, tmp_path, args, message):
         src = tmp_path / "z.json"
         fileio.write_matrix(src, np.eye(4) / 4, (2, 2))

@@ -1,6 +1,6 @@
-"""The NSPG inner projection onto (marginals) intersect (PSD cone).
+"""The exact projection onto (marginals) intersect (PSD cone), the CLI's and NSPG's.
 
-`solvers._dual_project` solves the dual of this semidefinite least-squares
+`project_intersection` solves the dual of this semidefinite least-squares
 problem by semismooth Newton; `dykstra_project` with increments converges to
 the same Frobenius projection and is the reference here. The instances are
 chosen so that the PSD constraint is active (the affine projection of z has
@@ -20,11 +20,12 @@ from qmarginals import (
     kron,
     marginal_residual,
     nspg_minimize,
+    project_intersection,
     project_marginals,
+    projections,
     random_density,
     solvers,
 )
-from qmarginals.solvers import _dual_project
 
 from conftest import load_matrix, random_density_pair, random_hermitian
 
@@ -74,7 +75,7 @@ def test_matches_dykstra_limit(name):
     assert np.linalg.eigvalsh(project_marginals(z, cs))[0] < 0   # PSD constraint active
     reference = dykstra_project(z, cs, SolveOptions(max_iterations=5000, tolerance=1e-12))
     assert reference.converged
-    x, _y, _gnorm, capped = _dual_project(z, cs)
+    x, _gnorm, capped = project_intersection(z, cs)
     assert not capped
     assert np.linalg.norm(x - reference.solution) <= 1e-8
 
@@ -82,20 +83,20 @@ def test_matches_dykstra_limit(name):
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_is_psd_and_meets_marginals(name):
     cs, z = CASES[name]()
-    x, _y, _gnorm, _capped = _dual_project(z, cs)
+    x, _gnorm, _capped = project_intersection(z, cs)
     assert np.array_equal(x, x.conj().T)
     assert np.linalg.eigvalsh(x)[0] >= -1e-15
     assert marginal_residual(x, cs) <= 1e-12
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_warm_start_gives_same_answer(name):
-    cs, z = CASES[name]()
-    _x, y, _gnorm, _capped = _dual_project(z, cs)
-    moved = 1.5 * z
-    cold = _dual_project(moved, cs)[0]
-    warm = _dual_project(moved, cs, y)[0]
-    assert np.linalg.norm(warm - cold) <= 1e-10
+def test_rejects_a_wrong_order_and_inconsistent_marginals():
+    cs, _z = bipartite_case(2, 3)
+    with pytest.raises(ValueError, match="does not match dims"):
+        project_intersection(np.eye(4), cs)
+    r1, r2 = (np.array(random_density((2,), seed)) for seed in (1, 2))
+    inconsistent = ConstraintSet((2, 2), [((1,), r1), ((2,), 0.9 * r2)])
+    with pytest.raises(ValueError, match="inconsistent"):
+        project_intersection(np.eye(4) / 4, inconsistent)
 
 
 @pytest.mark.parametrize("dims,size", [((2, 2), 7), ((3, 4), 24)])
@@ -146,7 +147,7 @@ def test_nspg_notes_projections_ended_by_the_cap(monkeypatch):
     cs = small_nspg_case()
     opts = SolveOptions(max_iterations=300, seed=5)
     assert nspg_minimize(cs, opts=opts).notes == ""
-    monkeypatch.setattr(solvers, "DUAL_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(projections, "DUAL_MAX_ITERATIONS", 1)
     notes = nspg_minimize(cs, opts=SolveOptions(max_iterations=3, seed=5)).notes
     assert "inner projection stopped at its 1-step cap" in notes
 
@@ -157,8 +158,8 @@ def test_affine_start_is_the_answer_when_the_affine_projection_is_psd(monkeypatc
     z = hermitize(kron(r1, r2) + 1e-3 * _unit(random_hermitian(np.random.default_rng(3), 6)))
     affine = project_marginals(z, cs)
     assert np.linalg.eigvalsh(affine)[0] > 0   # the PSD constraint is inactive
-    monkeypatch.setattr(solvers, "DUAL_MAX_ITERATIONS", 0)
-    x = _dual_project(z, cs)[0]
+    monkeypatch.setattr(projections, "DUAL_MAX_ITERATIONS", 0)
+    x = project_intersection(z, cs)[0]
     assert np.linalg.norm(x - affine) <= 1e-14
 
 
@@ -183,8 +184,8 @@ def test_nspg_unit_step_reuses_the_stationarity_projection(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return _dual_project(*args, **kwargs)
+        return project_intersection(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_dual_project", counted)
+    monkeypatch.setattr(solvers, "project_intersection", counted)
     nspg_minimize(small_nspg_case(), opts=SolveOptions(max_iterations=1, seed=5))
     assert len(calls) == 2   # the start and rho - grad f; the unit step reuses the latter

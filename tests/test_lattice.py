@@ -24,10 +24,9 @@ from qmarginals import (
     partial_trace,
     project_marginals,
     random_density,
-    subsystem_permutation,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, subsystem_permutation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -76,7 +75,7 @@ def reference_projection(z, cs):
         if len(labels) == cs.dims.k:
             out += w * deficit
             continue
-        njc = cs.dims.subdim(cs.dims.complement(labels))
+        njc = cs.dims.total // cs.dims.subdim(labels)
         p = subsystem_permutation(cs.dims, labels)
         out += w * (p.T @ kron(np.eye(njc) / njc, deficit) @ p)
     return hermitize(out)

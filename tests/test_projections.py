@@ -7,7 +7,6 @@ from qmarginals import (
     SystemDims,
     check_consistency,
     kron,
-    marginal_correction,
     partial_trace,
     project_bipartite_affine,
     project_marginals,
@@ -19,7 +18,14 @@ from qmarginals import (
     vectorize_constraints,
 )
 
-from conftest import load_matrix, load_spectrum, random_density_pair, random_hermitian
+from conftest import (
+    load_matrix,
+    load_spectrum,
+    marginal_correction,
+    random_density_pair,
+    random_hermitian,
+    subsystem_permutation,
+)
 
 
 def bipartite_cs(r1, r2):
@@ -143,7 +149,6 @@ class TestMarginalCorrection:
             assert abs(np.trace(m.conj().T @ x).real) < 1e-10
 
     def test_literal_permutation_formula(self):
-        from qmarginals import subsystem_permutation
         rng = np.random.default_rng(10)
         dims = SystemDims((2, 3, 2))
         z = random_hermitian(rng, 12)

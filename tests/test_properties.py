@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from qmarginals import (
     ConstraintSet,
     SystemDims,
-    marginal_correction,
     marginal_residual,
     partial_trace,
     project_marginals,
@@ -23,7 +22,7 @@ from qmarginals import (
     vectorize_constraints,
 )
 
-from conftest import random_hermitian
+from conftest import marginal_correction, random_hermitian
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 

@@ -16,11 +16,10 @@ from qmarginals import (
     random_density,
     random_probability_vector,
     random_unitary,
-    subsystem_permutation,
 )
 from qmarginals.tensorcore import density_input, kron_all, swap_bipartite
 
-from conftest import random_hermitian
+from conftest import random_hermitian, subsystem_permutation
 
 
 def brute_force_partial_trace(rho, dims, keep):

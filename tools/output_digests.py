@@ -128,8 +128,9 @@ def cli_digests(tmp: Path) -> dict:
             m = spectrum_state(f"{name}/spectrum_{side}.json")
             fileio.write_matrix(inp / f"{name}_{side}.json", m, (len(m),))
     fileio.write_spectrum(inp / "c2.json", [0.7, 0.3])
-    # a fixed input for project and trace, so that their digests see only their own code
+    # fixed inputs for project and trace, so that their digests see only their own code
     cli(["random", "density", "--dims", "2,2,2", "--seed", "4", "--out", inp / "rho_222.json"])
+    cli(["random", "density", "--dims", "3,4", "--seed", "4", "--out", inp / "rho_34.json"])
 
     def pair(a, b):
         return ["--marginal", f"1:{a}", "--marginal", f"2:{b}"]
@@ -162,8 +163,8 @@ def cli_digests(tmp: Path) -> dict:
         "project-psd": ["project", FX / "tripartite_222/rho_12.json", "--dims", "2,2", "--psd"],
         "project-spectrum": ["project", FX / "bipartite_2x3/rho_a.json", "--dims", "2",
                              "--spectrum", inp / "c2.json"],
-        "project-intersection": ["project", tmp / "greedy/solution.json", "--dims", "3,4",
-                                 "--psd", *m34, "--tol", "1e-10"],
+        "project-intersection": ["project", inp / "rho_34.json", "--dims", "3,4", "--psd",
+                                 *m34],
         "trace": ["trace", inp / "rho_222.json", "--keep", "1,3"],
         "random-unitary": ["random", "unitary", "--dims", "2,3", "--seed", "4"],
         "random-density": ["random", "density", "--dims", "2,3", "--seed", "4"],
