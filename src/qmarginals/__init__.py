@@ -50,10 +50,8 @@ from .solvers import (
 )
 from .tensorcore import (
     DensityMatrix,
-    EigDecomposition,
     SystemDims,
     as_spectrum,
-    hermitian_eig,
     hermitize,
     kron,
     numerical_rank,

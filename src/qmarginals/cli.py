@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -143,7 +144,7 @@ _shared = [
     click.option("--marginal", "marginals", multiple=True,
                  help="prescribed marginal '<keepset>:<file>' (repeatable)"),
     click.option("--max-iter", "max_iterations", type=int, default=1000, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
     click.option("--init", "init_text", default="random", show_default=True,
                  help="random | greedy | interlace | file:<path>"),
     click.option("--out", "out_dir", default=None, help="directory for result files"),
@@ -338,7 +339,7 @@ def solve_feasible_cmd(**shared):
     _run_solver(solvers.solve_feasible, **shared)
 
 
-@solve.command("min-entropy")
+@solve.command("max-entropy")
 @click.option("--alpha", type=float, default=None,
               help="Renyi order; omit for the von Neumann objective")
 @click.option("--stationarity-tol", "nspg_stationarity_tol", type=float, default=1e-8,
@@ -347,9 +348,8 @@ def solve_feasible_cmd(**shared):
 def solve_entropy_cmd(alpha, **shared):
     """Projected-gradient search for the maximum-entropy feasible state.
 
-    It descends -S, so despite the command's name it returns the state of
-    largest entropy with the given marginals. Stops on --stationarity-tol or
-    --max-iter.
+    It descends -S (or the Renyi form with --alpha) over the states with the
+    given marginals. Stops on --stationarity-tol or --max-iter.
     """
     objective = "renyi" if alpha is not None else "von-neumann"
     _run_solver(lambda cs, opts, initial: solvers.nspg_minimize(cs, objective, alpha, opts,
@@ -433,6 +433,8 @@ def construct_greedy(marginals, out_dir):
 def verify(solution_file, dims_text, marginals, tol):
     """Re-validate an emitted solution: Hermitian, PSD, unit trace, marginals."""
     try:
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {tol}")
         dims = _parse_dims(dims_text)
         matrix, file_dims = fileio.read_matrix(solution_file)
         if file_dims.total != dims.total:
@@ -460,7 +462,7 @@ def random_group():
 
 @random_group.command("unitary")
 @click.option("--dims", "dims_text", required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", default=None)
 def random_unitary_cmd(dims_text, seed, out_path):
     """Haar-random unitary of order prod(dims)."""
@@ -471,7 +473,7 @@ def random_unitary_cmd(dims_text, seed, out_path):
 
 @random_group.command("density")
 @click.option("--dims", "dims_text", required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", default=None)
 def random_density_cmd(dims_text, seed, out_path):
     """Random density matrix (Haar basis, flat-Dirichlet spectrum)."""
@@ -482,7 +484,7 @@ def random_density_cmd(dims_text, seed, out_path):
 
 @random_group.command("probvec")
 @click.option("--dims", "dims_text", required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", default=None)
 def random_probvec_cmd(dims_text, seed, out_path):
     """Random probability vector of length prod(dims), sorted descending."""

@@ -16,7 +16,6 @@ from .tensorcore import (
     DensityMatrix,
     SystemDims,
     density_input,
-    hermitian_eig,
     hermitize,
     kron,
     numerical_rank,
@@ -51,8 +50,29 @@ def _marginal_pair(rho1, rho2):
     return r1, r2, r1.shape[0], r2.shape[0]
 
 
+def _phase_fixed_eig(m):
+    """(values, vectors) of a Hermitian matrix, eigenvalues descending.
+
+    Only the lower triangle of `m` is read, as LAPACK does. Degenerate
+    clusters keep the backend's ordering (stable sort); each eigenvector is
+    phase-fixed so its largest-magnitude entry is real positive. The
+    constructions assemble states from these vectors, so the fix makes
+    their outputs reproducible; U f(Lambda) U* elsewhere needs no fix.
+    """
+    values, vectors = np.linalg.eigh(m)
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+    # a unit column has an entry of magnitude >= 1/sqrt(n), so no pivot is 0;
+    # np.hypot rounds each magnitude as scalar abs() does, np.abs on an array
+    # can differ in the last bit (tests/test_kernels.py pins the phases)
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
+    vectors *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    return values, vectors
+
+
 def _descending_eig(m):
-    values, vectors = hermitian_eig(m)
+    values, vectors = _phase_fixed_eig(m)
     return np.where(values > ZERO_EIG, values, 0.0), vectors
 
 
@@ -60,7 +80,7 @@ def _ranked_eig(m):
     """(values, vectors, r): descending eigenpairs whose values beyond the
     numerical rank r are set to zero, so that a construction uses exactly
     the eigenvalues that `numerical_rank` counts."""
-    values, vectors = hermitian_eig(m)
+    values, vectors = _phase_fixed_eig(m)
     r = numerical_rank(values)
     values[r:] = 0.0
     return values, vectors, r
@@ -95,18 +115,17 @@ def rank_k_roots_of_unity(rho1, rho2, k: int) -> DensityMatrix:
     Admissible k: max(rank rho1, rank rho2) <= k <= rank rho1 + rank rho2 - 1.
     Component i is z_i = (U w_i x V x_i)/sqrt(k) with w_i[j] = omega^(ij) sqrt(a_j);
     averaging the phases over a full period reproduces both marginals while the
-    Fourier structure keeps the k components independent. Raises ValueError
-    when the result falls short of numerical rank k.
+    Fourier structure keeps the k components independent. On this interval
+    it is `rank_sweep`, which applies the construction directly. Raises
+    ValueError when the result falls short of numerical rank k.
     """
-    r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
-    a, u, ra = _ranked_eig(r1)
-    b, v, rb = _ranked_eig(r2)
+    r1, r2, _, _ = _marginal_pair(rho1, rho2)
+    ra = _ranked_eig(r1)[2]
+    rb = _ranked_eig(r2)[2]
     lo, hi = max(ra, rb), ra + rb - 1
     if not lo <= k <= hi:
         raise ValueError(f"k={k} outside the admissible interval [{lo}, {hi}]")
-    m = _roots_component(a, b, k)
-    big = kron(u, v)
-    return _of_rank(DensityMatrix(hermitize(big @ m @ big.conj().T), SystemDims((n1, n2))), k)
+    return rank_sweep(rho1, rho2, k)
 
 
 def _roots_component(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:

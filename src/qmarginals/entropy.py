@@ -2,14 +2,16 @@
 
 Natural logarithm throughout. Eigenvalues are floored at 1e-15 before logs
 and fractional powers so gradients stay finite at the PSD boundary. Each
-formula is one private kernel on (values[, U]), shared with the solvers.
+formula is one private kernel on (values[, U]) from a plain `np.linalg.eigh`,
+as none depends on eigenvalue order or eigenvector phases;
+`entropy_objective` hands the kernels to the projected gradient solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensorcore import PSD_ATOL, density_input, hermitian_eig, hermitize
+from .tensorcore import PSD_ATOL, density_input, hermitize
 
 LOG_FLOOR = 1e-15
 
@@ -69,7 +71,7 @@ def negative_entropy(rho) -> float:
 
 def grad_von_neumann_objective(rho) -> np.ndarray:
     """Gradient of tr(rho ln rho): ln(rho) + I, eigenvalues floored at 1e-15."""
-    return _grad_von_neumann_objective(*hermitian_eig(density_input(rho)))
+    return _grad_von_neumann_objective(*np.linalg.eigh(density_input(rho)))
 
 
 def grad_renyi(rho, alpha: float) -> np.ndarray:
@@ -78,4 +80,27 @@ def grad_renyi(rho, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if alpha == 1:
         raise ValueError("alpha = 1 is the von Neumann limit")
-    return _grad_renyi(*hermitian_eig(density_input(rho)), alpha)
+    return _grad_renyi(*np.linalg.eigh(density_input(rho)), alpha)
+
+
+def entropy_objective(objective: str, alpha: float | None):
+    """(S, grad f) on (values, U) for f = -S, the objective the projected
+    gradient solver descends; `objective` is 'von-neumann' or 'renyi'.
+
+    Descending f drives the iterates toward the entropy maximum. The Renyi
+    entropy is taken on the spectrum floored at LOG_FLOOR.
+    """
+    if objective == "von-neumann":
+        return _von_neumann, _grad_von_neumann_objective
+    if objective == "renyi":
+        if alpha is None or alpha <= 0 or alpha == 1:
+            raise ValueError("renyi objective needs alpha > 0, alpha != 1")
+
+        def entropy(values):
+            return _renyi(np.clip(values, LOG_FLOOR, None), alpha)
+
+        def grad_of(values, u):
+            return -_grad_renyi(values, u, alpha)
+
+        return entropy, grad_of
+    raise ValueError(f"unknown objective {objective!r}; use 'von-neumann' or 'renyi'")

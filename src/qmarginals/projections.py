@@ -278,8 +278,8 @@ def project_spectrum(p, c) -> np.ndarray:
 
     If P = U diag(mu) U* with mu descending, the optimum for any unitary
     similarity invariant norm is U diag(c) U* with c descending; ties in mu
-    pair with c in `hermitian_eig`'s stable order. P must be Hermitian; only
-    its lower triangle is read.
+    pair with c in the order `np.linalg.eigh` returns them. P must be
+    Hermitian; only its lower triangle is read.
     """
     p = _as_square(p)
     c = as_spectrum(c)

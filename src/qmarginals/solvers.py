@@ -13,14 +13,15 @@ instance is infeasible.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import entropy as _entropy
 from . import projections as _projections
+from .entropy import entropy_objective
 from .projections import (
     ConstraintSet,
     project_intersection,
@@ -30,7 +31,6 @@ from .projections import (
 )
 from .tensorcore import (
     as_spectrum,
-    hermitian_eig,
     hermitize,
     partial_trace,
     random_density,
@@ -52,8 +52,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        for name in ("tolerance", "nspg_stationarity_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -264,28 +266,6 @@ def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> S
     )
 
 
-def _entropy_objective(objective: str, alpha: float | None):
-    """(S, grad f) on (values, U) from the kernels of `entropy`, for f = -S.
-
-    Descending f drives the iterates toward the entropy maximum. The Renyi
-    entropy is taken on the spectrum floored at LOG_FLOOR.
-    """
-    if objective == "von-neumann":
-        return _entropy._von_neumann, _entropy._grad_von_neumann_objective
-    if objective == "renyi":
-        if alpha is None or alpha <= 0 or alpha == 1:
-            raise ValueError("renyi objective needs alpha > 0, alpha != 1")
-
-        def entropy(values):
-            return _entropy._renyi(np.clip(values, _entropy.LOG_FLOOR, None), alpha)
-
-        def grad_of(values, u):
-            return -_entropy._grad_renyi(values, u, alpha)
-
-        return entropy, grad_of
-    raise ValueError(f"unknown objective {objective!r}; use 'von-neumann' or 'renyi'")
-
-
 NSPG_WINDOW = 10          # nonmonotone window: Armijo compares with the worst of these
 NSPG_DECREASE = 1e-4      # Armijo sufficient-decrease factor
 NSPG_ALPHA_MIN = 1e-10    # Barzilai-Borwein step-size safeguards
@@ -311,7 +291,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     Birgin, Martinez & Raydan (2000); backtracking halves the step.
     """
     opts = opts or SolveOptions()
-    entropy, grad_of = _entropy_objective(objective, alpha)
+    entropy, grad_of = entropy_objective(objective, alpha)
     t0 = time.perf_counter()
     ends = []            # per projection: its dual gradient norm if the cap ended it
 
@@ -323,7 +303,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     start = _initial_point(cs, opts.seed, initial)
     rho = inner_project(start)
 
-    values, u = hermitian_eig(rho)
+    values, u = np.linalg.eigh(rho)
     f_cur = -entropy(values)
     window = deque([f_cur], maxlen=NSPG_WINDOW)
     step = 1.0
@@ -351,7 +331,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         lam = 1.0
         while not collapsed:
             candidate = hermitize(rho + lam * d)
-            cand_values, cand_u = hermitian_eig(candidate)
+            cand_values, cand_u = np.linalg.eigh(candidate)
             f_new = -entropy(cand_values)
             # a noise-scale slope takes the unit step unchecked (a projected
             # gradient step, non-ascent up to that same noise) and leaves the

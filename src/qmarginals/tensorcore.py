@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -85,34 +85,6 @@ def _finite_square(a, what: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{what}: entries must be finite")
     return m
-
-
-class EigDecomposition(NamedTuple):
-    values: np.ndarray   # real, sorted descending
-    vectors: np.ndarray  # unitary, column i pairs with values[i]
-
-
-def hermitian_eig(h) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Only the lower triangle of `h` is read, as LAPACK does: pass
-    `hermitize(a)` for a matrix that carries rounding drift. Degenerate
-    clusters keep the backend's ordering (stable sort); each eigenvector is
-    phase-fixed so its largest-magnitude entry is real positive, which makes
-    repeated runs reproducible. The direct constructions and NSPG need this;
-    the spectral projections call np.linalg.eigh directly, as U f(Lambda) U*
-    does not depend on phases.
-    """
-    values, vectors = np.linalg.eigh(_as_square(h))
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    # a unit column has an entry of magnitude >= 1/sqrt(n), so no pivot is 0;
-    # np.hypot rounds each magnitude as scalar abs() does, np.abs on an array
-    # can differ in the last bit (tests/test_kernels.py pins the phases)
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
-    vectors *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
-    return EigDecomposition(values, vectors)
 
 
 def numerical_rank(a) -> int:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qmarginals import ConstraintSet, SolveOptions, dykstra_project, fileio, random_unitary
+from qmarginals import (
+    ConstraintSet,
+    SolveOptions,
+    dykstra_project,
+    fileio,
+    random_unitary,
+    von_neumann,
+)
 from qmarginals.cli import main
 
 from conftest import FIXTURES, random_hermitian
@@ -290,15 +297,31 @@ class TestSolveCommands:
         assert result.exit_code == 0
         assert "iterations: 0" in result.output
 
-    def test_min_entropy_with_renyi_alpha(self, runner, tmp_path):
+    def test_max_entropy_with_renyi_alpha(self, runner, tmp_path):
         ra, rb = tmp_path / "ra.json", tmp_path / "rb.json"
         fileio.write_matrix(ra, np.diag([0.6, 0.4]), (2,))
         fileio.write_matrix(rb, np.diag([0.7, 0.3]), (2,))
-        result = invoke(runner, "solve", "min-entropy", "--dims", "2,2",
+        result = invoke(runner, "solve", "max-entropy", "--dims", "2,2",
                         "--marginal", f"1:{ra}", "--marginal", f"2:{rb}",
                         "--alpha", "2", "--max-iter", "40", "--seed", "0")
         assert result.exit_code in (0, 2)  # stationarity may or may not fire in 40
         assert "marginal_residual" in result.output
+
+    def test_max_entropy_returns_the_product_state(self, runner, tmp_path):
+        """On single-party marginals the entropy maximum is rho_a x rho_b, of
+        entropy S(rho_a) + S(rho_b)."""
+        out = tmp_path / "run"
+        bi = ["--marginal", f"1:{FIXTURES}/bipartite_2x3/rho_a.json",
+              "--marginal", f"2:{FIXTURES}/bipartite_2x3/rho_b.json"]
+        result = invoke(runner, "solve", "max-entropy", "--dims", "2,3", *bi, "--out", out)
+        assert result.exit_code == 0
+        ra, _ = fileio.read_matrix(FIXTURES / "bipartite_2x3" / "rho_a.json")
+        rb, _ = fileio.read_matrix(FIXTURES / "bipartite_2x3" / "rho_b.json")
+        entropy = json.loads((out / "report.json").read_text())["entropy"]
+        assert abs(entropy - (von_neumann(ra) + von_neumann(rb))) <= 1e-8
+        result = invoke(runner, "verify", out / "solution.json", "--dims", "2,3", *bi,
+                        "--tol", "1e-10")
+        assert result.exit_code == 0
 
     def test_solve_nonconvergence_exits_two(self, runner, tmp_path):
         ra = tmp_path / "ra.json"
@@ -332,14 +355,39 @@ class TestSolveCommands:
         assert result.exit_code == 1
         assert message in result.output
 
+    @pytest.mark.parametrize("command", [
+        ["random", "unitary", "--dims", "2"],
+        ["random", "density", "--dims", "2"],
+        ["random", "probvec", "--dims", "2"],
+        ["solve", "feasible", "--dims", "2,2", "--marginal", "1:m.json"],
+    ], ids=["random-unitary", "random-density", "random-probvec", "solve-feasible"])
+    def test_negative_seed_exits_one_naming_the_option(self, runner, command):
+        result = runner.invoke(main, [*command, "--seed", "-1"])
+        assert result.exit_code == 1
+        assert "--seed" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args,message", [
+        (["solve", "feasible", "--tol", "nan"], "tolerance must be finite and positive"),
+        (["solve", "max-entropy", "--stationarity-tol", "-1"],
+         "nspg_stationarity_tol must be finite and positive"),
+        (["verify", FIXTURES / "bipartite_2x3" / "rho_a.json", "--tol", "nan"],
+         "--tol must be finite and positive"),
+    ], ids=["solve-tol-nan", "stationarity-tol-negative", "verify-tol-nan"])
+    def test_bad_tolerance_exits_one(self, runner, args, message):
+        result = runner.invoke(main, [str(a) for a in args] + [
+            "--dims", "2,3", "--marginal", f"1:{FIXTURES}/bipartite_2x3/rho_a.json"])
+        assert result.exit_code == 1
+        assert message in result.output
+
     @pytest.mark.parametrize("command,option", [
-        (["solve", "min-entropy"], ["--tol", "1e-3"]),
-        (["solve", "min-entropy"], ["--restarts", "5"]),
+        (["solve", "max-entropy"], ["--tol", "1e-3"]),
+        (["solve", "max-entropy"], ["--restarts", "5"]),
         (["consistency"], ["--tol", "1e-3"]),
         (["project", "z.json"], ["--mode", "dykstra"]),
         (["project", "z.json"], ["--tol", "1e-3", "--psd"]),
         (["project", "z.json"], ["--max-iter", "5", "--psd"]),
-    ], ids=["min-entropy-tol", "min-entropy-restarts", "consistency-tol", "project-mode",
+    ], ids=["max-entropy-tol", "max-entropy-restarts", "consistency-tol", "project-mode",
             "project-tol", "project-max-iter"])
     def test_options_a_command_does_not_read_are_rejected(self, runner, command, option):
         result = runner.invoke(main, [*command, "--dims", "2,2", "--marginal", "1:m.json",

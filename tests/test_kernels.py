@@ -1,7 +1,7 @@
 """Kernels against the implementations they replaced, kept here as
 test-only references: the shared entropy kernels, the single alternation
-loop, the vectorized eigenvector phase fix, the one-pair-per-line matrix
-writer and the phase-free spectral projections.
+loop, the vectorized eigenvector phase fix of the direct constructions,
+the one-pair-per-line matrix writer and the phase-free spectral projections.
 
 Agreement is exact: `==` on values, `np.array_equal` on matrices, and equal
 bytes where the sign of a zero matters. The spectral projections round
@@ -17,9 +17,7 @@ import pytest
 
 from qmarginals import (
     ConstraintSet,
-    EigDecomposition,
     fileio,
-    hermitian_eig,
     hermitize,
     marginal_residual,
     project_marginals,
@@ -31,8 +29,9 @@ from qmarginals import (
     solve_feasible,
     solvers,
 )
-from qmarginals.entropy import LOG_FLOOR
-from qmarginals.solvers import _alternate, _entropy_objective, _project_rank
+from qmarginals.constructive import _phase_fixed_eig
+from qmarginals.entropy import LOG_FLOOR, entropy_objective
+from qmarginals.solvers import _alternate, _project_rank
 
 from conftest import load_matrix, random_density_pair, random_hermitian
 
@@ -93,8 +92,9 @@ def reference_dykstra_loop(z, cs, mode, max_sweeps, err_tol=0.0, change_tol=0.0)
 
 
 def spectra(seed):
-    """A random spectrum and the eigendecomposition of a state with it: full
-    rank, rank deficient, or with tiny negative eigenvalues as at a boundary."""
+    """A random spectrum and the eigendecomposition of a state with it (as
+    NSPG takes it, from np.linalg.eigh): full rank, rank deficient, or with
+    tiny negative eigenvalues as at a boundary."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     p = rng.exponential(size=n)
@@ -104,7 +104,7 @@ def spectra(seed):
         p[rank:] = -1e-17 * rng.random(n - rank)
     p /= p.sum()
     u = random_unitary(n, seed)
-    return [np.sort(p)[::-1], hermitian_eig(hermitize((u * p) @ u.conj().T))]
+    return [np.sort(p)[::-1], np.linalg.eigh(hermitize((u * p) @ u.conj().T))]
 
 
 OBJECTIVES = [("von-neumann", None), ("renyi", 0.5), ("renyi", 2.0), ("renyi", 3.7)]
@@ -112,7 +112,7 @@ OBJECTIVES = [("von-neumann", None), ("renyi", 0.5), ("renyi", 2.0), ("renyi", 3
 
 @pytest.mark.parametrize("kind,alpha", OBJECTIVES)
 def test_entropy_objective_matches_reference_exactly(kind, alpha):
-    entropy, grad_of = _entropy_objective(kind, alpha)
+    entropy, grad_of = entropy_objective(kind, alpha)
     f_ref, grad_ref = reference_objective_and_gradient(kind, alpha)
     for seed in range(40):
         exact, (values, u) = spectra(seed)
@@ -153,7 +153,7 @@ def reference_hermitian_eig(h):
         pivot = vectors[row, col]
         if abs(pivot) > 0:
             vectors[:, col] *= pivot.conjugate() / abs(pivot)
-    return EigDecomposition(values, vectors)
+    return values, vectors
 
 
 def eig_inputs(n, seed):
@@ -171,7 +171,7 @@ def eig_inputs(n, seed):
 def test_hermitian_eig_matches_per_column_phase_fix_exactly(n):
     for seed in range(20):
         for h in eig_inputs(n, seed):
-            values, vectors = hermitian_eig(h)
+            values, vectors = _phase_fixed_eig(h)
             ref_values, ref_vectors = reference_hermitian_eig(h)
             assert np.array_equal(values, ref_values)
             assert np.array_equal(vectors, ref_vectors)
@@ -210,19 +210,19 @@ def test_matrix_files_round_trip_bit_exact_in_either_layout(tmp_path, seed):
 
 def reference_project_psd(z):
     """The former PSD projection: full reconstruction from the phase-fixed eigenbasis."""
-    values, u = hermitian_eig(z)
+    values, u = _phase_fixed_eig(z)
     return hermitize((u * np.clip(values, 0.0, None)) @ u.conj().T)
 
 
 def reference_project_spectrum(p, c):
     """The former spectrum projection, c paired with the descending eigenvalues."""
-    values, u = hermitian_eig(p)
+    values, u = _phase_fixed_eig(p)
     return hermitize((u * np.sort(c)[::-1]) @ u.conj().T)
 
 
 def reference_project_rank(y, r):
     """The former rank step of the rank-cap solver."""
-    values, u = hermitian_eig(y)
+    values, u = _phase_fixed_eig(y)
     s = np.clip(values, 0.0, None)
     s[r:] = 0.0
     return hermitize((u * s) @ u.conj().T)

@@ -41,9 +41,15 @@ class TestSolveOptions:
         assert (o.seed, o.restarts) == (0, 1)
         assert o.nspg_stationarity_tol == 1e-8
 
-    def test_validation(self):
+    @pytest.mark.parametrize("field,value", [
+        ("tolerance", 0.0), ("tolerance", -1.0), ("tolerance", np.nan), ("tolerance", np.inf),
+        ("nspg_stationarity_tol", 0.0), ("nspg_stationarity_tol", -1.0),
+        ("nspg_stationarity_tol", np.nan), ("nspg_stationarity_tol", np.inf),
+        ("max_iterations", 0), ("restarts", 0),
+    ])
+    def test_validation(self, field, value):
         with pytest.raises(ValueError):
-            SolveOptions(tolerance=0.0)
+            SolveOptions(**{field: value})
 
 
 class TestSolveWithSpectrum:

@@ -147,7 +147,7 @@ def cli_digests(tmp: Path) -> dict:
         "solve-rank": ["solve", "rank", "--cap", "2", "--dims", "3,4", *m34, "--init", "greedy",
                        "--max-iter", "20000"],
         "solve-feasible": ["solve", "feasible", "--dims", "2,2,2", *mtri],
-        "solve-entropy": ["solve", "min-entropy", "--dims", "2,3", *mbi, "--max-iter", "50"],
+        "solve-entropy": ["solve", "max-entropy", "--dims", "2,3", *mbi, "--max-iter", "50"],
         "greedy": ["construct", "greedy", *m34],
         "interlace": ["construct", "interlace", *m34],
         "pure": ["construct", "pure", *pair(inp / "rank_3x4_a.json", inp / "rank_3x4_a.json")],
