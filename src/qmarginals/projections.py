@@ -27,6 +27,8 @@ from .tensorcore import (
     kron,
     partial_trace,
     _as_square,
+    _reducer,
+    _sym,
 )
 
 CONSISTENCY_TOL = 1e-8
@@ -119,7 +121,8 @@ class ConstraintSet:
             coef[s] = w = -1.0 - sum(coef[t] for t in coef if t > s)
             if w != 0.0:
                 labels = tuple(sorted(s))
-                terms.append((w, labels, _reduced_target(owners[0], labels, self.dims)))
+                terms.append((w, labels, _trace_within(owners[0].target, owners[0].keep,
+                                                       labels, self.dims)))
         return tuple(sorted(terms, key=lambda term: term[1]))
 
     @cached_property
@@ -162,14 +165,14 @@ def _hermitian_units(m: int):
             yield e
 
 
-def _reduced_target(c: MarginalConstraint, labels: tuple[int, ...], dims: SystemDims):
-    """The target of `c` traced down to `labels` inside its kept set; () gives its trace."""
+def _trace_within(m: np.ndarray, keep: tuple[int, ...], labels: tuple[int, ...],
+                  dims: SystemDims):
+    """m, a matrix on the subsystems `keep`, traced down to `labels`; () gives its trace."""
     if not labels:
-        return float(np.trace(c.target).real)
-    if labels == c.keep:
-        return c.target
-    local = tuple(c.keep.index(i) + 1 for i in labels)
-    return partial_trace(c.target, dims.local_dims(c.keep), local)
+        return float(np.trace(m).real)
+    if labels == keep:
+        return m
+    return _reducer(dims.local_dims(keep), tuple(keep.index(i) + 1 for i in labels))(m)
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
         if not s or len(owners) < 2:
             continue
         labels = tuple(sorted(s))
-        reduced = [_reduced_target(c, labels, cs.dims) for c in owners]
+        reduced = [_trace_within(c.target, c.keep, labels, cs.dims) for c in owners]
         derived[labels] = reduced[0]
         gaps += [float(np.linalg.norm(x - y)) for x, y in itertools.combinations(reduced, 2)]
     worst = float(np.max(gaps))  # np.max, unlike max(), propagates NaN
@@ -237,16 +240,39 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     the Hermitian part, so that is taken once, of the result.
     """
     z = _as_square(z)
+    if z.shape[0] != cs.dims.total:
+        raise ValueError(f"matrix order {z.shape[0]} does not match dims {cs.dims.dims}")
+    return _project_affine(z, cs)
+
+
+def _deficits(x, cs: ConstraintSet) -> dict:
+    """{J: tr_{J^c}(x) - sigma_J} over the constraints, in x's dtype (float64
+    needs real targets): one partial trace of x per constraint."""
+    if x.shape[0] != cs.dims.total:
+        raise ValueError(f"matrix order {x.shape[0]} does not match dims {cs.dims.dims}")
+    real = x.dtype == np.float64
+    return {c.keep: _reducer(cs.dims, c.keep)(x) - (c.target.real if real else c.target)
+            for c in cs.constraints}
+
+
+def _project_affine(z, cs: ConstraintSet, deficits=None) -> np.ndarray:
+    """project_marginals in z's dtype. Given z's `_deficits`, each lattice
+    node's deficit is traced down from its first owner's, and z itself is
+    never traced. Without them every node is traced from z, which rounds
+    exactly as the per-node formula does. The empty node reads the trace of z.
+    """
     n = z.shape[0]
-    if n != cs.dims.total:
-        raise ValueError(f"matrix order {n} does not match dims {cs.dims.dims}")
     out = z.copy()
     for w, labels, target in cs.correction_terms:
-        if labels:
-            _add_lifted(out, w, partial_trace(z, cs.dims, labels) - target, cs.dims, labels)
-        else:
+        if not labels:
             out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
-    return hermitize(out)
+        elif deficits is None:
+            _add_lifted(out, w, _reducer(cs.dims, labels)(z) - target, cs.dims, labels)
+        else:
+            keep = cs._lattice[frozenset(labels)][0].keep
+            _add_lifted(out, w, _trace_within(deficits[keep], keep, labels, cs.dims), cs.dims,
+                        labels)
+    return _sym(out)
 
 
 def project_bipartite_affine(p, rho1, rho2) -> np.ndarray:
@@ -285,9 +311,14 @@ def project_spectrum(p, c) -> np.ndarray:
     c = as_spectrum(c)
     if len(c) != p.shape[0]:
         raise ValueError(f"spectrum length {len(c)} does not match order {p.shape[0]}")
+    return _project_spectrum(p, c)
+
+
+def _project_spectrum(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """project_spectrum in p's own dtype, for a descending c of p's order."""
     values, u = np.linalg.eigh(p)   # U f(Lambda) U* needs no phase fix
     u = u[:, np.argsort(-values, kind="stable")]
-    return hermitize((u * c) @ u.conj().T)
+    return _sym((u * c) @ u.conj().T)
 
 
 def project_psd(z) -> np.ndarray:
@@ -298,10 +329,14 @@ def project_psd(z) -> np.ndarray:
     `hermitize(z)` for any other square matrix, which projects its Hermitian
     part.
     """
-    z = _as_square(z)
+    return _project_psd(_as_square(z))
+
+
+def _project_psd(z: np.ndarray) -> np.ndarray:
+    """project_psd in z's own dtype: a real symmetric z gives a real result."""
     values, u = np.linalg.eigh(z)   # ascending; U f(Lambda) U* needs no phase fix
     k = int(np.searchsorted(values, 0.0))
-    return hermitize(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)
+    return _sym(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)
 
 
 DUAL_GRAD_TOL = 1e-15

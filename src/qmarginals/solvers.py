@@ -25,17 +25,18 @@ from .entropy import entropy_objective
 from .projections import (
     ConstraintSet,
     project_intersection,
-    project_marginals,
-    project_psd,
-    project_spectrum,
+    _deficits,
+    _project_affine,
+    _project_psd,
+    _project_spectrum,
 )
 from .tensorcore import (
     as_spectrum,
     hermitize,
-    partial_trace,
     random_density,
     _as_square,
     _finite_square,
+    _sym,
 )
 
 
@@ -75,11 +76,12 @@ class SolveReport:
 
 def marginal_residual(x, cs: ConstraintSet) -> float:
     """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F."""
-    x = _as_square(x)
-    return float(sum(
-        np.linalg.norm(partial_trace(x, cs.dims, c.keep) - c.target)
-        for c in cs.constraints
-    ))
+    return _err(_deficits(_as_square(x), cs))
+
+
+def _err(deficits) -> float:
+    """Err from the marginal deficits: the sum of their Frobenius norms."""
+    return float(sum(np.linalg.norm(d) for d in deficits.values()))
 
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
@@ -93,47 +95,61 @@ def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
     return np.array(random_density(cs.dims, seed).matrix)
 
 
-def _alternate(z, cs, second, max_sweeps, *, err_tol, increments=False):
-    """Sweep X -> second(project_marginals(X)) from z until Err < err_tol.
+def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
+    """z in float64 when z and every target have an exactly zero imaginary
+    part, else z. Every sweep step maps real matrices to real ones."""
+    if np.any(z.imag) or any(np.any(c.target.imag) for c in cs.constraints):
+        return z
+    return np.ascontiguousarray(z.real)
 
-    Returns (x, Err history, converged). With `increments` the second leg
-    carries Dykstra's correction term (the affine leg needs none).
+
+def _alternate(z, cs, second, max_sweeps, *, err_tol, increments=False):
+    """Sweep X -> second(P_A(X)) from z until Err < err_tol, in z's dtype.
+
+    Each sweep reduces X to the constraints once: Err(X) and the next P_A(X)
+    both read those reductions. Returns (x, Err history, converged). With
+    `increments` the second leg carries Dykstra's correction term (the
+    affine leg needs none).
     """
-    x = z
+    x, deficits = z, _deficits(z, cs)
     increment = np.zeros_like(z)
     history = []
     for _ in range(max_sweeps):
-        y = project_marginals(x, cs)
+        y = _project_affine(x, cs, deficits)
         if increments:
             t = y + increment
             x = second(t)
             increment = t - x
         else:
             x = second(y)
-        history.append(marginal_residual(x, cs))
+        deficits = _deficits(x, cs)
+        history.append(_err(deficits))
         if history[-1] < err_tol:
             return x, history, True
     return x, history, False
 
 
 def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
-    """Douglas-Rachford between the marginal set A and the PSD cone from z.
+    """Douglas-Rachford between the marginal set A and the PSD cone from z, in z's dtype.
 
     Starts at z_0 = a_0 = P_A(z); each sweep takes x = P_psd(2 a - z), records
     Err(x), then steps z <- z + x - a and a <- P_A(z). The first sweep is
-    therefore exactly one alternation sweep. Every iterate is exactly
-    Hermitian, as `project_psd` requires. Returns (x, Err history, converged);
-    x is PSD.
+    therefore exactly one alternation sweep. As P_A is affine and a = P_A(z),
+    P_A(z + x - a) = P_A(x): the next a comes from the reductions of x that
+    Err(x) took, so a sweep traces only x. Every iterate is exactly
+    Hermitian, as the PSD projection requires. Returns (x, Err history,
+    converged); x is PSD.
     """
-    a = z = project_marginals(z, cs)
+    a = z = _project_affine(z, cs, _deficits(z, cs))
     history = []
     while True:
-        x = project_psd(2 * a - z)
-        history.append(marginal_residual(x, cs))
+        x = _project_psd(2 * a - z)
+        deficits = _deficits(x, cs)
+        history.append(_err(deficits))
         if history[-1] < err_tol or len(history) == max_sweeps:
             return x, history, history[-1] < err_tol
         z = z + x - a
-        a = project_marginals(z, cs)
+        a = _project_affine(x, cs, deficits)
 
 
 def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
@@ -154,9 +170,10 @@ def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
                 converged=True, wall_time=0.0, final_residual=err0, seed_used=seed,
             ))
             break
-        x, history, converged = loop(x, opts.max_iterations, opts.tolerance)
+        x, history, converged = loop(_real_if_exact(x, cs), opts.max_iterations,
+                                     opts.tolerance)
         reports.append(SolveReport(
-            solution=x, iterations=len(history),
+            solution=x.astype(complex, copy=False), iterations=len(history),
             residual_history=np.asarray(history), converged=converged,
             wall_time=0.0, final_residual=history[-1], seed_used=seed,
         ))
@@ -185,7 +202,7 @@ def solve_with_spectrum(cs: ConstraintSet, c, opts: SolveOptions | None = None,
         return bool(np.max(np.abs(np.linalg.eigvalsh(x)[::-1] - c)) <= 1e-8)
 
     def loop(x, sweeps, tol):
-        return _alternate(x, cs, lambda y: project_spectrum(y, c), sweeps, err_tol=tol)
+        return _alternate(x, cs, lambda y: _project_spectrum(y, c), sweeps, err_tol=tol)
 
     return _sweep_solver(cs, opts, initial, loop, entry_ok)
 
@@ -217,7 +234,7 @@ def _project_rank(y, r: int) -> np.ndarray:
     values, u = np.linalg.eigh(y)   # U f(Lambda) U* needs no phase fix
     top = np.argsort(-values, kind="stable")[:r]
     v = u[:, top]
-    return hermitize((v * np.maximum(values[top], 0.0)) @ v.conj().T)
+    return _sym((v * np.maximum(values[top], 0.0)) @ v.conj().T)
 
 
 def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
@@ -257,12 +274,13 @@ def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> S
     z = hermitize(_as_square(z))
     t0 = time.perf_counter()
     x, history, converged = _alternate(
-        z, cs, project_psd, opts.max_iterations, increments=True, err_tol=opts.tolerance,
+        _real_if_exact(z, cs), cs, _project_psd, opts.max_iterations, increments=True,
+        err_tol=opts.tolerance,
     )
     return SolveReport(
-        solution=x, iterations=len(history), residual_history=np.asarray(history),
-        converged=converged, wall_time=time.perf_counter() - t0,
-        final_residual=history[-1], seed_used=None,
+        solution=x.astype(complex, copy=False), iterations=len(history),
+        residual_history=np.asarray(history), converged=converged,
+        wall_time=time.perf_counter() - t0, final_residual=history[-1], seed_used=None,
     )
 
 

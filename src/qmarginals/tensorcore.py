@@ -70,6 +70,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _sym(a)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 in A's own dtype: the symmetric part of a real A stays real."""
     return (a + a.conj().T) / 2
 
 

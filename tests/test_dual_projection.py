@@ -137,7 +137,7 @@ def test_nspg_projects_without_alternation(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("NSPG must not alternate projections")
 
-    for name in ["_alternate", "project_psd", "project_marginals"]:
+    for name in ["_alternate", "_project_psd", "_project_affine"]:
         monkeypatch.setattr(solvers, name, forbidden)
     rep = nspg_minimize(small_nspg_case(), opts=SolveOptions(max_iterations=300, seed=5))
     assert rep.converged

@@ -1,14 +1,20 @@
 """Kernels against the implementations they replaced, kept here as
 test-only references: the shared entropy kernels, the single alternation
 loop, the vectorized eigenvector phase fix of the direct constructions,
-the one-pair-per-line matrix writer and the phase-free spectral projections.
+the one-pair-per-line matrix writer, the phase-free spectral projections,
+and the sweeps that trace each iterate once per constraint, in real
+arithmetic when the instance is real.
 
 Agreement is exact: `==` on values, `np.array_equal` on matrices, and equal
 bytes where the sign of a zero matters. The spectral projections round
 differently from the full phase-fixed reconstruction they replaced, so they
-agree within 1e-13 of the input's norm instead.
+agree within 1e-13 of the input's norm instead. The real sweeps and the
+Douglas-Rachford loop that reuses the reductions of x round differently from
+their complex, trace-everything references, and agree within 1e-12 (scaled
+by ||z||_F where the Douglas-Rachford iterate z grows).
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -17,7 +23,10 @@ import pytest
 
 from qmarginals import (
     ConstraintSet,
+    SolveOptions,
+    dykstra_project,
     fileio,
+    greedy_minmatch,
     hermitize,
     marginal_residual,
     project_marginals,
@@ -27,13 +36,15 @@ from qmarginals import (
     random_density,
     random_unitary,
     solve_feasible,
+    solve_with_rank_cap,
     solvers,
 )
 from qmarginals.constructive import _phase_fixed_eig
 from qmarginals.entropy import LOG_FLOOR, entropy_objective
-from qmarginals.solvers import _alternate, _project_rank
+from qmarginals.projections import _project_psd
+from qmarginals.solvers import _alternate, _douglas_rachford, _project_rank
 
-from conftest import load_matrix, random_density_pair, random_hermitian
+from conftest import load_matrix, load_spectrum, random_density_pair, random_hermitian
 
 
 def reference_objective_and_gradient(kind, alpha):
@@ -307,8 +318,186 @@ def five_qubit_chain():
 def test_feasible_solver_takes_the_reference_sweeps(monkeypatch, make_cs):
     cs = make_cs()
     rep = solve_feasible(cs)
-    monkeypatch.setattr(solvers, "project_psd", reference_project_psd)
+    monkeypatch.setattr(solvers, "_project_psd", reference_project_psd)
     ref = solve_feasible(cs)
     assert ref.converged and rep.converged
     assert rep.iterations == ref.iterations
     assert np.abs(rep.solution - ref.solution).max() <= 1e-12
+
+
+def reference_douglas_rachford(z, cs, max_sweeps, *, err_tol, iterates=None):
+    """The former Douglas-Rachford loop: P_A(z) and Err(x) each trace their own
+    matrix, so a sweep takes two partial traces per constraint. Appends
+    (x, ||z||_F) of every sweep to `iterates` when given."""
+    a = z = project_marginals(z, cs)
+    history = []
+    while True:
+        x = project_psd(2 * a - z)
+        if iterates is not None:
+            iterates.append((x, np.linalg.norm(z)))
+        history.append(marginal_residual(x, cs))
+        if history[-1] < err_tol or len(history) == max_sweeps:
+            return x, history, history[-1] < err_tol
+        z = z + x - a
+        a = project_marginals(z, cs)
+
+
+def reference_iterates(z, cs, second, sweeps, increments=False):
+    """Every iterate of the alternation in complex arithmetic through the
+    public marginal projection, which traces each lattice node from x."""
+    x, increment, iterates = z.astype(complex), 0.0, []
+    for _ in range(sweeps):
+        t = project_marginals(x, cs) + increment
+        x = second(t)
+        if increments:
+            increment = t - x
+        iterates.append(x)
+    return iterates
+
+
+def recording(step, iterates):
+    """`step`, appending each of its results to `iterates`."""
+    def recorded(*args):
+        iterates.append(step(*args))
+        return iterates[-1]
+    return recorded
+
+
+def rank_3x4_greedy():
+    """The real rank_3x4 marginals and their greedy min-matching state."""
+    a, b = (np.diag(v / v.sum()) for v in (load_spectrum(f"rank_3x4/spectrum_{side}.json")
+                                          for side in "ab"))
+    return ConstraintSet((3, 4), [((1,), a), ((2,), b)]), greedy_minmatch(a, b)[0].matrix
+
+
+def real_tripartite():
+    """Pair marginals (1,2), (2,3) of a real three-qubit state and a real symmetric z."""
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(8, 8))
+    rho = g @ g.T / np.trace(g @ g.T)
+    dims = (2, 2, 2)
+    cs = ConstraintSet(dims, [(keep, partial_trace(rho, dims, keep)) for keep in [(1, 2), (2, 3)]])
+    h = rng.normal(size=(8, 8))
+    return cs, (h + h.T) / 2
+
+
+def real_cases():
+    cs34, greedy = rank_3x4_greedy()
+    cs_tri, z_tri = real_tripartite()
+    z34 = np.random.default_rng(6).normal(size=(12, 12))
+    return {
+        "rank-cap-greedy": (cs34, greedy.real, lambda y: _project_rank(y, 2), False),
+        "dykstra-tripartite": (cs_tri, z_tri, _project_psd, True),
+        "dykstra-3x4": (cs34, (z34 + z34.T) / 2, _project_psd, True),
+    }
+
+
+@pytest.mark.parametrize("case", ["rank-cap-greedy", "dykstra-tripartite", "dykstra-3x4"])
+def test_real_sweeps_follow_the_complex_loop(case):
+    cs, z, second, increments = real_cases()[case]
+    assert z.dtype == np.float64
+    iterates = []
+    _alternate(z, cs, recording(second, iterates), 200, err_tol=0.0, increments=increments)
+    reference = reference_iterates(z, cs, second, 200, increments)
+    assert len(iterates) == len(reference) == 200
+    assert all(x.dtype == np.float64 for x in iterates)
+    assert all(x.dtype == np.complex128 for x in reference)
+    for x, x_ref in zip(iterates, reference):
+        assert np.abs(x - x_ref).max() <= 1e-12
+
+
+def with_imaginary_entry(m):
+    m = np.array(m, dtype=complex)
+    m[0, 1] += 1e-9j
+    return m
+
+
+def sweep_cases():
+    """(solver call, name of the step it sweeps through, whether the sweeps should be real)."""
+    cs34, greedy = rank_3x4_greedy()
+    cs_tri, z_tri = real_tripartite()
+    a, b = (c.target for c in cs34)
+    cs34_complex = ConstraintSet((3, 4), [((1,), a), ((2,), with_imaginary_entry(b))])
+    opts = SolveOptions(max_iterations=30)
+
+    def rank(cs, start):
+        return solve_with_rank_cap(cs, 2, opts, initial=start)
+
+    return {
+        "rank-cap-greedy": (lambda: rank(cs34, greedy), "_project_rank", True),
+        "rank-cap-imaginary-start": (lambda: rank(cs34, with_imaginary_entry(greedy)),
+                                     "_project_rank", False),
+        "rank-cap-imaginary-target": (lambda: rank(cs34_complex, greedy), "_project_rank", False),
+        "dykstra-real": (lambda: dykstra_project(z_tri, cs_tri, opts), "_project_psd", True),
+        "dykstra-imaginary-start": (lambda: dykstra_project(with_imaginary_entry(z_tri), cs_tri,
+                                                            opts), "_project_psd", False),
+        "feasible-real-start": (lambda: solve_feasible(cs_tri, opts, initial=np.eye(8) / 8),
+                                "_project_psd", True),
+        "feasible-random-start": (lambda: solve_feasible(cs_tri, opts), "_project_psd", False),
+    }
+
+
+@pytest.mark.parametrize("case", list(sweep_cases()))
+def test_real_instances_sweep_in_float64_and_return_complex(monkeypatch, case):
+    solve, step, real = sweep_cases()[case]
+    seen = []
+    original = getattr(solvers, step)
+
+    def spy(y, *args):
+        seen.append(y.dtype)
+        return original(y, *args)
+
+    monkeypatch.setattr(solvers, step, spy)
+    rep = solve()
+    assert rep.iterations == len(seen) > 0
+    assert set(seen) == {np.dtype(np.float64 if real else np.complex128)}
+    assert rep.solution.dtype == np.complex128
+
+
+def singlet_triangle():
+    v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    singlet = np.outer(v, v)
+    return ConstraintSet((2, 2, 2), [(pair, singlet) for pair in [(1, 2), (1, 3), (2, 3)]])
+
+
+@pytest.mark.parametrize("make_cs,growth", [(tripartite_fixture, 1.0), (singlet_triangle, 50.0)],
+                         ids=["tripartite_222", "singlet-triangle"])
+def test_douglas_rachford_follows_the_former_loop(monkeypatch, make_cs, growth):
+    """On the singlet triangle, which no state has, z grows linearly."""
+    cs = make_cs()
+    z = random_density(cs.dims, 0).matrix
+    iterates, reference = [], []
+    monkeypatch.setattr(solvers, "_project_psd", recording(_project_psd, iterates))
+    _douglas_rachford(z, cs, 200, err_tol=0.0)
+    reference_douglas_rachford(z, cs, 200, err_tol=0.0, iterates=reference)
+    assert len(iterates) == len(reference) == 200
+    for x, (x_ref, z_norm) in zip(iterates, reference):
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * max(1.0, z_norm)
+    assert reference[-1][1] >= growth * reference[0][1]
+
+
+def twofold_extension():
+    ext = load_matrix("twofold_extension_222/rho_12_13.json")[0]
+    return ConstraintSet((2, 2, 2), [((1, 2), ext), ((1, 3), ext)])
+
+
+def all_pairs_6q(seed):
+    """All pair marginals of a seeded mixture of a pure and a random six-qubit state."""
+    dims = (2,) * 6
+    psi = random_unitary(64, seed)[:, 0]
+    rho = 0.3 * np.outer(psi, psi.conj()) + 0.7 * random_density(dims, seed).matrix
+    return ConstraintSet(dims, [(pair, partial_trace(rho, dims, pair))
+                                for pair in itertools.combinations(range(1, 7), 2)])
+
+
+@pytest.mark.parametrize("make_cs", [tripartite_fixture, twofold_extension]
+                         + [lambda seed=seed: all_pairs_6q(seed) for seed in range(3)],
+                         ids=["tripartite_222", "twofold_extension_222"]
+                         + [f"all-pairs-6q-{seed}" for seed in range(3)])
+def test_feasible_solver_takes_the_former_loops_sweep_count(monkeypatch, make_cs):
+    cs = make_cs()
+    rep = solve_feasible(cs, SolveOptions(max_iterations=500))
+    monkeypatch.setattr(solvers, "_douglas_rachford", reference_douglas_rachford)
+    ref = solve_feasible(cs, SolveOptions(max_iterations=500))
+    assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+    assert np.abs(rep.solution - ref.solution).max() <= 1e-10

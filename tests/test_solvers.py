@@ -34,6 +34,15 @@ def bipartite_cs(r1, r2):
     return ConstraintSet((r1.shape[0], r2.shape[0]), [((1,), r1), ((2,), r2)])
 
 
+def solve_rank_3x4_from_greedy(opts):
+    """Rank cap 2 from the greedy start on the real rank_3x4 marginals, which
+    the solver sweeps in real arithmetic."""
+    a, b = (np.diag(v / v.sum()) for v in (load_spectrum(f"rank_3x4/spectrum_{side}.json")
+                                          for side in "ab"))
+    greedy = greedy_minmatch(a, b)[0].matrix
+    return solve_with_rank_cap(bipartite_cs(a, b), 2, opts, initial=greedy)
+
+
 class TestSolveOptions:
     def test_defaults(self):
         o = SolveOptions()
@@ -222,7 +231,7 @@ class TestSolveFeasible:
             exact.append(np.array_equal(z, z.conj().T))
             return project_psd(z)
 
-        monkeypatch.setattr(solvers, "project_psd", spy)
+        monkeypatch.setattr(solvers, "_project_psd", spy)
         rep = solve_feasible(cs, SolveOptions(tolerance=1e-12, seed=1))
         assert rep.converged
         assert len(exact) == rep.iterations > 1 and all(exact)
@@ -406,11 +415,13 @@ class TestDeterminismAndRestarts:
                                           SolveOptions(max_iterations=40, seed=2, restarts=2)),
         lambda cs, z: solve_with_rank_cap(cs, 2, SolveOptions(max_iterations=40, seed=2,
                                                               restarts=2)),
+        lambda cs, z: solve_rank_3x4_from_greedy(SolveOptions(max_iterations=300)),
         lambda cs, z: dykstra_project(z, cs, SolveOptions(max_iterations=200)),
         lambda cs, z: nspg_minimize(cs, "von-neumann", opts=SolveOptions(max_iterations=60,
                                                                          seed=2)),
         lambda cs, z: nspg_minimize(cs, "renyi", 2.0, SolveOptions(max_iterations=60, seed=2)),
-    ], ids=["feasible", "spectrum", "rank-cap", "dykstra", "nspg-von-neumann", "nspg-renyi"])
+    ], ids=["feasible", "spectrum", "rank-cap", "rank-cap-greedy", "dykstra", "nspg-von-neumann",
+            "nspg-renyi"])
     def test_every_solver_is_bit_reproducible(self, solve):
         rng = np.random.default_rng(14)
         cs = bipartite_cs(*random_density_pair(rng, 2, 2))
