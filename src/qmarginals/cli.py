@@ -364,7 +364,10 @@ def construct():
 
 def _run_construct(builder, marginals, out_dir):
     try:
-        targets = dict(_read_marginals(marginals))
+        targets = {}
+        for keep, target in _read_marginals(marginals):
+            if targets.setdefault(keep, target) is not target:
+                raise ValueError(f"duplicate kept-index set {','.join(map(str, keep))}")
         if set(targets) != {(1,), (2,)}:
             raise ValueError("construct needs exactly --marginal 1:<file> and "
                              "--marginal 2:<file>")

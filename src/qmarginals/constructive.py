@@ -113,10 +113,12 @@ def rank_k_roots_of_unity(rho1, rho2, k: int) -> DensityMatrix:
     """Rank-k state from k pure components built on k-th roots of unity.
 
     Admissible k: max(rank rho1, rank rho2) <= k <= rank rho1 + rank rho2 - 1.
-    Component i is z_i = (U w_i x V x_i)/sqrt(k) with w_i[j] = omega^(ij) sqrt(a_j);
-    averaging the phases over a full period reproduces both marginals while the
-    Fourier structure keeps the k components independent. On this interval
-    it is `rank_sweep`, which applies the construction directly. Raises
+    Component i is z_i = (U w_i x V x_i)/sqrt(k) with w_i[j] = omega^(ij) sqrt(a_j).
+    Averaging over a full period of phases leaves sum_c s_c s_c^T, where s_c
+    is sqrt(a) x sqrt(b) on the residue class c of j + l (mod k): a real state
+    with exact zeros between classes, whose k disjoint classes are the
+    independent components and reproduce both marginals. On this interval it
+    is `rank_sweep`, which applies the construction directly. Raises
     ValueError when the result falls short of numerical rank k.
     """
     r1, r2, _, _ = _marginal_pair(rho1, rho2)
@@ -129,17 +131,10 @@ def rank_k_roots_of_unity(rho1, rho2, k: int) -> DensityMatrix:
 
 
 def _roots_component(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    # State in the product eigenbasis; a, b descending with zero tails.
-    n1, n2 = len(a), len(b)
-    omega = np.exp(2j * np.pi / k)
-    sa, sb = np.sqrt(np.clip(a, 0.0, None)), np.sqrt(np.clip(b, 0.0, None))
-    cols = np.empty((n1 * n2, k), dtype=complex)
-    ja, jb = np.arange(n1), np.arange(n2)
-    for i in range(k):
-        w = omega ** (ja * i) * sa
-        x = omega ** (jb * i) * sb
-        cols[:, i] = kron(w, x) / np.sqrt(k)
-    return hermitize(cols @ cols.conj().T)
+    # product eigenbasis, a and b descending; (1/k) sum_i omega^(i d) = [d = 0 (mod k)]
+    s = kron(np.sqrt(np.clip(a, 0.0, None)), np.sqrt(np.clip(b, 0.0, None)))
+    p = np.add.outer(np.arange(len(a)), np.arange(len(b))).ravel()
+    return np.outer(s, s) * ((p[:, None] - p[None, :]) % k == 0)
 
 
 def rank_sweep(rho1, rho2, k: int) -> DensityMatrix:

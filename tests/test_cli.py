@@ -441,6 +441,21 @@ class TestConstructCommands:
         assert f"k={k} not reached" in result.output
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", [["greedy"], ["sweep", "--k", "3"]])
+    def test_repeated_marginal_exits_one(self, runner, tmp_path, command):
+        # a dict of the --marginal pairs used to keep the last of the two
+        paths = [tmp_path / f"r{i}.json" for i in range(3)]
+        for path, m in zip(paths, (np.diag([0.6, 0.4]), np.diag([0.9, 0.1]),
+                                   np.diag([0.5, 0.3, 0.2]))):
+            fileio.write_matrix(path, m, (len(m),))
+        out = tmp_path / "run"
+        result = runner.invoke(main, [
+            "construct", *command, "--marginal", f"1:{paths[0]}", "--marginal", f"1:{paths[1]}",
+            "--marginal", f"2:{paths[2]}", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "duplicate kept-index set 1" in result.output
+        assert not out.exists()
+
     def test_sweep_writes_solution(self, runner, tmp_path):
         ra = tmp_path / "ra.json"
         rb = tmp_path / "rb.json"

@@ -5,6 +5,7 @@ from qmarginals import (
     ConstraintSet,
     SystemDims,
     greedy_minmatch,
+    hermitize,
     interlace_decomposition,
     kron,
     numerical_rank,
@@ -17,7 +18,7 @@ from qmarginals import (
     rank_sweep,
     von_neumann,
 )
-from qmarginals.constructive import greedy_component_vectors
+from qmarginals.constructive import _roots_component, greedy_component_vectors
 
 from conftest import load_spectrum
 
@@ -108,6 +109,77 @@ class TestRootsOfUnity:
         for bad in (2, 5):
             with pytest.raises(ValueError, match="admissible"):
                 rank_k_roots_of_unity(r1, r2, bad)
+
+
+def reference_roots_component(a, b, k):
+    """The roots-of-unity state as the k-term sum of its Fourier components,
+    sum_i z_i z_i* with z_i = (w_i x x_i)/sqrt(k), in the product eigenbasis."""
+    n1, n2 = len(a), len(b)
+    omega = np.exp(2j * np.pi / k)
+    sa, sb = np.sqrt(np.clip(a, 0.0, None)), np.sqrt(np.clip(b, 0.0, None))
+    cols = np.empty((n1 * n2, k), dtype=complex)
+    ja, jb = np.arange(n1), np.arange(n2)
+    for i in range(k):
+        w = omega ** (ja * i) * sa
+        x = omega ** (jb * i) * sb
+        cols[:, i] = kron(w, x) / np.sqrt(k)
+    return hermitize(cols @ cols.conj().T)
+
+
+def roots_cases():
+    """(a, b, k) over every admissible k of the rank fixtures and of seeded
+    random spectra with zero tails; a, b descending, as the constructions
+    pass them."""
+    pairs = [tuple(load_spectrum(f"{name}/spectrum_{side}.json") for side in "ab")
+             for name in ("rank_3x4", "rank_3x6", "rank_6x8")]
+    rng = np.random.default_rng(7)
+    for n1, n2, ra, rb in [(3, 4, 2, 3), (4, 4, 4, 1), (5, 3, 3, 3), (6, 8, 4, 6)]:
+        spectra = []
+        for n, r in ((n1, ra), (n2, rb)):
+            v = np.zeros(n)
+            v[:r] = np.sort(rng.exponential(size=r))[::-1]
+            spectra.append(v / v.sum())
+        pairs.append(tuple(spectra))
+    for a, b in pairs:
+        ra, rb = np.count_nonzero(a), np.count_nonzero(b)
+        for k in range(max(ra, rb), ra + rb):
+            yield a, b, k
+
+
+class TestRootsClosedForm:
+    def test_matches_the_fourier_sum(self):
+        cases = 0
+        for a, b, k in roots_cases():
+            m = _roots_component(a, b, k)
+            assert m.dtype == np.float64
+            assert np.abs(m - reference_roots_component(a, b, k)).max() <= 1e-15
+            cases += 1
+        assert cases == 22
+
+    def test_exact_zeros_off_the_residue_classes(self):
+        for a, b, k in roots_cases():
+            m = _roots_component(a, b, k)
+            p = np.add.outer(np.arange(len(a)), np.arange(len(b))).ravel()
+            off = (p[:, None] - p[None, :]) % k != 0
+            assert np.all(m[off] == 0.0)
+            assert np.array_equal(m, m.T)
+            assert numerical_rank(m) == k
+
+    def test_diagonal_marginals_give_a_real_state(self):
+        r1 = np.diag(load_spectrum("rank_3x4/spectrum_a.json"))
+        r2 = np.diag(load_spectrum("rank_3x4/spectrum_b.json"))
+        for k in range(4, 13):
+            state = rank_sweep(r1, r2, k).matrix
+            assert np.all(state.imag == 0.0)
+            check_membership(state, r1, r2, tol=1e-12)
+
+    def test_every_rank_on_6x8(self):
+        r1 = np.diag(load_spectrum("rank_6x8/spectrum_a.json"))
+        r2 = np.diag(load_spectrum("rank_6x8/spectrum_b.json"))
+        for k in range(8, 49):
+            state = rank_sweep(r1, r2, k)
+            assert numerical_rank(state.matrix) == k
+            check_membership(state, r1, r2, tol=1e-12)
 
 
 class TestRankSweep:

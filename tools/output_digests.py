@@ -4,8 +4,10 @@ change leaves results bit-identical.
     python3 tools/output_digests.py <checkout>   # e.g. . or a clone of the parent
 
 Prints one digest per item and a total. Covered: every SolveReport field
-except wall_time for the five solvers over seeds 0-3; the parsed values of
-every file the CLI writes with --out (report.json without wall_time_s).
+except wall_time for the five solvers over seeds 0-3; rank_sweep and
+rank_k_roots_of_unity at every admissible k on a seeded rotated pair; the
+parsed values of every file the CLI writes with --out (report.json without
+wall_time_s).
 Floats are hashed by their bytes, so even the sign of a zero counts.
 """
 
@@ -100,6 +102,19 @@ def solver_digests() -> dict:
     return out
 
 
+def construction_digests() -> dict:
+    # non-diagonal marginals: the rank_3x4 spectra in seeded random eigenbases
+    rotated = []
+    for seed, side in ((5, "a"), (6, "b")):
+        m = spectrum_state(f"rank_3x4/spectrum_{side}.json")
+        u = qm.random_unitary(len(m), seed)
+        rotated.append(u @ m @ u.conj().T)
+    return {
+        "rotated-sweep": [qm.rank_sweep(*rotated, k).matrix for k in range(4, 13)],
+        "rotated-rank-k": [qm.rank_k_roots_of_unity(*rotated, k).matrix for k in range(4, 7)],
+    }
+
+
 def cli(args) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -178,7 +193,7 @@ def cli_digests(tmp: Path) -> dict:
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        items = {**solver_digests(), **cli_digests(Path(tmp))}
+        items = {**solver_digests(), **construction_digests(), **cli_digests(Path(tmp))}
     digests = {name: digest(value) for name, value in items.items()}
     for name, d in digests.items():
         print(name, d)
