@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input or validation error (usage errors
+Exit codes: 0 success, 1 input, OS or runtime error (usage errors
 included), 2 solver did not converge within its iteration limit.
 """
 
@@ -51,18 +51,22 @@ def _parse_keep(text: str) -> tuple[int, ...]:
 
 
 def _read_marginals(marginals) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'."""
+    """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'; the kept
+    sets come back sorted, and no set may be given twice."""
     if not marginals:
         raise click.UsageError("at least one --marginal is required")
-    constraints = []
+    files = {}
     for spec_text in marginals:
         keep_text, _, path = spec_text.partition(":")
         if not path:
             raise click.UsageError(
                 f"--marginal {spec_text!r}: expected '<keepset>:<file>'")
-        target, _target_dims = fileio.read_matrix(path)
-        constraints.append((_parse_keep(keep_text), target))
-    return constraints
+        keep = tuple(sorted(set(_parse_keep(keep_text))))
+        if keep in files:
+            raise ValueError(f"duplicate kept-index set {','.join(map(str, keep))}: "
+                             f"{files[keep]} and {path}")
+        files[keep] = path
+    return [(keep, fileio.read_matrix(path)[0]) for keep, path in files.items()]
 
 
 def _echo_report(report: SolveReport) -> None:
@@ -106,11 +110,11 @@ def _write_outputs(out_dir, report: SolveReport, description: dict, dims) -> Non
     }
     lines = ["iteration,residual"]
     lines += [f"{i + 1},{r:.17g}" for i, r in enumerate(report.residual_history)]
-    with _writing(out / "solution.json"):
-        out.mkdir(parents=True, exist_ok=True)
-        fileio.write_text(out / "report.json", json.dumps(summary, indent=1) + "\n")
-        fileio.write_text(out / "history.csv", "\n".join(lines) + "\n")
-        fileio.write_matrix(out / "solution.json", report.solution, dims)
+    out.mkdir(parents=True, exist_ok=True)
+    fileio.write_text(out / "report.json", json.dumps(summary, indent=1) + "\n")
+    fileio.write_text(out / "history.csv", "\n".join(lines) + "\n")
+    fileio.write_matrix(out / "solution.json", report.solution, dims)
+    click.echo(f"wrote {out / 'solution.json'}")
 
 
 def _fail(message: str, code: int = 1):
@@ -118,23 +122,13 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """Report `path` as written, or exit 1 on an OSError with the file it names."""
-    try:
-        yield
-    except OSError as exc:
-        _fail(str(exc))
-    click.echo(f"wrote {path}")
-
-
 def _emit_matrix(out_path, matrix, dims) -> None:
     """Write `matrix` to out_path, or print it when no path is given."""
     if not out_path:
         click.echo(np.array2string(matrix, precision=6, suppress_small=True))
         return
-    with _writing(out_path):
-        fileio.write_matrix(out_path, matrix, dims)
+    fileio.write_matrix(out_path, matrix, dims)
+    click.echo(f"wrote {out_path}")
 
 
 # Options of every `solve` command; those named after a SolveOptions field
@@ -183,24 +177,31 @@ def _resolve_init(init_text, cs):
 
 
 @contextlib.contextmanager
-def _usage_exits_one():
+def _errors_exit_one():
+    """The CLI's one error boundary: a usage error exits 1 as click reports
+    it; a ValueError (LinAlgError included), OSError or RuntimeError prints
+    `error: <message>` and exits 1."""
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = 1
         raise
+    except (click.exceptions.Exit, click.Abort):   # RuntimeErrors of click's own
+        raise
+    except (ValueError, OSError, RuntimeError) as exc:
+        _fail(str(exc))
 
 
 class _Main(click.Group):
-    """The command group: every usage error, click's own grammar errors
-    included, is an input error and exits 1; 2 means non-convergence."""
+    """The command group: every usage, input, OS or runtime error, click's
+    own grammar errors included, exits 1; 2 means non-convergence."""
 
     def make_context(self, *args, **kwargs):
-        with _usage_exits_one():
+        with _errors_exit_one():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_exits_one():
+        with _errors_exit_one():
             return super().invoke(ctx)
 
 
@@ -215,12 +216,9 @@ def main():
 @click.option("--out", "out_path", default=None)
 def trace(input_file, keep_text, out_path):
     """Partial trace of a matrix file down to the kept subsystems."""
-    try:
-        matrix, dims = fileio.read_matrix(input_file)
-        keep = dims.validate_keep(_parse_keep(keep_text))
-        reduced = partial_trace(matrix, dims, keep)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    matrix, dims = fileio.read_matrix(input_file)
+    keep = dims.validate_keep(_parse_keep(keep_text))
+    reduced = partial_trace(matrix, dims, keep)
     _emit_matrix(out_path, reduced, dims.local_dims(keep))
 
 
@@ -229,10 +227,7 @@ def trace(input_file, keep_text, out_path):
 @click.option("--marginal", "marginals", multiple=True)
 def consistency(dims_text, marginals):
     """Check whether the prescribed marginals can coexist, as the solvers require."""
-    try:
-        cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
     report = check_consistency(cs)
     click.echo(f"consistent: {report.consistent}")
     click.echo(f"max discrepancy: {report.max_discrepancy:.6e}")
@@ -263,27 +258,23 @@ def project(input_file, dims_text, marginals, spectrum_path, psd_flag, out_path)
     """
     if spectrum_path and (marginals or psd_flag):
         raise click.UsageError("--spectrum cannot be combined with --marginal or --psd")
-    try:
-        dims = _parse_dims(dims_text)
-        matrix, file_dims = fileio.read_matrix(input_file)
-        if file_dims.total != dims.total:
-            raise ValueError(f"matrix order {file_dims.total} does not match --dims")
-        if psd_flag and marginals:
-            cs = ConstraintSet(dims, _read_marginals(marginals))
-            result, gnorm, hit_cap = project_intersection(matrix, cs)
-            click.echo(f"converged: {not hit_cap}")
-            click.echo(f"dual gradient: {gnorm:.6e}")
-            if hit_cap:
-                _fail("intersection projection did not converge", code=2)
-        elif psd_flag:
-            result = project_psd(matrix)
-        elif spectrum_path:
-            result = project_spectrum(matrix, fileio.read_spectrum(spectrum_path))
-        else:
-            cs = ConstraintSet(dims, _read_marginals(marginals))
-            result = project_marginals(matrix, cs)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    dims = _parse_dims(dims_text)
+    matrix, file_dims = fileio.read_matrix(input_file)
+    if file_dims.total != dims.total:
+        raise ValueError(f"matrix order {file_dims.total} does not match --dims")
+    if psd_flag and marginals:
+        cs = ConstraintSet(dims, _read_marginals(marginals))
+        result, gnorm, hit_cap = project_intersection(matrix, cs)
+        click.echo(f"converged: {not hit_cap}")
+        click.echo(f"dual gradient: {gnorm:.6e}")
+        if hit_cap:
+            _fail("intersection projection did not converge", code=2)
+    elif psd_flag:
+        result = project_psd(matrix)
+    elif spectrum_path:
+        result = project_spectrum(matrix, fileio.read_spectrum(spectrum_path))
+    else:
+        result = project_marginals(matrix, ConstraintSet(dims, _read_marginals(marginals)))
     _emit_matrix(out_path, result, dims)
 
 
@@ -294,14 +285,8 @@ def solve():
 
 def _run_solver(runner, dims_text, marginals, init_text, out_dir, **options):
     """Run `runner(cs, SolveOptions(**options), initial)`; exit 2 unless it converged."""
-    try:
-        dims = _parse_dims(dims_text)
-        cs = ConstraintSet(dims, _read_marginals(marginals))
-        opts = SolveOptions(**options)
-        initial = _resolve_init(init_text, cs)
-        report = runner(cs, opts, initial)
-    except (ValueError, OSError, RuntimeError) as exc:
-        _fail(str(exc))
+    cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
+    report = runner(cs, SolveOptions(**options), _resolve_init(init_text, cs))
     _echo_report(report)
     description = _describe_solution(report.solution, cs)
     if out_dir:
@@ -315,10 +300,7 @@ def _run_solver(runner, dims_text, marginals, init_text, out_dir, **options):
 @_add_options(_shared + _sweep)
 def solve_spectrum_cmd(spectrum_path, **shared):
     """Find a state with the prescribed marginals and eigenvalues."""
-    try:
-        c = fileio.read_spectrum(spectrum_path)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    c = fileio.read_spectrum(spectrum_path)
     _run_solver(lambda cs, opts, initial: solvers.solve_with_spectrum(cs, c, opts, initial),
                 **shared)
 
@@ -363,26 +345,17 @@ def construct():
 
 
 def _run_construct(builder, marginals, out_dir):
-    try:
-        targets = {}
-        for keep, target in _read_marginals(marginals):
-            if targets.setdefault(keep, target) is not target:
-                raise ValueError(f"duplicate kept-index set {','.join(map(str, keep))}")
-        if set(targets) != {(1,), (2,)}:
-            raise ValueError("construct needs exactly --marginal 1:<file> and "
-                             "--marginal 2:<file>")
-        state = builder(targets[(1,)], targets[(2,)])
-        if isinstance(state, tuple):
-            state = state[0]
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    targets = dict(_read_marginals(marginals))
+    if set(targets) != {(1,), (2,)}:
+        raise ValueError("construct needs exactly --marginal 1:<file> and --marginal 2:<file>")
+    state = builder(targets[(1,)], targets[(2,)])
+    if isinstance(state, tuple):
+        state = state[0]
     cs = ConstraintSet(state.dims, [((1,), targets[(1,)]), ((2,), targets[(2,)])])
     _describe_solution(state.matrix, cs)
     if out_dir:
-        out = Path(out_dir)
-        with _writing(out / "solution.json"):
-            out.mkdir(parents=True, exist_ok=True)
-            fileio.write_matrix(out / "solution.json", state.matrix, state.dims)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        _emit_matrix(Path(out_dir) / "solution.json", state.matrix, state.dims)
 
 
 @construct.command("pure")
@@ -435,16 +408,13 @@ def construct_greedy(marginals, out_dir):
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 def verify(solution_file, dims_text, marginals, tol):
     """Re-validate an emitted solution: Hermitian, PSD, unit trace, marginals."""
-    try:
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"--tol must be finite and positive, got {tol}")
-        dims = _parse_dims(dims_text)
-        matrix, file_dims = fileio.read_matrix(solution_file)
-        if file_dims.total != dims.total:
-            raise ValueError(f"matrix order {file_dims.total} does not match --dims")
-        cs = ConstraintSet(dims, _read_marginals(marginals))
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {tol}")
+    dims = _parse_dims(dims_text)
+    matrix, file_dims = fileio.read_matrix(solution_file)
+    if file_dims.total != dims.total:
+        raise ValueError(f"matrix order {file_dims.total} does not match --dims")
+    cs = ConstraintSet(dims, _read_marginals(marginals))
     checks = {
         "hermitian": True,  # read_matrix enforces it
         "psd": bool(np.linalg.eigvalsh(matrix)[0] >= -1e-10),
@@ -494,8 +464,8 @@ def random_probvec_cmd(dims_text, seed, out_path):
     dims = _parse_dims(dims_text)
     p = random_probability_vector(dims.total, seed)
     if out_path:
-        with _writing(out_path):
-            fileio.write_spectrum(out_path, p)
+        fileio.write_spectrum(out_path, p)
+        click.echo(f"wrote {out_path}")
     else:
         click.echo(np.array2string(p, precision=6))
 

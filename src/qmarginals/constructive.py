@@ -86,6 +86,13 @@ def _ranked_eig(m):
     return values, vectors, r
 
 
+def _lift(weights, u, v) -> np.ndarray:
+    """sum_i sqrt(w_i) (u_i x v_i) over the columns u_i of u and v_i of v:
+    for orthonormal columns its reductions are sum w_i u_i u_i* and
+    sum w_i v_i v_i*."""
+    return np.einsum("i,ai,bi->ab", np.sqrt(weights), u, v).ravel()
+
+
 def pure_state_from_isospectral(rho1, rho2) -> DensityMatrix:
     """Rank-one state with marginals rho1, rho2 (which must be isospectral).
 
@@ -102,9 +109,7 @@ def pure_state_from_isospectral(rho1, rho2) -> DensityMatrix:
             f"marginals are not isospectral within {ISOSPECTRAL_TOL}: "
             f"spectra {np.round(a[:max(ra, 1)], 6)} vs {np.round(b[:max(rb, 1)], 6)}"
         )
-    w = np.zeros(n1 * n2, dtype=complex)
-    for i in range(r):
-        w += np.sqrt(a[i]) * kron(u[:, i], v[:, i])
+    w = _lift(a[:r], u[:, :r], v[:, :r])
     w /= np.linalg.norm(w)
     return DensityMatrix(np.outer(w, w.conj()), SystemDims((n1, n2)))
 
@@ -121,13 +126,7 @@ def rank_k_roots_of_unity(rho1, rho2, k: int) -> DensityMatrix:
     is `rank_sweep`, which applies the construction directly. Raises
     ValueError when the result falls short of numerical rank k.
     """
-    r1, r2, _, _ = _marginal_pair(rho1, rho2)
-    ra = _ranked_eig(r1)[2]
-    rb = _ranked_eig(r2)[2]
-    lo, hi = max(ra, rb), ra + rb - 1
-    if not lo <= k <= hi:
-        raise ValueError(f"k={k} outside the admissible interval [{lo}, {hi}]")
-    return rank_sweep(rho1, rho2, k)
+    return _rank_k(rho1, rho2, k, lambda ra, rb: ra + rb - 1)
 
 
 def _roots_component(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -148,10 +147,15 @@ def rank_sweep(rho1, rho2, k: int) -> DensityMatrix:
     Raises ValueError when the result falls short of numerical rank k, as it
     does when a marginal eigenvalue lies just above the rank cut.
     """
+    return _rank_k(rho1, rho2, k, lambda ra, rb: ra * rb)
+
+
+def _rank_k(rho1, rho2, k: int, top) -> DensityMatrix:
+    """The state of `rank_sweep`, for k from max(ra, rb) to top(ra, rb)."""
     r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
     a, u, ra = _ranked_eig(r1)
     b, v, rb = _ranked_eig(r2)
-    lo, hi = max(ra, rb), ra * rb
+    lo, hi = max(ra, rb), top(ra, rb)
     if not lo <= k <= hi:
         raise ValueError(f"k={k} outside the admissible interval [{lo}, {hi}]")
     m = _sweep_component(a, b, k)
@@ -296,27 +300,23 @@ def _alternating_chains(va: np.ndarray, vb: np.ndarray):
     return chains, left_a, left_b
 
 
-def _pair_pure_vector(c: np.ndarray, ct: np.ndarray, n1: int, n2: int) -> np.ndarray:
+def _pair_pure_vector(c: np.ndarray, ct: np.ndarray) -> np.ndarray:
+    """The lift of an isospectral pair, its eigenpairs matched in descending order."""
     wc, uc = _descending_eig(c)
     wt, vt = _descending_eig(ct)
-    w = np.zeros(n1 * n2, dtype=complex)
-    cut = ZERO_EIG * max(1.0, float(wc[0]))
-    for j in range(min(n1, n2)):
-        weight = (wc[j] + wt[j]) / 2
-        if weight > cut:
-            w += np.sqrt(weight) * kron(uc[:, j], vt[:, j])
-    return w
+    m = min(len(wc), len(wt))
+    weight = (wc[:m] + wt[:m]) / 2
+    on = weight > ZERO_EIG * max(1.0, float(wc[0]))
+    return _lift(weight[on], uc[:, :m][:, on], vt[:, :m][:, on])
 
 
-def _assemble(pairs, n1: int, n2: int):
+def _assemble(pairs, vectors, n1: int, n2: int):
+    """(sum of w w* over the pure vectors, the decomposition into `pairs`)."""
     rho = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-    for c, ct in pairs:
-        w = _pair_pure_vector(c, ct, n1, n2)
+    for w in vectors:
         rho += np.outer(w, w.conj())
     decomposition = IsospectralDecomposition(
-        pairs=tuple((c.copy(), ct.copy()) for c, ct in pairs),
-        weights=tuple(float(np.trace(c).real) for c, _ in pairs),
-    )
+        pairs=tuple(pairs), weights=tuple(float(np.trace(c).real) for c, _ in pairs))
     return DensityMatrix(hermitize(rho), SystemDims((n1, n2))), decomposition
 
 
@@ -370,7 +370,7 @@ def interlace_decomposition(rho1, rho2):
         b_rem = hermitize(vbv @ rem_b @ vbv.conj().T)
     else:
         raise RuntimeError("interlace decomposition failed to terminate")
-    return _assemble(pairs, n1, n2)
+    return _assemble(pairs, [_pair_pure_vector(c, ct) for c, ct in pairs], n1, n2)
 
 
 def _greedy_rounds(r1, r2, n1, n2):
@@ -390,15 +390,11 @@ def _greedy_rounds(r1, r2, n1, n2):
         c = np.minimum(a[sa[:m]], b[sb[:m]])
         if c.sum() <= 1e-14:
             break
+        on = c > 0.0
         ca = np.zeros((n1, n1))
         cb = np.zeros((n2, n2))
-        w = np.zeros(n1 * n2, dtype=complex)
-        for jj in range(m):
-            if c[jj] <= 0.0:
-                continue
-            ca[sa[jj], sa[jj]] = c[jj]
-            cb[sb[jj], sb[jj]] = c[jj]
-            w += np.sqrt(c[jj]) * kron(ua[:, sa[jj]], vbv[:, sb[jj]])
+        ca[sa[:m][on], sa[:m][on]] = c[on]
+        cb[sb[:m][on], sb[:m][on]] = c[on]
         # subtracting the exact minimum zeroes one side of each match
         a[sa[:m]] -= c
         b[sb[:m]] -= c
@@ -406,7 +402,7 @@ def _greedy_rounds(r1, r2, n1, n2):
             hermitize(ua @ ca @ ua.conj().T),
             hermitize(vbv @ cb @ vbv.conj().T),
         ))
-        vectors.append(w)
+        vectors.append(_lift(c[on], ua[:, sa[:m][on]], vbv[:, sb[:m][on]]))
     return pairs, vectors
 
 
@@ -421,15 +417,7 @@ def greedy_minmatch(rho1, rho2):
     norm attainable for the given marginals.
     """
     r1, r2, n1, n2 = _marginal_pair(rho1, rho2)
-    pairs, vectors = _greedy_rounds(r1, r2, n1, n2)
-    rho = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-    for w in vectors:
-        rho += np.outer(w, w.conj())
-    decomposition = IsospectralDecomposition(
-        pairs=tuple(pairs),
-        weights=tuple(float(np.trace(c).real) for c, _ in pairs),
-    )
-    return DensityMatrix(hermitize(rho), SystemDims((n1, n2))), decomposition
+    return _assemble(*_greedy_rounds(r1, r2, n1, n2), n1, n2)
 
 
 def greedy_component_vectors(rho1, rho2) -> list[np.ndarray]:

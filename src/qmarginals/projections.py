@@ -3,7 +3,7 @@
 Three families of constraint sets appear:
 
 * the affine set of Hermitian matrices with prescribed reduced states
-  (bipartite closed form and the general multipartite inclusion-exclusion),
+  (inclusion-exclusion over the intersection lattice of the kept sets),
 * the unitary orbit of a fixed spectrum,
 * the PSD cone, alone and intersected with the affine set.
 
@@ -24,8 +24,6 @@ from .tensorcore import (
     as_dims,
     as_spectrum,
     hermitize,
-    kron,
-    partial_trace,
     _as_square,
     _reducer,
     _sym,
@@ -72,8 +70,10 @@ class ConstraintSet:
                 )
             parsed.append(c)
         keeps = [c.keep for c in parsed]
-        if len(set(keeps)) != len(keeps):
-            raise ValueError("duplicate kept-index sets in constraint set")
+        for i, keep in enumerate(keeps):
+            if keep in keeps[:i]:
+                raise ValueError(f"duplicate kept-index set {','.join(map(str, keep))} "
+                                 "in constraint set")
         if not parsed:
             raise ValueError("constraint set must contain at least one constraint")
         self.constraints = tuple(parsed)
@@ -276,27 +276,16 @@ def _project_affine(z, cs: ConstraintSet, deficits=None) -> np.ndarray:
 
 
 def project_bipartite_affine(p, rho1, rho2) -> np.ndarray:
-    """Closed-form projection onto the bipartite marginal set.
+    """`project_marginals` onto the bipartite marginal set {tr_2 X = rho1, tr_1 X = rho2}.
 
-    X = P - I/n1 x (tr_1 P - rho2) - (tr_2 P - rho1) x I/n2
-          + (tr P - 1)/(n1 n2) I.
+    The lattice plan has two nodes here, {1} and {2}, and the empty set with
+    coefficient +1, so the projection is the closed form
+    X = P - I/n1 x (tr_1 P - rho2) - (tr_2 P - rho1) x I/n2 + (tr P - 1)/(n1 n2) I.
+    Raises ValueError on inconsistent marginals, as the constraint set does.
     """
-    p = hermitize(_as_square(p))
-    r1 = np.asarray(getattr(rho1, "matrix", rho1), dtype=complex)
-    r2 = np.asarray(getattr(rho2, "matrix", rho2), dtype=complex)
-    n1, n2 = r1.shape[0], r2.shape[0]
-    if p.shape[0] != n1 * n2:
-        raise ValueError(f"matrix order {p.shape[0]} does not equal n1*n2 = {n1 * n2}")
-    dims = SystemDims((n1, n2))
-    tr1 = partial_trace(p, dims, (2,))
-    tr2 = partial_trace(p, dims, (1,))
-    out = (
-        p
-        - kron(np.eye(n1) / n1, tr1 - r2)
-        - kron(tr2 - r1, np.eye(n2) / n2)
-        + (float(np.trace(p).real) - 1.0) / (n1 * n2) * np.eye(n1 * n2)
-    )
-    return hermitize(out)
+    r1, r2 = _as_square(rho1, "rho1"), _as_square(rho2, "rho2")
+    cs = ConstraintSet((r1.shape[0], r2.shape[0]), [((1,), r1), ((2,), r2)])
+    return project_marginals(p, cs)
 
 
 def project_spectrum(p, c) -> np.ndarray:

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from qmarginals import (
     ConstraintSet,
     SolveOptions,
+    constructive,
     dykstra_project,
     fileio,
     random_unitary,
@@ -456,6 +457,20 @@ class TestConstructCommands:
         assert "duplicate kept-index set 1" in result.output
         assert not out.exists()
 
+    def test_runtime_error_exits_one(self, runner, tmp_path, monkeypatch):
+        def stalled(rho1, rho2):
+            raise RuntimeError("decomposition stalled: no chains on nonzero remainders")
+
+        monkeypatch.setattr(constructive, "interlace_decomposition", stalled)
+        r = tmp_path / "r.json"
+        fileio.write_matrix(r, np.diag([0.7, 0.3]), (2,))
+        result = runner.invoke(main, ["construct", "interlace",
+                                      "--marginal", f"1:{r}", "--marginal", f"2:{r}"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: decomposition stalled" in result.output
+        assert "Traceback" not in result.output
+
     def test_sweep_writes_solution(self, runner, tmp_path):
         ra = tmp_path / "ra.json"
         rb = tmp_path / "rb.json"
@@ -467,6 +482,26 @@ class TestConstructCommands:
         assert result.exit_code == 0
         solution, dims = fileio.read_matrix(out / "solution.json")
         assert dims.total == 6
+
+
+class TestDuplicateMarginals:
+    """Every command that reads --marginal refuses a repeated kept set, and
+    names it and both of its files."""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "feasible"], ["verify", FIXTURES / "tripartite_222" / "solution_rank6.json"],
+        ["consistency"], ["project", FIXTURES / "tripartite_222" / "solution_rank6.json"]],
+        ids=["solve", "verify", "consistency", "project"])
+    @pytest.mark.parametrize("first,second,label", [("1", "1", "1"), ("1,2", "2,1", "1,2")],
+                             ids=["same", "reordered"])
+    def test_repeated_kept_set_exits_one_naming_it(self, runner, command, first, second,
+                                                   label):
+        a, b = ([FIXTURES / "bipartite_2x3" / f"rho_{s}.json" for s in "aa"] if label == "1"
+                else [FIXTURES / "tripartite_222" / f"rho_{s}.json" for s in ("12", "23")])
+        result = runner.invoke(main, [str(x) for x in command] + [
+            "--dims", "2,2,2", "--marginal", f"{first}:{a}", "--marginal", f"{second}:{b}"])
+        assert result.exit_code == 1
+        assert f"error: duplicate kept-index set {label}: {a} and {b}" in result.output
 
 
 class TestVerify:

@@ -110,6 +110,26 @@ class TestRootsOfUnity:
             with pytest.raises(ValueError, match="admissible"):
                 rank_k_roots_of_unity(r1, r2, bad)
 
+    def test_as_many_eigensolves_as_rank_sweep(self, monkeypatch):
+        # each marginal is validated and diagonalized once, as in rank_sweep
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        r1, r2 = np.diag(SPEC_A_3x4), np.diag(SPEC_B_3x4)
+        counts = []
+        for build in (rank_k_roots_of_unity, rank_sweep):
+            calls.clear()
+            build(r1, r2, 5)
+            counts.append((calls.count("eigh"), calls.count("eigvalsh")))
+        assert counts[0] == counts[1]
+
 
 def reference_roots_component(a, b, k):
     """The roots-of-unity state as the k-term sum of its Fourier components,

@@ -67,6 +67,11 @@ class TestBipartiteAffine:
         with pytest.raises(ValueError):
             project_bipartite_affine(np.zeros((5, 5)), np.eye(2) / 2, np.eye(2) / 2)
 
+    def test_inconsistent_marginals_raise(self):
+        # rho1 = I2 has trace 2, rho2 = I3/3 trace 1: no matrix has both
+        with pytest.raises(ValueError, match="inconsistent constraint set"):
+            project_bipartite_affine(np.zeros((6, 6)), np.eye(2), np.eye(3) / 3)
+
 
 class TestSpectrumProjection:
     def test_fixed_point(self):
@@ -202,13 +207,14 @@ class TestProjectMarginals:
         assert np.abs(project_marginals(z, cs) - z).max() < 1e-12
 
     def test_matches_bipartite_closed_form(self):
+        # project_bipartite_affine is project_marginals on the bipartite set
         rng = np.random.default_rng(16)
-        r1, r2 = random_density_pair(rng, 2, 3)
-        cs = bipartite_cs(r1, r2)
-        z = random_hermitian(rng, 6)
-        a = project_marginals(z, cs)
-        b = project_bipartite_affine(z, r1, r2)
-        assert np.abs(a - b).max() < 1e-12
+        for profile in ((2, 3), (2, 2), (3, 3), (3, 4)):
+            for _ in range(5):
+                r1, r2 = random_density_pair(rng, *profile)
+                z = random_hermitian(rng, profile[0] * profile[1])
+                a = project_marginals(z, bipartite_cs(r1, r2))
+                assert np.array_equal(a, project_bipartite_affine(z, r1, r2))
 
     def test_single_constraint_degenerates(self):
         rng = np.random.default_rng(17)
@@ -314,8 +320,10 @@ class TestProjectionInvariants:
 class TestConstraintSetValidation:
     def test_duplicate_keeps_rejected(self):
         r = np.array(random_density((2,), 0))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate kept-index set 1 "):
             ConstraintSet((2, 2), [((1,), r), ((1,), r)])
+        with pytest.raises(ValueError, match="duplicate kept-index set 1,2 "):
+            ConstraintSet((2, 2, 2), [((1, 2), np.eye(4) / 4), ((2, 1), np.eye(4) / 4)])
 
     def test_order_mismatch_rejected(self):
         r = np.array(random_density((3,), 0))

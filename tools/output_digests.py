@@ -5,8 +5,10 @@ change leaves results bit-identical.
 
 Prints one digest per item and a total. Covered: every SolveReport field
 except wall_time for the five solvers over seeds 0-3; rank_sweep and
-rank_k_roots_of_unity at every admissible k on a seeded rotated pair; the
-parsed values of every file the CLI writes with --out (report.json without
+rank_k_roots_of_unity at every admissible k, greedy_minmatch and
+interlace_decomposition (state and decomposition) on a seeded rotated pair,
+and pure_state_from_isospectral on its first marginal and that marginal's
+complex conjugate; the parsed values of every file the CLI writes with --out (report.json without
 wall_time_s).
 Floats are hashed by their bytes, so even the sign of a zero counts.
 """
@@ -112,7 +114,15 @@ def construction_digests() -> dict:
     return {
         "rotated-sweep": [qm.rank_sweep(*rotated, k).matrix for k in range(4, 13)],
         "rotated-rank-k": [qm.rank_k_roots_of_unity(*rotated, k).matrix for k in range(4, 7)],
+        "rotated-greedy": decomposed(qm.greedy_minmatch(*rotated)),
+        "rotated-interlace": decomposed(qm.interlace_decomposition(*rotated)),
+        "rotated-pure": qm.pure_state_from_isospectral(rotated[0], rotated[0].conj()).matrix,
     }
+
+
+def decomposed(result) -> list:
+    state, decomposition = result
+    return [state.matrix, decomposition.pairs, decomposition.weights]
 
 
 def cli(args) -> int:
