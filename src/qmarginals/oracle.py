@@ -28,7 +28,7 @@ def parametrize(h: np.ndarray) -> np.ndarray:
     Layout: n diagonal entries, then sqrt(2) * real and sqrt(2) * imaginary
     parts of the strict upper triangle in row-major order.
     """
-    h = _as_square(h)
+    h = _as_square(h, "h")
     n = h.shape[0]
     iu = np.triu_indices(n, k=1)
     return np.concatenate([
@@ -82,10 +82,8 @@ def pseudoinverse_projection(z, vc: VectorizedConstraints) -> np.ndarray:
     Raises if the stacked system is inconsistent (least-squares residual
     above 1e-8): the affine set is then empty and no projection exists.
     """
-    z = hermitize(_as_square(z))
+    z = hermitize(_as_square(z, "z", vc.dims))
     n = vc.dims.total
-    if z.shape[0] != n:
-        raise ValueError(f"matrix order {z.shape[0]} does not match dims {vc.dims.dims}")
     a_pinv = np.linalg.pinv(vc.matrix, rcond=PINV_RCOND)
     x_feas = a_pinv @ vc.rhs
     residual = float(np.linalg.norm(vc.matrix @ x_feas - vc.rhs))
@@ -102,11 +100,11 @@ def variational_inequality_check(z, x_star, feasible_samples) -> float:
     Nonpositive values (up to tolerance) are consistent with x* being the
     projection of z onto the convex set the samples were drawn from.
     """
-    z = _as_square(z)
-    x_star = _as_square(x_star)
+    z = _as_square(z, "z")
+    x_star = _as_square(x_star, "x_star")
     d = z - x_star
     worst = -np.inf
     for y in feasible_samples:
-        y = np.asarray(getattr(y, "matrix", y), dtype=complex)
+        y = _as_square(y, "feasible sample")
         worst = max(worst, float(np.real(np.trace(d.conj().T @ (y - x_star)))))
     return worst

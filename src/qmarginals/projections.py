@@ -43,10 +43,7 @@ class MarginalConstraint:
         keep = tuple(sorted({int(i) for i in keep}))
         if not keep:
             raise ValueError("kept-index set must be nonempty")
-        m = _as_square(target, "constraint target")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"target for keep={keep} has non-finite entries")
-        m = hermitize(m)
+        m = hermitize(_as_square(target, f"target for keep={keep}"))
         m.setflags(write=False)
         object.__setattr__(self, "keep", keep)
         object.__setattr__(self, "target", m)
@@ -63,11 +60,7 @@ class ConstraintSet:
                 keep, target = c
                 c = MarginalConstraint(keep, target)
             keep = self.dims.validate_keep(c.keep)
-            if c.target.shape[0] != self.dims.subdim(keep):
-                raise ValueError(
-                    f"target for keep={keep} has order {c.target.shape[0]}, "
-                    f"expected {self.dims.subdim(keep)}"
-                )
+            _as_square(c.target, f"target for keep={keep}", self.dims.local_dims(keep))
             parsed.append(c)
         keeps = [c.keep for c in parsed]
         for i, keep in enumerate(keeps):
@@ -88,15 +81,18 @@ class ConstraintSet:
     def _lattice(self) -> dict[frozenset, tuple[MarginalConstraint, ...]]:
         """Intersection closure of the kept sets, the empty set included.
 
-        Maps each node, largest first, to the constraints containing it, in
-        order. The cost grows with the closure, not with 2^m.
+        Maps each node, largest first, to the constraints containing it: the
+        constraint whose kept set is the node first, then the others in
+        order, so a kept set's node carries its own sigma. The cost grows with
+        the closure, not with 2^m.
         """
         keeps = [frozenset(c.keep) for c in self.constraints]
         nodes = fresh = set(keeps) | {frozenset()}
         while fresh:
             fresh = {s & k for s in fresh for k in keeps} - nodes
             nodes = nodes | fresh
-        return {s: tuple(c for c, k in zip(self.constraints, keeps) if s <= k)
+        return {s: tuple(c for k, c in sorted(zip(keeps, self.constraints),
+                                              key=lambda kc: kc[0] != s) if s <= k)
                 for s in sorted(nodes, key=lambda s: (-len(s), sorted(s)))}
 
     @cached_property
@@ -107,7 +103,7 @@ class ConstraintSet:
         so the coefficients live on the intersection lattice of the kept sets.
         Moebius inversion (Rota 1964) gives them top down: c(S) = -1 minus
         the c(S') of all nodes S' strictly containing S. Targets come from
-        the first constraint containing S; the empty set carries the trace.
+        S's first owner in `_lattice`; the empty set carries the trace.
         """
         report = check_consistency(self)
         if not report.consistent:
@@ -239,39 +235,32 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     global trace. The corrections are linear in z and commute with taking
     the Hermitian part, so that is taken once, of the result.
     """
-    z = _as_square(z)
-    if z.shape[0] != cs.dims.total:
-        raise ValueError(f"matrix order {z.shape[0]} does not match dims {cs.dims.dims}")
-    return _project_affine(z, cs)
+    z = _as_square(z, "z", cs.dims)
+    return _project_affine(z, cs, _deficits(z, cs))
 
 
-def _deficits(x, cs: ConstraintSet) -> dict:
-    """{J: tr_{J^c}(x) - sigma_J} over the constraints, in x's dtype (float64
-    needs real targets): one partial trace of x per constraint."""
-    if x.shape[0] != cs.dims.total:
-        raise ValueError(f"matrix order {x.shape[0]} does not match dims {cs.dims.dims}")
+def _deficits(x, cs: ConstraintSet, plan: bool = True) -> dict:
+    """{S: tr_{S^c}(x) - sigma_S} over the constraints and, with `plan`, over
+    every nonempty node of the lattice plan, in x's dtype (float64 needs real
+    targets). Each is traced once, from x; a kept set that is a node of the
+    plan targets its own sigma there, so it is traced once too."""
     real = x.dtype == np.float64
-    return {c.keep: _reducer(cs.dims, c.keep)(x) - (c.target.real if real else c.target)
-            for c in cs.constraints}
+    targets = {c.keep: c.target for c in cs.constraints}
+    if plan:
+        targets.update((labels, t) for _w, labels, t in cs.correction_terms if labels)
+    return {s: _reducer(cs.dims, s)(x) - (t.real if real else t) for s, t in targets.items()}
 
 
-def _project_affine(z, cs: ConstraintSet, deficits=None) -> np.ndarray:
-    """project_marginals in z's dtype. Given z's `_deficits`, each lattice
-    node's deficit is traced down from its first owner's, and z itself is
-    never traced. Without them every node is traced from z, which rounds
-    exactly as the per-node formula does. The empty node reads the trace of z.
-    """
+def _project_affine(z, cs: ConstraintSet, deficits) -> np.ndarray:
+    """project_marginals in z's dtype, given z's `_deficits`: each nonempty
+    node lifts its own deficit, and the empty node reads the trace of z."""
     n = z.shape[0]
     out = z.copy()
     for w, labels, target in cs.correction_terms:
-        if not labels:
-            out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
-        elif deficits is None:
-            _add_lifted(out, w, _reducer(cs.dims, labels)(z) - target, cs.dims, labels)
+        if labels:
+            _add_lifted(out, w, deficits[labels], cs.dims, labels)
         else:
-            keep = cs._lattice[frozenset(labels)][0].keep
-            _add_lifted(out, w, _trace_within(deficits[keep], keep, labels, cs.dims), cs.dims,
-                        labels)
+            out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
     return _sym(out)
 
 
@@ -296,7 +285,7 @@ def project_spectrum(p, c) -> np.ndarray:
     pair with c in the order `np.linalg.eigh` returns them. P must be
     Hermitian; only its lower triangle is read.
     """
-    p = _as_square(p)
+    p = _as_square(p, "p")
     c = as_spectrum(c)
     if len(c) != p.shape[0]:
         raise ValueError(f"spectrum length {len(c)} does not match order {p.shape[0]}")
@@ -318,7 +307,7 @@ def project_psd(z) -> np.ndarray:
     `hermitize(z)` for any other square matrix, which projects its Hermitian
     part.
     """
-    return _project_psd(_as_square(z))
+    return _project_psd(_as_square(z, "z"))
 
 
 def _project_psd(z: np.ndarray) -> np.ndarray:
@@ -348,9 +337,7 @@ def project_intersection(z, cs: ConstraintSet):
     ends it. The basis is dense, m * n^2 complex numbers for m independent
     marginal directions: 10 MB for all pairs of 6 qubits, 290 MB at 8.
     """
-    z = hermitize(_as_square(z))
-    if z.shape[0] != cs.dims.total:
-        raise ValueError(f"matrix order {z.shape[0]} does not match dims {cs.dims.dims}")
+    z = hermitize(_as_square(z, "z", cs.dims))
     basis, b = cs._dual_basis
     m, n = basis.shape[0], z.shape[0]
     flat = basis.reshape(m, n * n)

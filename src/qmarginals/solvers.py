@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,14 +35,18 @@ from .tensorcore import (
     hermitize,
     random_density,
     _as_square,
-    _finite_square,
     _sym,
 )
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Iteration limits, tolerances and seeding shared by the solvers."""
+    """Iteration limits, tolerances and seeding shared by the solvers.
+
+    The sweep solvers read every field but `nspg_stationarity_tol`.
+    `dykstra_project` ignores `restarts` as well (it starts from z alone).
+    `nspg_minimize` ignores `tolerance` and `restarts`.
+    """
 
     max_iterations: int = 1000
     tolerance: float = 1e-12
@@ -76,23 +80,22 @@ class SolveReport:
 
 def marginal_residual(x, cs: ConstraintSet) -> float:
     """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F."""
-    return _err(_deficits(_as_square(x), cs))
+    return _err(_deficits(_as_square(x, "x", cs.dims), cs, plan=False), cs)
 
 
-def _err(deficits) -> float:
-    """Err from the marginal deficits: the sum of their Frobenius norms."""
-    return float(sum(np.linalg.norm(d) for d in deficits.values()))
+def _err(deficits, cs: ConstraintSet) -> float:
+    """Err from the marginal deficits: the sum of the constraints' Frobenius norms."""
+    return float(sum(np.linalg.norm(deficits[c.keep]) for c in cs.constraints))
 
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
     if initial is not None:
-        m = hermitize(_finite_square(initial, "initial point"))
-        if m.shape[0] != cs.dims.total:
-            raise ValueError(
-                f"initial point order {m.shape[0]} does not match dims {cs.dims.dims}"
-            )
-        return m
+        return hermitize(_as_square(initial, "initial point", cs.dims))
     return np.array(random_density(cs.dims, seed).matrix)
+
+
+def _is_psd(x) -> bool:
+    return bool(np.linalg.eigvalsh(x)[0] >= -1e-12)
 
 
 def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
@@ -123,7 +126,7 @@ def _alternate(z, cs, second, max_sweeps, *, err_tol, increments=False):
         else:
             x = second(y)
         deficits = _deficits(x, cs)
-        history.append(_err(deficits))
+        history.append(_err(deficits, cs))
         if history[-1] < err_tol:
             return x, history, True
     return x, history, False
@@ -145,7 +148,7 @@ def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
     while True:
         x = _project_psd(2 * a - z)
         deficits = _deficits(x, cs)
-        history.append(_err(deficits))
+        history.append(_err(deficits, cs))
         if history[-1] < err_tol or len(history) == max_sweeps:
             return x, history, history[-1] < err_tol
         z = z + x - a
@@ -155,7 +158,8 @@ def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
 def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
     """Run `loop(x, max_sweeps, err_tol)` from each restart until Err < tolerance.
 
-    A start that meets the marginals and `entry_ok` is returned unchanged.
+    Restarts after the first start from seeded random points. A start that
+    meets the marginals and `entry_ok` is returned unchanged.
     """
     opts = opts or SolveOptions()
     cs.correction_terms  # validates consistency up front
@@ -252,13 +256,10 @@ def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
     grows with z (smallest eigenvalue -1.9e-12 after 5,000 sweeps when each
     pair of three qubits is to hold the singlet).
     """
-    def entry_ok(x):
-        return bool(np.linalg.eigvalsh(x)[0] >= -1e-12)
-
     def loop(x, sweeps, tol):
         return _douglas_rachford(x, cs, sweeps, err_tol=tol)
 
-    return _sweep_solver(cs, opts, initial, loop, entry_ok)
+    return _sweep_solver(cs, opts, initial, loop, _is_psd)
 
 
 def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> SolveReport:
@@ -268,20 +269,15 @@ def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> S
     none), so the limit is the Frobenius projection of z. Without the
     correction term the alternation from z reaches some point of the
     intersection, but generally not the projection; so does
-    `solve_feasible(cs, opts, initial=z)`.
+    `solve_feasible(cs, opts, initial=z)`. Runs on the sweep solvers' driver
+    with one start, z: a z that is PSD and meets the marginals comes back
+    unchanged, and `opts.restarts` is ignored, as a projection never starts
+    from a random point.
     """
-    opts = opts or SolveOptions()
-    z = hermitize(_as_square(z))
-    t0 = time.perf_counter()
-    x, history, converged = _alternate(
-        _real_if_exact(z, cs), cs, _project_psd, opts.max_iterations, increments=True,
-        err_tol=opts.tolerance,
-    )
-    return SolveReport(
-        solution=x.astype(complex, copy=False), iterations=len(history),
-        residual_history=np.asarray(history), converged=converged,
-        wall_time=time.perf_counter() - t0, final_residual=history[-1], seed_used=None,
-    )
+    def loop(x, sweeps, tol):
+        return _alternate(x, cs, _project_psd, sweeps, err_tol=tol, increments=True)
+
+    return _sweep_solver(cs, replace(opts or SolveOptions(), restarts=1), z, loop, _is_psd)
 
 
 NSPG_WINDOW = 10          # nonmonotone window: Armijo compares with the worst of these

@@ -78,24 +78,24 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _as_square(a, what: str = "matrix") -> np.ndarray:
+def _as_square(a, what: str, dims: SystemDims | None = None) -> np.ndarray:
+    """The one check of a matrix argument: `a` (or its `.matrix`) as a complex
+    square matrix with finite entries, of order dims.total when dims are given.
+    Each failure raises a ValueError that names the argument as `what`."""
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    return m
-
-
-def _finite_square(a, what: str) -> np.ndarray:
-    m = _as_square(a, what)
+    if dims is not None and m.shape[0] != dims.total:
+        raise ValueError(f"{what} order {m.shape[0]} does not match dims {dims.dims}")
     if not np.isfinite(m).all():
-        raise ValueError(f"{what}: entries must be finite")
+        raise ValueError(f"{what}: entries must be finite, got non-finite values")
     return m
 
 
 def numerical_rank(a) -> int:
     """Count of eigenvalues above 1e-10 * max(1, lambda_max)."""
     values = (a if isinstance(a, np.ndarray) and a.ndim == 1
-              else np.linalg.eigvalsh(hermitize(_as_square(a))))
+              else np.linalg.eigvalsh(hermitize(_as_square(a, "a"))))
     if len(values) == 0:
         return 0
     return int(np.sum(values > RANK_RTOL * max(1.0, float(np.max(values)))))
@@ -118,10 +118,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     order.
     """
     dims = as_dims(dims)
-    m = _as_square(rho)
-    if m.shape[0] != dims.total:
-        raise ValueError(f"matrix order {m.shape[0]} does not match dims {dims.dims}")
-    return _reducer(dims, tuple(keep))(m)
+    return _reducer(dims, tuple(keep))(_as_square(rho, "rho", dims))
 
 
 @lru_cache(maxsize=256)
@@ -156,13 +153,11 @@ class DensityMatrix:
     dims: SystemDims = field(default=None)  # type: ignore[assignment]
 
     def __init__(self, matrix, dims=None):
-        m = density_input(matrix)
-        d = as_dims(dims) if dims is not None else SystemDims((m.shape[0],))
-        if m.shape[0] != d.total:
-            raise ValueError(f"matrix order {m.shape[0]} does not match dims {d.dims}")
+        d = as_dims(dims) if dims is not None else None
+        m = density_input(matrix, dims=d)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", d)
+        object.__setattr__(self, "dims", d or SystemDims((m.shape[0],)))
 
     @property
     def order(self) -> int:
@@ -172,11 +167,13 @@ class DensityMatrix:
         return np.array(self.matrix, dtype=dtype) if dtype else np.array(self.matrix)
 
 
-def density_input(rho, what: str = "density matrix") -> np.ndarray:
-    """Check a DensityMatrix-or-array is finite, unit-trace and PSD; return it Hermitized."""
+def density_input(rho, what: str = "density matrix",
+                  dims: SystemDims | None = None) -> np.ndarray:
+    """Check a DensityMatrix-or-array is finite, unit-trace and PSD (and of
+    order dims.total when dims are given); return it Hermitized."""
     if isinstance(rho, DensityMatrix):
-        return np.array(rho.matrix)
-    m = hermitize(_finite_square(rho, what))
+        return np.array(_as_square(rho, what, dims))
+    m = hermitize(_as_square(rho, what, dims))
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{what}: trace must be 1 within {TRACE_ATOL}, got {tr}")

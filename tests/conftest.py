@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmarginals import fileio, partial_trace
+from qmarginals import ConstraintSet, fileio, partial_trace, random_density
 from qmarginals.projections import _add_lifted
 from qmarginals.tensorcore import as_dims
 
@@ -25,6 +25,15 @@ def random_density_pair(rng, n1, n2):
         q = np.linalg.qr(z)[0]
         out.append((q * p) @ q.conj().T)
     return out[0], out[1]
+
+
+def nested_family():
+    """Kept sets (1,2), (2,3) and (2,) of a seeded three-qubit state: a lattice
+    node, {2}, that is itself a kept set with two further owners."""
+    dims = (2, 2, 2)
+    rho = random_density(dims, 21).matrix
+    return ConstraintSet(dims, [(keep, partial_trace(rho, dims, keep))
+                                for keep in [(1, 2), (2, 3), (2,)]])
 
 
 def subsystem_permutation(dims, keep):

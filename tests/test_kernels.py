@@ -44,7 +44,13 @@ from qmarginals.entropy import LOG_FLOOR, entropy_objective
 from qmarginals.projections import _project_psd
 from qmarginals.solvers import _alternate, _douglas_rachford, _project_rank
 
-from conftest import load_matrix, load_spectrum, random_density_pair, random_hermitian
+from conftest import (
+    load_matrix,
+    load_spectrum,
+    nested_family,
+    random_density_pair,
+    random_hermitian,
+)
 
 
 def reference_objective_and_gradient(kind, alpha):
@@ -133,11 +139,16 @@ def test_entropy_objective_matches_reference_exactly(kind, alpha):
 
 
 def instances():
+    """Bipartite pairs, then overlapping families whose lattice has nodes
+    below the kept sets, each with a random Hermitian start."""
     for seed, (n1, n2) in enumerate([(2, 2), (2, 3), (3, 3), (2, 4)]):
         rng = np.random.default_rng(seed)
         r1, r2 = random_density_pair(rng, n1, n2)
         cs = ConstraintSet((n1, n2), [((1,), r1), ((2,), r2)])
         yield cs, hermitize(random_hermitian(rng, n1 * n2))
+    rng = np.random.default_rng(4)
+    for cs in [tripartite_fixture(), twofold_extension(), all_pairs(5, 3), nested_family()]:
+        yield cs, hermitize(random_hermitian(rng, cs.dims.total))
 
 
 @pytest.mark.parametrize("mode", ["with-increments", "plain-alternation"])
@@ -481,17 +492,17 @@ def twofold_extension():
     return ConstraintSet((2, 2, 2), [((1, 2), ext), ((1, 3), ext)])
 
 
-def all_pairs_6q(seed):
-    """All pair marginals of a seeded mixture of a pure and a random six-qubit state."""
-    dims = (2,) * 6
-    psi = random_unitary(64, seed)[:, 0]
+def all_pairs(k, seed):
+    """All pair marginals of a seeded mixture of a pure and a random k-qubit state."""
+    dims = (2,) * k
+    psi = random_unitary(2 ** k, seed)[:, 0]
     rho = 0.3 * np.outer(psi, psi.conj()) + 0.7 * random_density(dims, seed).matrix
     return ConstraintSet(dims, [(pair, partial_trace(rho, dims, pair))
-                                for pair in itertools.combinations(range(1, 7), 2)])
+                                for pair in itertools.combinations(range(1, k + 1), 2)])
 
 
 @pytest.mark.parametrize("make_cs", [tripartite_fixture, twofold_extension]
-                         + [lambda seed=seed: all_pairs_6q(seed) for seed in range(3)],
+                         + [lambda seed=seed: all_pairs(6, seed) for seed in range(3)],
                          ids=["tripartite_222", "twofold_extension_222"]
                          + [f"all-pairs-6q-{seed}" for seed in range(3)])
 def test_feasible_solver_takes_the_former_loops_sweep_count(monkeypatch, make_cs):

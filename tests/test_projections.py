@@ -22,6 +22,7 @@ from conftest import (
     load_matrix,
     load_spectrum,
     marginal_correction,
+    nested_family,
     random_density_pair,
     random_hermitian,
     subsystem_permutation,
@@ -238,6 +239,21 @@ class TestProjectMarginals:
             assert np.abs(got - ref).max() < 1e-10
             assert np.abs(partial_trace(got, cs.dims, (2, 3)) - rho23).max() < 1e-10
             assert np.abs(partial_trace(got, cs.dims, (1, 2)) - rho12).max() < 1e-10
+
+    def test_nested_family_meets_every_target_and_the_oracle(self):
+        # the node {2} is the kept set of sigma_2 and lies in both pairs: its
+        # plan term targets sigma_2 itself, not a pair target traced down
+        cs = nested_family()
+        sigma12, sigma23, sigma2 = (c.target for c in cs)
+        assert {labels: t for _w, labels, t in cs.correction_terms}[(2,)] is sigma2
+        vc = vectorize_constraints(cs)
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            z = random_hermitian(rng, 8)
+            got = project_marginals(z, cs)
+            for keep, sigma in [((1, 2), sigma12), ((2, 3), sigma23), ((2,), sigma2)]:
+                assert np.abs(partial_trace(got, cs.dims, keep) - sigma).max() <= 1e-12
+            assert np.abs(got - pseudoinverse_projection(z, vc)).max() <= 1e-12
 
     def test_tripartite_term_structure(self):
         # overlapping keep-sets {2,3} and {1,2}: the shared middle marginal

@@ -187,6 +187,13 @@ class TestSolveWithRankCap:
         assert marginal_residual(rep.solution, cs) < 1e-12
 
 
+def test_residual_needs_no_consistent_marginals():
+    # verify reads the residual of a state against marginals no state may have
+    half = np.eye(2) / 2
+    cs = bipartite_cs(half, 0.9 * half)
+    assert marginal_residual(np.eye(4) / 4, cs) == pytest.approx(0.1 * np.linalg.norm(half))
+
+
 class TestSolveFeasible:
     def test_tripartite_fixture(self):
         rho23, _ = load_matrix("tripartite_222/rho_23.json")
@@ -275,6 +282,31 @@ class TestDykstra:
         rep = dykstra_project(z, cs, SolveOptions(max_iterations=50, tolerance=1e-12))
         assert rep.converged and rep.iterations <= 2
         assert np.abs(rep.solution - z).max() < 1e-12
+
+    def test_feasible_psd_start_comes_back_unchanged(self):
+        r1, r2 = (hermitize(r) for r in random_density_pair(np.random.default_rng(5), 2, 2))
+        z = kron(r1, r2)
+        rep = dykstra_project(z, bipartite_cs(r1, r2), SolveOptions(tolerance=1e-12))
+        assert rep.converged and rep.iterations == 0
+        assert np.array_equal(rep.solution, z)
+
+    def test_restarts_never_start_from_a_random_point(self):
+        rng = np.random.default_rng(7)
+        cs = bipartite_cs(*random_density_pair(rng, 2, 3))
+        z = random_hermitian(rng, 6)
+        one, three = (dykstra_project(z, cs, SolveOptions(max_iterations=3, seed=4,
+                                                          restarts=restarts))
+                      for restarts in (1, 3))
+        assert not one.converged and one.iterations == 3
+        for field in ["solution", "iterations", "residual_history", "converged",
+                      "final_residual", "seed_used", "notes"]:
+            assert np.array_equal(getattr(three, field), getattr(one, field)), field
+        assert three.seed_used == 4
+
+    def test_wrong_order_names_the_initial_point(self):
+        r1, r2 = random_density_pair(np.random.default_rng(5), 2, 2)
+        with pytest.raises(ValueError, match="initial point order 3 does not match dims"):
+            dykstra_project(np.eye(3) / 3, bipartite_cs(r1, r2))
 
     def test_variational_inequality(self):
         rng = np.random.default_rng(6)

@@ -1,20 +1,32 @@
+import re
+
 import numpy as np
 import pytest
 
 from qmarginals import (
+    ConstraintSet,
     DensityMatrix,
+    SolveOptions,
     SystemDims,
     as_spectrum,
+    dykstra_project,
     grad_renyi,
     grad_von_neumann_objective,
     greedy_minmatch,
     hermitize,
     kron,
+    marginal_residual,
     numerical_rank,
     partial_trace,
+    project_intersection,
+    project_marginals,
+    project_psd,
+    project_spectrum,
+    pseudoinverse_projection,
     random_density,
     random_probability_vector,
     random_unitary,
+    vectorize_constraints,
 )
 from qmarginals.constructive import _phase_fixed_eig
 from qmarginals.tensorcore import density_input, kron_all, swap_bipartite
@@ -308,3 +320,55 @@ class TestNumericalRank:
 
     def test_from_matrix(self):
         assert numerical_rank(np.diag([0.5, 0.5, 0.0])) == 2
+
+
+def maximally_mixed_pair():
+    return ConstraintSet((2, 2), [((1,), np.eye(2) / 2), ((2,), np.eye(2) / 2)])
+
+
+# every public function that takes a matrix, and the name its errors give that matrix
+MATRIX_ARGUMENTS = {
+    "project_marginals": (lambda m: project_marginals(m, maximally_mixed_pair()), "z"),
+    "project_psd": (project_psd, "z"),
+    "project_spectrum": (lambda m: project_spectrum(m, [0.25] * 4), "p"),
+    "project_intersection": (lambda m: project_intersection(m, maximally_mixed_pair()), "z"),
+    "marginal_residual": (lambda m: marginal_residual(m, maximally_mixed_pair()), "x"),
+    "partial_trace": (lambda m: partial_trace(m, (2, 2), (1,)), "rho"),
+    "dykstra_project": (lambda m: dykstra_project(m, maximally_mixed_pair(),
+                                                  SolveOptions(max_iterations=5)),
+                        "initial point"),
+    "numerical_rank": (numerical_rank, "a"),
+}
+ORDER_CHECKED = ["project_marginals", "project_intersection", "marginal_residual",
+                 "partial_trace", "dykstra_project"]
+
+
+class TestMatrixArgumentCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", list(MATRIX_ARGUMENTS))
+    def test_non_finite_entry_raises_naming_the_argument(self, name, bad):
+        call, what = MATRIX_ARGUMENTS[name]
+        m = np.eye(4) / 4
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(what)}: entries must be finite"):
+            call(m)
+
+    @pytest.mark.parametrize("name", ORDER_CHECKED)
+    def test_wrong_order_raises_naming_the_argument(self, name):
+        call, what = MATRIX_ARGUMENTS[name]
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(what)} order 3 does not match dims \\(2, 2\\)"):
+            call(np.eye(3) / 3)
+
+    def test_oracle_checks_order_and_entries(self):
+        vc = vectorize_constraints(maximally_mixed_pair())
+        with pytest.raises(ValueError, match="^z order 3 does not match dims"):
+            pseudoinverse_projection(np.eye(3) / 3, vc)
+        with pytest.raises(ValueError, match="^z: entries must be finite"):
+            pseudoinverse_projection(np.full((4, 4), np.nan), vc)
+
+    def test_density_matrix_order_must_match_dims(self):
+        with pytest.raises(ValueError, match="^density matrix order 4 does not match dims"):
+            DensityMatrix(np.eye(4) / 4, (2, 3))
+        with pytest.raises(ValueError, match="^density matrix order 4 does not match dims"):
+            DensityMatrix(DensityMatrix(np.eye(4) / 4), (3,))

@@ -4,7 +4,10 @@ change leaves results bit-identical.
     python3 tools/output_digests.py <checkout>   # e.g. . or a clone of the parent
 
 Prints one digest per item and a total. Covered: every SolveReport field
-except wall_time for the five solvers over seeds 0-3; rank_sweep and
+except wall_time for the five solvers over seeds 0-3; project_marginals,
+solve_feasible at seeds 0-1 and dykstra_project on two families whose sweeps
+trace more than one lattice node (kept sets (1,2), (2,3), (2,) of three
+qubits, and all pairs of five qubits); rank_sweep and
 rank_k_roots_of_unity at every admissible k, greedy_minmatch and
 interlace_decomposition (state and decomposition) on a seeded rotated pair,
 and pure_state_from_isospectral on its first marginal and that marginal's
@@ -16,6 +19,7 @@ Floats are hashed by their bytes, so even the sign of a zero counts.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -101,6 +105,27 @@ def solver_digests() -> dict:
         nspg = qm.SolveOptions(seed=seed, max_iterations=200)
         out[f"nspg-2x2-{seed}"] = report(qm.nspg_minimize(cs22, opts=nspg))
         out[f"nspg-renyi-2x2-{seed}"] = report(qm.nspg_minimize(cs22, "renyi", 2.0, opts=nspg))
+    return out
+
+
+def multinode_digests() -> dict:
+    """Families whose lattice plan has nodes other than the kept sets and the empty set."""
+    families = {
+        "nested": ((2, 2, 2), [(1, 2), (2, 3), (2,)], 21),
+        "allpairs-5q": ((2,) * 5, list(itertools.combinations(range(1, 6), 2)), 5),
+    }
+    out = {}
+    for name, (dims, keeps, seed) in families.items():
+        rho = qm.random_density(dims, seed).matrix
+        cs = qm.ConstraintSet(dims, [(keep, qm.partial_trace(rho, dims, keep))
+                                     for keep in keeps])
+        z = qm.hermitize(np.random.default_rng(seed).normal(size=rho.shape) + 0j)
+        out[f"marginals-{name}"] = qm.project_marginals(z, cs)
+        for s in range(2):
+            out[f"feasible-{name}-{s}"] = report(qm.solve_feasible(
+                cs, qm.SolveOptions(seed=s, tolerance=1e-10, max_iterations=3000)))
+        out[f"dykstra-{name}"] = report(qm.dykstra_project(
+            z, cs, qm.SolveOptions(tolerance=1e-10, max_iterations=5000)))
     return out
 
 
@@ -203,7 +228,8 @@ def cli_digests(tmp: Path) -> dict:
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        items = {**solver_digests(), **construction_digests(), **cli_digests(Path(tmp))}
+        items = {**solver_digests(), **multinode_digests(), **construction_digests(),
+                 **cli_digests(Path(tmp))}
     digests = {name: digest(value) for name, value in items.items()}
     for name, d in digests.items():
         print(name, d)
