@@ -72,10 +72,10 @@ def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
                          f"got {len(entries)}")
     try:
         _numbers_only(chain.from_iterable(entries))
-        flat = np.array([complex(re, im) for re, im in entries])
+        pairs = np.array(entries, dtype=float).reshape(n * n, 2)   # fails unless all are pairs
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: entries must be [re, im] pairs of floats") from exc
-    m = flat.reshape(n, n)
+    m = pairs.view(complex).reshape(n, n)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > 1e-12:

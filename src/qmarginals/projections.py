@@ -236,29 +236,39 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     the Hermitian part, so that is taken once, of the result.
     """
     z = _as_square(z, "z", cs.dims)
-    return _project_affine(z, cs, _deficits(z, cs))
+    plan = _SweepPlan(cs, z.dtype)
+    return _project_affine(z, plan, _deficits(z, plan))
 
 
-def _deficits(x, cs: ConstraintSet, plan: bool = True) -> dict:
-    """{S: tr_{S^c}(x) - sigma_S} over the constraints and, with `plan`, over
-    every nonempty node of the lattice plan, in x's dtype (float64 needs real
-    targets). Each is traced once, from x; a kept set that is a node of the
-    plan targets its own sigma there, so it is traced once too."""
-    real = x.dtype == np.float64
-    targets = {c.keep: c.target for c in cs.constraints}
-    if plan:
-        targets.update((labels, t) for _w, labels, t in cs.correction_terms if labels)
-    return {s: _reducer(cs.dims, s)(x) - (t.real if real else t) for s, t in targets.items()}
+class _SweepPlan:
+    """What a sweep loop in one dtype needs of `cs`, built once per loop:
+    (S, reducer, sigma_S) for every constraint and, with `lattice`, every
+    nonempty lattice node; the constraint keys that Err sums; and the
+    lattice plan's terms, which the affine step lifts onto a copy of z."""
+
+    def __init__(self, cs: ConstraintSet, dtype, lattice: bool = True):
+        real = np.dtype(dtype) == np.float64
+        targets = {c.keep: c.target for c in cs.constraints}
+        if lattice:
+            targets.update((labels, t) for _w, labels, t in cs.correction_terms if labels)
+        self.nodes = [(s, _reducer(cs.dims, s), t.real if real else t) for s, t in targets.items()]
+        self.keys = [c.keep for c in cs.constraints]
+        self.dims, self.terms = cs.dims, cs.correction_terms if lattice else ()
 
 
-def _project_affine(z, cs: ConstraintSet, deficits) -> np.ndarray:
+def _deficits(x, plan: _SweepPlan) -> dict:
+    """{S: tr_{S^c}(x) - sigma_S} over the plan's nodes, each traced once from x."""
+    return {s: reduce(x) - t for s, reduce, t in plan.nodes}
+
+
+def _project_affine(z, plan: _SweepPlan, deficits) -> np.ndarray:
     """project_marginals in z's dtype, given z's `_deficits`: each nonempty
     node lifts its own deficit, and the empty node reads the trace of z."""
     n = z.shape[0]
     out = z.copy()
-    for w, labels, target in cs.correction_terms:
+    for w, labels, target in plan.terms:
         if labels:
-            _add_lifted(out, w, deficits[labels], cs.dims, labels)
+            _add_lifted(out, w, deficits[labels], plan.dims, labels)
         else:
             out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
     return _sym(out)

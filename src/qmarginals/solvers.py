@@ -25,6 +25,7 @@ from .entropy import entropy_objective
 from .projections import (
     ConstraintSet,
     project_intersection,
+    _SweepPlan,
     _deficits,
     _project_affine,
     _project_psd,
@@ -80,12 +81,13 @@ class SolveReport:
 
 def marginal_residual(x, cs: ConstraintSet) -> float:
     """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F."""
-    return _err(_deficits(_as_square(x, "x", cs.dims), cs, plan=False), cs)
+    plan = _SweepPlan(cs, np.complex128, lattice=False)
+    return _err(_deficits(_as_square(x, "x", cs.dims), plan), plan)
 
 
-def _err(deficits, cs: ConstraintSet) -> float:
+def _err(deficits, plan: _SweepPlan) -> float:
     """Err from the marginal deficits: the sum of the constraints' Frobenius norms."""
-    return float(sum(np.linalg.norm(deficits[c.keep]) for c in cs.constraints))
+    return float(sum(np.linalg.norm(deficits[keep]) for keep in plan.keys))
 
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
@@ -110,23 +112,24 @@ def _alternate(z, cs, second, max_sweeps, *, err_tol, increments=False):
     """Sweep X -> second(P_A(X)) from z until Err < err_tol, in z's dtype.
 
     Each sweep reduces X to the constraints once: Err(X) and the next P_A(X)
-    both read those reductions. Returns (x, Err history, converged). With
-    `increments` the second leg carries Dykstra's correction term (the
-    affine leg needs none).
+    both read those reductions, on a `_SweepPlan` built once. Returns (x,
+    Err history, converged). With `increments` the second leg carries
+    Dykstra's correction term (the affine leg needs none).
     """
-    x, deficits = z, _deficits(z, cs)
+    plan = _SweepPlan(cs, z.dtype)
+    x, deficits = z, _deficits(z, plan)
     increment = np.zeros_like(z)
     history = []
     for _ in range(max_sweeps):
-        y = _project_affine(x, cs, deficits)
+        y = _project_affine(x, plan, deficits)
         if increments:
             t = y + increment
             x = second(t)
             increment = t - x
         else:
             x = second(y)
-        deficits = _deficits(x, cs)
-        history.append(_err(deficits, cs))
+        deficits = _deficits(x, plan)
+        history.append(_err(deficits, plan))
         if history[-1] < err_tol:
             return x, history, True
     return x, history, False
@@ -143,16 +146,17 @@ def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
     Hermitian, as the PSD projection requires. Returns (x, Err history,
     converged); x is PSD.
     """
-    a = z = _project_affine(z, cs, _deficits(z, cs))
+    plan = _SweepPlan(cs, z.dtype)
+    a = z = _project_affine(z, plan, _deficits(z, plan))
     history = []
     while True:
         x = _project_psd(2 * a - z)
-        deficits = _deficits(x, cs)
-        history.append(_err(deficits, cs))
+        deficits = _deficits(x, plan)
+        history.append(_err(deficits, plan))
         if history[-1] < err_tol or len(history) == max_sweeps:
             return x, history, history[-1] < err_tol
         z = z + x - a
-        a = _project_affine(x, cs, deficits)
+        a = _project_affine(x, plan, deficits)
 
 
 def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
@@ -169,17 +173,14 @@ def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
         x = _initial_point(cs, seed, initial if seed == opts.seed else None)
         err0 = marginal_residual(x, cs)
         if err0 < opts.tolerance and entry_ok(x):
-            reports.append(SolveReport(
-                solution=x, iterations=0, residual_history=np.empty(0),
-                converged=True, wall_time=0.0, final_residual=err0, seed_used=seed,
-            ))
-            break
-        x, history, converged = loop(_real_if_exact(x, cs), opts.max_iterations,
-                                     opts.tolerance)
+            history, converged = [], True
+        else:
+            x, history, converged = loop(_real_if_exact(x, cs), opts.max_iterations,
+                                         opts.tolerance)
         reports.append(SolveReport(
             solution=x.astype(complex, copy=False), iterations=len(history),
             residual_history=np.asarray(history), converged=converged,
-            wall_time=0.0, final_residual=history[-1], seed_used=seed,
+            wall_time=0.0, final_residual=history[-1] if history else err0, seed_used=seed,
         ))
         if converged:
             break
@@ -319,6 +320,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
 
     values, u = np.linalg.eigh(rho)
     f_cur = -entropy(values)
+    g = grad_of(values, u)   # the gradient at rho, carried with each accepted step
     window = deque([f_cur], maxlen=NSPG_WINDOW)
     step = 1.0
     station_history = []
@@ -328,7 +330,6 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     stalls = 0
     eps = np.finfo(float).eps
     for _ in range(opts.max_iterations):
-        g = grad_of(values, u)
         projected = inner_project(rho - g)
         station_history.append(float(np.linalg.norm(projected - rho)))
         if station_history[-1] <= opts.nspg_stationarity_tol:
@@ -362,16 +363,16 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
                 break
             continue
         stalls = 0
+        g_new = grad_of(cand_values, cand_u)
         if not unverified:
             s = candidate - rho
-            g_new = grad_of(cand_values, cand_u)
             b = float(np.real(np.trace(s.conj().T @ (g_new - g))))
             if b <= 0:
                 step = NSPG_ALPHA_MAX
             else:
                 a = float(np.real(np.trace(s.conj().T @ s)))
                 step = min(NSPG_ALPHA_MAX, max(NSPG_ALPHA_MIN, a / b))
-        rho, values, u, f_cur = candidate, cand_values, cand_u, f_new
+        rho, f_cur, g = candidate, f_new, g_new
         window.append(f_cur)
         objective_history.append(f_cur)
 

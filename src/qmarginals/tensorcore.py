@@ -74,8 +74,9 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2 in A's own dtype: the symmetric part of a real A stays real."""
-    return (a + a.conj().T) / 2
+    """(A + A*)/2 in A's own dtype, built in one new array: a real A stays real."""
+    t = np.conjugate(a.T, order="C") if np.iscomplexobj(a) else np.array(a.T, order="C")
+    return np.divide(np.add(t, a, out=t), 2, out=t)
 
 
 def _as_square(a, what: str, dims: SystemDims | None = None) -> np.ndarray:
@@ -93,9 +94,12 @@ def _as_square(a, what: str, dims: SystemDims | None = None) -> np.ndarray:
 
 
 def numerical_rank(a) -> int:
-    """Count of eigenvalues above 1e-10 * max(1, lambda_max)."""
+    """Count of eigenvalues above 1e-10 * max(1, lambda_max), of a matrix or
+    of its eigenvalues given as a 1-D array, which must be finite too."""
     values = (a if isinstance(a, np.ndarray) and a.ndim == 1
               else np.linalg.eigvalsh(hermitize(_as_square(a, "a"))))
+    if not np.isfinite(values).all():
+        raise ValueError("a: entries must be finite, got non-finite values")
     if len(values) == 0:
         return 0
     return int(np.sum(values > RANK_RTOL * max(1.0, float(np.max(values)))))

@@ -321,6 +321,11 @@ class TestNumericalRank:
     def test_from_matrix(self):
         assert numerical_rank(np.diag([0.5, 0.5, 0.0])) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_values_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^a: entries must be finite"):
+            numerical_rank(np.array([bad, 0.5, 0.5]))
+
 
 def maximally_mixed_pair():
     return ConstraintSet((2, 2), [((1,), np.eye(2) / 2), ((2,), np.eye(2) / 2)])
