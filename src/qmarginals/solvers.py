@@ -159,11 +159,12 @@ def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
         a = _project_affine(x, plan, deficits)
 
 
-def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
+def _sweep_solver(cs, opts, initial, loop, entry_ok, nudge=False) -> SolveReport:
     """Run `loop(x, max_sweeps, err_tol)` from each restart until Err < tolerance.
 
     Restarts after the first start from seeded random points. A start that
-    meets the marginals and `entry_ok` is returned unchanged.
+    meets the marginals and `entry_ok` is returned unchanged; any other start
+    is `_nudged` with the restart's seed first when `nudge` is set.
     """
     opts = opts or SolveOptions()
     cs.correction_terms  # validates consistency up front
@@ -175,8 +176,10 @@ def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
         if err0 < opts.tolerance and entry_ok(x):
             history, converged = [], True
         else:
-            x, history, converged = loop(_real_if_exact(x, cs), opts.max_iterations,
-                                         opts.tolerance)
+            x = _real_if_exact(x, cs)
+            if nudge:
+                x = _nudged(x, seed)
+            x, history, converged = loop(x, opts.max_iterations, opts.tolerance)
         reports.append(SolveReport(
             solution=x.astype(complex, copy=False), iterations=len(history),
             residual_history=np.asarray(history), converged=converged,
@@ -189,6 +192,18 @@ def _sweep_solver(cs, opts, initial, loop, entry_ok) -> SolveReport:
         best = min(reports, key=lambda r: r.final_residual)
     best.wall_time = time.perf_counter() - t0
     return best
+
+
+RANK_NUDGE = 1e-6   # relative size of the rank solver's start perturbation
+
+
+def _nudged(x, seed: int) -> np.ndarray:
+    """x + RANK_NUDGE ||x||_F H / ||H||_F, with H Hermitian from the generator
+    seeded by `seed`; H is real symmetric when x is float64."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(x.shape)
+    h = _sym(h + 1j * rng.standard_normal(x.shape) if np.iscomplexobj(x) else h)
+    return x + (RANK_NUDGE * np.linalg.norm(x) / np.linalg.norm(h)) * h
 
 
 def solve_with_spectrum(cs: ConstraintSet, c, opts: SolveOptions | None = None,
@@ -219,7 +234,12 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
     The rank step keeps the top-r eigenvalues clipped at zero, without
     renormalizing the trace (the next affine projection restores it).
     Convergence is not guaranteed; a non-converged report is a signal, not a
-    proof, that no rank-r solution exists.
+    proof, that no rank-r solution exists. Each start that is not already a
+    solution is first `_nudged` by RANK_NUDGE = 1e-6 of its Frobenius norm:
+    both projections keep a sparse start's zero pattern, whose best rank-r
+    point can be a saddle. From the greedy start of the rank_3x4 fixture at
+    r = 2 that saddle holds the sweeps at Err 0.013142 until rounding noise
+    has grown (2,862 sweeps); nudged, seeds 0-30 certify in 1,582-1,835.
     """
     if r < 1:
         raise ValueError("rank cap must be >= 1")
@@ -231,7 +251,7 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
     def loop(x, sweeps, tol):
         return _alternate(x, cs, lambda y: _project_rank(y, r), sweeps, err_tol=tol)
 
-    return _sweep_solver(cs, opts, initial, loop, entry_ok)
+    return _sweep_solver(cs, opts, initial, loop, entry_ok, nudge=True)
 
 
 def _project_rank(y, r: int) -> np.ndarray:
