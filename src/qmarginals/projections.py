@@ -243,8 +243,10 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
 class _SweepPlan:
     """What a sweep loop in one dtype needs of `cs`, built once per loop:
     (S, reducer, sigma_S) for every constraint and, with `lattice`, every
-    nonempty lattice node; the constraint keys that Err sums; and the
-    lattice plan's terms, which the affine step lifts onto a copy of z."""
+    nonempty lattice node, sigma_S in that dtype (float64 needs real targets)
+    and a kept set that is also a node listed once; the constraint keys that
+    Err sums; and the lattice plan's terms, which the affine step lifts onto
+    a copy of z."""
 
     def __init__(self, cs: ConstraintSet, dtype, lattice: bool = True):
         real = np.dtype(dtype) == np.float64
