@@ -27,12 +27,14 @@ from .projections import (
 )
 from .solvers import SolveOptions, SolveReport, marginal_residual
 from .tensorcore import (
+    TRACE_ATOL,
     as_dims,
     numerical_rank,
     partial_trace,
     random_density,
     random_probability_vector,
     random_unitary,
+    _psd,
 )
 
 
@@ -417,8 +419,8 @@ def verify(solution_file, dims_text, marginals, tol):
     cs = ConstraintSet(dims, _read_marginals(marginals))
     checks = {
         "hermitian": True,  # read_matrix enforces it
-        "psd": bool(np.linalg.eigvalsh(matrix)[0] >= -1e-10),
-        "unit_trace": bool(abs(float(np.trace(matrix).real) - 1.0) <= max(tol, 1e-10)),
+        "psd": _psd(np.linalg.eigvalsh(matrix)),
+        "unit_trace": bool(abs(float(np.trace(matrix).real) - 1.0) <= max(tol, TRACE_ATOL)),
         "marginals": bool(marginal_residual(matrix, cs) <= tol),
     }
     for name, ok in checks.items():

@@ -20,9 +20,9 @@ from .tensorcore import (
     kron,
     numerical_rank,
     swap_bipartite,
+    _finite,
 )
 
-ZERO_EIG = 1e-12      # eigenvalues at or below this count as exact zeros
 TIE_EPS = 1e-12       # spectral ties within this width may chain either way
 RADICAND_CLIP = 1e-12
 ISOSPECTRAL_TOL = 1e-8
@@ -71,15 +71,10 @@ def _phase_fixed_eig(m):
     return values, vectors
 
 
-def _descending_eig(m):
-    values, vectors = _phase_fixed_eig(m)
-    return np.where(values > ZERO_EIG, values, 0.0), vectors
-
-
 def _ranked_eig(m):
     """(values, vectors, r): descending eigenpairs whose values beyond the
     numerical rank r are set to zero, so that a construction uses exactly
-    the eigenvalues that `numerical_rank` counts."""
+    the eigenvalues that `numerical_rank` counts, the others exact zeros."""
     values, vectors = _phase_fixed_eig(m)
     r = numerical_rank(values)
     values[r:] = 0.0
@@ -178,8 +173,7 @@ def _of_rank(state: DensityMatrix, k: int) -> DensityMatrix:
 
 def _sweep_component(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     n1, n2 = len(a), len(b)
-    ra = int(np.sum(a > ZERO_EIG))
-    rb = int(np.sum(b > ZERO_EIG))
+    ra, rb = np.count_nonzero(a), np.count_nonzero(b)
     if k <= ra + rb - 1:
         return _roots_component(a, b, k)
     if ra > rb:
@@ -204,8 +198,8 @@ def rank_one_downdate(a, b) -> np.ndarray:
     formula. Interlacing violations up to INTERLACE_TOL are accepted as
     round-off, and radicands down to -RADICAND_CLIP are clipped to zero.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
+    a = _finite(np.asarray(a, dtype=float).ravel(), "a")
+    b = _finite(np.asarray(b, dtype=float).ravel(), "b")
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     k = len(a)
@@ -256,8 +250,8 @@ def _alternating_chains(va: np.ndarray, vb: np.ndarray):
     leftovers. Ties within TIE_EPS chain up rather than split, so
     numerically isospectral inputs collapse into a single chain.
     """
-    avail_a = [(float(va[s]), s) for s in range(len(va)) if va[s] > ZERO_EIG]
-    avail_b = [(float(vb[s]), s) for s in range(len(vb)) if vb[s] > ZERO_EIG]
+    avail_a = [(float(va[s]), s) for s in range(len(va)) if va[s] > 0]
+    avail_b = [(float(vb[s]), s) for s in range(len(vb)) if vb[s] > 0]
     chains: list[tuple[str, list[int], list[int]]] = []
     left_a: list[int] = []
     left_b: list[int] = []
@@ -302,12 +296,10 @@ def _alternating_chains(va: np.ndarray, vb: np.ndarray):
 
 def _pair_pure_vector(c: np.ndarray, ct: np.ndarray) -> np.ndarray:
     """The lift of an isospectral pair, its eigenpairs matched in descending order."""
-    wc, uc = _descending_eig(c)
-    wt, vt = _descending_eig(ct)
+    wc, uc, _ = _ranked_eig(c)
+    wt, vt, _ = _ranked_eig(ct)
     m = min(len(wc), len(wt))
-    weight = (wc[:m] + wt[:m]) / 2
-    on = weight > ZERO_EIG * max(1.0, float(wc[0]))
-    return _lift(weight[on], uc[:, :m][:, on], vt[:, :m][:, on])
+    return _lift((wc[:m] + wt[:m]) / 2, uc[:, :m], vt[:, :m])
 
 
 def _assemble(pairs, vectors, n1: int, n2: int):
@@ -336,9 +328,9 @@ def interlace_decomposition(rho1, rho2):
     b_rem = r2.copy()
     pairs = []
     for _ in range(4 * (n1 + n2)):
-        va, ua = _descending_eig(a_rem)
-        vb, vbv = _descending_eig(b_rem)
-        if va.sum() <= ZERO_EIG and vb.sum() <= ZERO_EIG:
+        va, ua, ra = _ranked_eig(a_rem)
+        vb, vbv, rb = _ranked_eig(b_rem)
+        if ra == rb == 0:
             break
         chains, left_a, left_b = _alternating_chains(va, vb)
         if not chains:
@@ -374,8 +366,8 @@ def interlace_decomposition(rho1, rho2):
 
 
 def _greedy_rounds(r1, r2, n1, n2):
-    va, ua = _descending_eig(r1)
-    vb, vbv = _descending_eig(r2)
+    va, ua, _ = _ranked_eig(r1)
+    vb, vbv, _ = _ranked_eig(r2)
     a = va.copy()
     b = vb.copy()
     m = min(n1, n2)

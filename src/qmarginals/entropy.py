@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensorcore import PSD_ATOL, density_input, hermitize
+from .tensorcore import PSD_ATOL, density_input, hermitize, _as_square, _psd
 
 LOG_FLOOR = 1e-15
 
@@ -43,8 +43,8 @@ def _grad_renyi(values: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _clipped_spectrum(rho) -> np.ndarray:
-    values = np.linalg.eigvalsh(np.asarray(getattr(rho, "matrix", rho)))
-    if values[0] < -PSD_ATOL:
+    values = np.linalg.eigvalsh(_as_square(rho, "rho"))
+    if not _psd(values):
         raise ValueError(f"matrix is not PSD within {PSD_ATOL}: min eigenvalue {values[0]}")
     return np.clip(values, 0.0, None)
 

@@ -242,20 +242,18 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
 
 class _SweepPlan:
     """What a sweep loop in one dtype needs of `cs`, built once per loop:
-    (S, reducer, sigma_S) for every constraint and, with `lattice`, every
-    nonempty lattice node, sigma_S in that dtype (float64 needs real targets)
-    and a kept set that is also a node listed once; the constraint keys that
-    Err sums; and the lattice plan's terms, which the affine step lifts onto
-    a copy of z."""
+    (S, reducer, sigma_S) for every constraint and every nonempty lattice
+    node, sigma_S in that dtype (float64 needs real targets) and a kept set
+    that is also a node listed once; the constraint keys that Err sums; and
+    the lattice plan's terms, which the affine step lifts onto a copy of z."""
 
-    def __init__(self, cs: ConstraintSet, dtype, lattice: bool = True):
+    def __init__(self, cs: ConstraintSet, dtype):
         real = np.dtype(dtype) == np.float64
         targets = {c.keep: c.target for c in cs.constraints}
-        if lattice:
-            targets.update((labels, t) for _w, labels, t in cs.correction_terms if labels)
+        targets.update((labels, t) for _w, labels, t in cs.correction_terms if labels)
         self.nodes = [(s, _reducer(cs.dims, s), t.real if real else t) for s, t in targets.items()]
         self.keys = [c.keep for c in cs.constraints]
-        self.dims, self.terms = cs.dims, cs.correction_terms if lattice else ()
+        self.dims, self.terms = cs.dims, cs.correction_terms
 
 
 def _deficits(x, plan: _SweepPlan) -> dict:

@@ -17,6 +17,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,10 +33,14 @@ from .projections import (
     _project_spectrum,
 )
 from .tensorcore import (
+    SPECTRUM_ATOL,
     as_spectrum,
     hermitize,
+    numerical_rank,
     random_density,
     _as_square,
+    _psd,
+    _reducer,
     _sym,
 )
 
@@ -81,8 +86,9 @@ class SolveReport:
 
 def marginal_residual(x, cs: ConstraintSet) -> float:
     """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F."""
-    plan = _SweepPlan(cs, np.complex128, lattice=False)
-    return _err(_deficits(_as_square(x, "x", cs.dims), plan), plan)
+    x = _as_square(x, "x", cs.dims)
+    return float(sum(np.linalg.norm(_reducer(cs.dims, c.keep)(x) - c.target)
+                     for c in cs.constraints))
 
 
 def _err(deficits, plan: _SweepPlan) -> float:
@@ -94,10 +100,6 @@ def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
     if initial is not None:
         return hermitize(_as_square(initial, "initial point", cs.dims))
     return np.array(random_density(cs.dims, seed).matrix)
-
-
-def _is_psd(x) -> bool:
-    return bool(np.linalg.eigvalsh(x)[0] >= -1e-12)
 
 
 def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
@@ -159,12 +161,13 @@ def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
         a = _project_affine(x, plan, deficits)
 
 
-def _sweep_solver(cs, opts, initial, loop, entry_ok, nudge=False) -> SolveReport:
-    """Run `loop(x, max_sweeps, err_tol)` from each restart until Err < tolerance.
+def _sweep_solver(cs, opts, initial, loop, contains, nudge=False) -> SolveReport:
+    """Run `loop(x, cs, max_sweeps=, err_tol=)` from each restart until Err < tolerance.
 
     Restarts after the first start from seeded random points. A start that
-    meets the marginals and `entry_ok` is returned unchanged; any other start
-    is `_nudged` with the restart's seed first when `nudge` is set.
+    meets the marginals and whose ascending eigenvalues the target set
+    `contains` is returned unchanged; any other start is `_nudged` with the
+    restart's seed first when `nudge` is set.
     """
     opts = opts or SolveOptions()
     cs.correction_terms  # validates consistency up front
@@ -173,13 +176,14 @@ def _sweep_solver(cs, opts, initial, loop, entry_ok, nudge=False) -> SolveReport
     for seed in range(opts.seed, opts.seed + opts.restarts):
         x = _initial_point(cs, seed, initial if seed == opts.seed else None)
         err0 = marginal_residual(x, cs)
-        if err0 < opts.tolerance and entry_ok(x):
+        if err0 < opts.tolerance and contains(np.linalg.eigvalsh(x)):
             history, converged = [], True
         else:
             x = _real_if_exact(x, cs)
             if nudge:
                 x = _nudged(x, seed)
-            x, history, converged = loop(x, opts.max_iterations, opts.tolerance)
+            x, history, converged = loop(x, cs, max_sweeps=opts.max_iterations,
+                                         err_tol=opts.tolerance)
         reports.append(SolveReport(
             solution=x.astype(complex, copy=False), iterations=len(history),
             residual_history=np.asarray(history), converged=converged,
@@ -218,13 +222,11 @@ def solve_with_spectrum(cs: ConstraintSet, c, opts: SolveOptions | None = None,
     if len(c) != cs.dims.total:
         raise ValueError(f"spectrum length {len(c)} does not match total dim {cs.dims.total}")
 
-    def entry_ok(x):
-        return bool(np.max(np.abs(np.linalg.eigvalsh(x)[::-1] - c)) <= 1e-8)
+    def contains(values):
+        return bool(np.max(np.abs(values[::-1] - c)) <= SPECTRUM_ATOL)
 
-    def loop(x, sweeps, tol):
-        return _alternate(x, cs, lambda y: _project_spectrum(y, c), sweeps, err_tol=tol)
-
-    return _sweep_solver(cs, opts, initial, loop, entry_ok)
+    loop = partial(_alternate, second=lambda y: _project_spectrum(y, c))
+    return _sweep_solver(cs, opts, initial, loop, contains)
 
 
 def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = None,
@@ -244,14 +246,11 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
     if r < 1:
         raise ValueError("rank cap must be >= 1")
 
-    def entry_ok(x):
-        values = np.linalg.eigvalsh(x)   # ascending; all but the top r must vanish
-        return bool(values[0] >= -1e-12 and np.all(values[:-r] <= 1e-12))
+    def contains(values):
+        return _psd(values) and numerical_rank(values) <= r
 
-    def loop(x, sweeps, tol):
-        return _alternate(x, cs, lambda y: _project_rank(y, r), sweeps, err_tol=tol)
-
-    return _sweep_solver(cs, opts, initial, loop, entry_ok, nudge=True)
+    loop = partial(_alternate, second=lambda y: _project_rank(y, r))
+    return _sweep_solver(cs, opts, initial, loop, contains, nudge=True)
 
 
 def _project_rank(y, r: int) -> np.ndarray:
@@ -277,10 +276,7 @@ def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
     grows with z (smallest eigenvalue -1.9e-12 after 5,000 sweeps when each
     pair of three qubits is to hold the singlet).
     """
-    def loop(x, sweeps, tol):
-        return _douglas_rachford(x, cs, sweeps, err_tol=tol)
-
-    return _sweep_solver(cs, opts, initial, loop, _is_psd)
+    return _sweep_solver(cs, opts, initial, _douglas_rachford, _psd)
 
 
 def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> SolveReport:
@@ -295,10 +291,8 @@ def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> S
     unchanged, and `opts.restarts` is ignored, as a projection never starts
     from a random point.
     """
-    def loop(x, sweeps, tol):
-        return _alternate(x, cs, _project_psd, sweeps, err_tol=tol, increments=True)
-
-    return _sweep_solver(cs, replace(opts or SolveOptions(), restarts=1), z, loop, _is_psd)
+    loop = partial(_alternate, second=_project_psd, increments=True)
+    return _sweep_solver(cs, replace(opts or SolveOptions(), restarts=1), z, loop, _psd)
 
 
 NSPG_WINDOW = 10          # nonmonotone window: Armijo compares with the worst of these

@@ -15,8 +15,9 @@ from typing import Iterable
 import numpy as np
 
 TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
-RANK_RTOL = 1e-10
+PSD_ATOL = 1e-10      # PSD: the smallest eigenvalue is at least -PSD_ATOL
+RANK_RTOL = 1e-10     # rank: eigenvalues above RANK_RTOL * max(1, lambda_max)
+SPECTRUM_ATOL = 1e-8  # spectrum c: every sorted eigenvalue within this of c
 
 
 @dataclass(frozen=True)
@@ -88,18 +89,26 @@ def _as_square(a, what: str, dims: SystemDims | None = None) -> np.ndarray:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     if dims is not None and m.shape[0] != dims.total:
         raise ValueError(f"{what} order {m.shape[0]} does not match dims {dims.dims}")
-    if not np.isfinite(m).all():
+    return _finite(m, what)
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """`a`, or a ValueError naming it as `what` when an entry is NaN or infinite."""
+    if not np.isfinite(a).all():
         raise ValueError(f"{what}: entries must be finite, got non-finite values")
-    return m
+    return a
+
+
+def _psd(values) -> bool:
+    """The one PSD rule: ascending eigenvalues whose smallest is at least -PSD_ATOL."""
+    return bool(values[0] >= -PSD_ATOL)
 
 
 def numerical_rank(a) -> int:
-    """Count of eigenvalues above 1e-10 * max(1, lambda_max), of a matrix or
+    """Count of eigenvalues above RANK_RTOL * max(1, lambda_max), of a matrix or
     of its eigenvalues given as a 1-D array, which must be finite too."""
-    values = (a if isinstance(a, np.ndarray) and a.ndim == 1
+    values = (_finite(a, "a") if isinstance(a, np.ndarray) and a.ndim == 1
               else np.linalg.eigvalsh(hermitize(_as_square(a, "a"))))
-    if not np.isfinite(values).all():
-        raise ValueError("a: entries must be finite, got non-finite values")
     if len(values) == 0:
         return 0
     return int(np.sum(values > RANK_RTOL * max(1.0, float(np.max(values)))))
@@ -181,9 +190,9 @@ def density_input(rho, what: str = "density matrix",
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{what}: trace must be 1 within {TRACE_ATOL}, got {tr}")
-    lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -PSD_ATOL:
-        raise ValueError(f"{what}: not PSD, min eigenvalue {lo}")
+    values = np.linalg.eigvalsh(m)
+    if not _psd(values):
+        raise ValueError(f"{what}: not PSD, min eigenvalue {values[0]}")
     return m
 
 
@@ -200,7 +209,7 @@ def as_spectrum(values, *, probability: bool = False) -> np.ndarray:
         raise ValueError("spectrum entries must be finite")
     v = np.sort(v)[::-1]
     if probability:
-        if v[-1] < -PSD_ATOL:
+        if not _psd(v[::-1]):
             raise ValueError(f"spectrum entries must be >= 0, got {v[-1]}")
         s = float(v.sum())
         if abs(s - 1.0) > TRACE_ATOL:

@@ -316,6 +316,14 @@ class TestRankOneDowndate:
         with pytest.raises(ValueError, match="interlacing violated"):
             rank_one_downdate(np.array([0.5, 0.4]), np.array([0.6, 0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_naming_the_argument(self, bad):
+        # every interlacing comparison is False on NaN
+        with pytest.raises(ValueError, match="^a: entries must be finite"):
+            rank_one_downdate([0.6, bad], [0.5, 0.1])
+        with pytest.raises(ValueError, match="^b: entries must be finite"):
+            rank_one_downdate([0.6, 0.3], [0.5, bad])
+
 
 class TestInterlaceDecomposition:
     def test_isospectral_collapses_to_pure(self):

@@ -48,6 +48,12 @@ class TestVonNeumann:
         with pytest.raises(ValueError):
             von_neumann(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("entropy", [von_neumann, lambda m: renyi(m, 2.0)],
+                             ids=["von_neumann", "renyi"])
+    def test_rejects_non_square_naming_rho(self, entropy):
+        with pytest.raises(ValueError, match="^rho must be square"):
+            entropy(np.ones((2, 3)) / 6)
+
 
 class TestRenyi:
     def test_pure_state(self):

@@ -17,6 +17,7 @@ from qmarginals import (
     project_psd,
     project_spectrum,
     random_density,
+    random_unitary,
     rank_k_roots_of_unity,
     rank_sweep,
     solve_feasible,
@@ -32,6 +33,17 @@ from conftest import load_matrix, load_spectrum, random_density_pair, random_her
 
 def bipartite_cs(r1, r2):
     return ConstraintSet((r1.shape[0], r2.shape[0]), [((1,), r1), ((2,), r2)])
+
+
+def band_starts():
+    """(start, its own marginals) on 2x2 in one Haar frame, at the edge of the
+    target sets: eigenvalues (0.6, 0.4 - 5e-11, 5e-11, 0), one under the rank
+    cut, and (0.6, 0.4 + 5e-11, 0, -5e-11), PSD within PSD_ATOL."""
+    u = random_unitary(4, 3)
+    for values in ([0.6, 0.4 - 5e-11, 5e-11, 0.0], [0.6, 0.4 + 5e-11, 0.0, -5e-11]):
+        x = hermitize((u * values) @ u.conj().T)
+        yield x, ConstraintSet((2, 2), [(keep, partial_trace(x, (2, 2), keep))
+                                        for keep in [(1,), (2,)]])
 
 
 def solve_rank_3x4_from_greedy(opts):
@@ -182,6 +194,12 @@ class TestSolveWithRankCap:
         rep = solve_with_rank_cap(bipartite_cs(a, b), 3, SolveOptions(), initial=greedy)
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(rep.solution, greedy)
+        # rank <= 2 means what numerical_rank counts, on a PSD start
+        for start, cs in band_starts():
+            assert numerical_rank(start) == 2
+            rep = solve_with_rank_cap(cs, 2, SolveOptions(), initial=start)
+            assert rep.converged and rep.iterations == 0
+            assert np.array_equal(rep.solution, start)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_nudge_is_seeded_hermitian_and_of_fixed_relative_size(self, dtype):
@@ -319,6 +337,13 @@ class TestDykstra:
         rep = dykstra_project(z, bipartite_cs(r1, r2), SolveOptions(tolerance=1e-12))
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(rep.solution, z)
+        # PSD means what verify accepts: a smallest eigenvalue down to -PSD_ATOL
+        for start, cs in band_starts():
+            assert numerical_rank(start) == 2
+            for rep in [solve_feasible(cs, SolveOptions(), initial=start),
+                        dykstra_project(start, cs, SolveOptions())]:
+                assert rep.converged and rep.iterations == 0
+                assert np.array_equal(rep.solution, start)
 
     def test_restarts_never_start_from_a_random_point(self):
         rng = np.random.default_rng(7)

@@ -26,7 +26,9 @@ from qmarginals import (
     random_density,
     random_probability_vector,
     random_unitary,
+    renyi,
     vectorize_constraints,
+    von_neumann,
 )
 from qmarginals.constructive import _phase_fixed_eig
 from qmarginals.tensorcore import density_input, kron_all, swap_bipartite
@@ -343,6 +345,8 @@ MATRIX_ARGUMENTS = {
                                                   SolveOptions(max_iterations=5)),
                         "initial point"),
     "numerical_rank": (numerical_rank, "a"),
+    "von_neumann": (von_neumann, "rho"),
+    "renyi": (lambda m: renyi(m, 2.0), "rho"),
 }
 ORDER_CHECKED = ["project_marginals", "project_intersection", "marginal_residual",
                  "partial_trace", "dykstra_project"]
