@@ -5,7 +5,7 @@ Library layout:
 * ``tensorcore``   tensor-structured linear algebra and seeded randomness
 * ``projections``  least-squares projections (marginal sets, spectra, PSD cone)
 * ``constructive`` direct bipartite constructions with controlled rank
-* ``solvers``      Douglas-Rachford, alternating projections, Dykstra, projected gradient
+* ``solvers``      Douglas-Rachford, alternating projections, projected gradient
 * ``entropy``      von Neumann / Renyi entropies and gradients
 * ``oracle``       pseudo-inverse ground truth for the affine projections
 * ``cli``          command-line front end (``qmarginals ...``)
@@ -41,7 +41,6 @@ from .projections import (
 from .solvers import (
     SolveOptions,
     SolveReport,
-    dykstra_project,
     marginal_residual,
     nspg_minimize,
     solve_feasible,

@@ -266,7 +266,7 @@ def project(input_file, dims_text, marginals, spectrum_path, psd_flag, out_path)
         raise ValueError(f"matrix order {file_dims.total} does not match --dims")
     if psd_flag and marginals:
         cs = ConstraintSet(dims, _read_marginals(marginals))
-        result, gnorm, hit_cap = project_intersection(matrix, cs)
+        result, _h, gnorm, hit_cap = project_intersection(matrix, cs)
         click.echo(f"converged: {not hit_cap}")
         click.echo(f"dual gradient: {gnorm:.6e}")
         if hit_cap:

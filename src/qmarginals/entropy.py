@@ -43,7 +43,8 @@ def _grad_renyi(values: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _clipped_spectrum(rho) -> np.ndarray:
-    values = np.linalg.eigvalsh(_as_square(rho, "rho"))
+    """Eigenvalues of rho's Hermitian part, as `numerical_rank` reads it, clipped at 0."""
+    values = np.linalg.eigvalsh(hermitize(_as_square(rho, "rho")))
     if not _psd(values):
         raise ValueError(f"matrix is not PSD within {PSD_ATOL}: min eigenvalue {values[0]}")
     return np.clip(values, 0.0, None)

@@ -342,10 +342,14 @@ def project_intersection(z, cs: ConstraintSet):
     Starts from the affine projection's dual point b - <B, z>, where
     X = P_+(P_A(z)) (the answer when P_A(z) is PSD). Stops at gradient norm
     DUAL_GRAD_TOL, after DUAL_MAX_ITERATIONS Newton steps, or when the line
-    search cannot tell a step from rounding. Returns (X(y), gradient norm,
-    whether the step cap ended it); on marginals that no state has, the cap
-    ends it. The basis is dense, m * n^2 complex numbers for m independent
-    marginal directions: 10 MB for all pairs of 6 qubits, 290 MB at 8.
+    search cannot tell a step from rounding. Returns (X(y), H, gradient norm,
+    whether the step cap ended it), with H = sum y_k B_k the dual point as a
+    Hermitian n x n matrix in the span of the lifted marginal operators: X
+    is the projection of z iff X is PSD, meets the marginals, and
+    S = X - z - H is PSD with <S, X> = 0. On marginals that no state has,
+    the cap ends it. The basis is dense, m * n^2 complex numbers for m
+    independent marginal directions: 10 MB for all pairs of 6 qubits, 290 MB
+    at 8.
     """
     z = hermitize(_as_square(z, "z", cs.dims))
     basis, b = cs._dual_basis
@@ -353,14 +357,15 @@ def project_intersection(z, cs: ConstraintSet):
     flat = basis.reshape(m, n * n)
 
     def evaluate(y):
-        lam, u = np.linalg.eigh((z.ravel() + y @ flat).reshape(n, n))
+        dual = (y @ flat).reshape(n, n)
+        lam, u = np.linalg.eigh(z + dual)
         plus = np.clip(lam, 0.0, None)
         x = (u * plus) @ u.conj().T
         grad = (flat.conj() @ x.ravel()).real - b
-        return lam, u, x, grad, 0.5 * float(plus @ plus) - float(b @ y)
+        return lam, u, x, dual, grad, 0.5 * float(plus @ plus) - float(b @ y)
 
     y = b - (flat.conj() @ z.ravel()).real
-    lam, u, x, grad, phi = evaluate(y)
+    lam, u, x, dual, grad, phi = evaluate(y)
     gnorm = float(np.linalg.norm(grad))
     for _ in range(DUAL_MAX_ITERATIONS):
         if gnorm <= DUAL_GRAD_TOL:
@@ -385,18 +390,18 @@ def project_intersection(z, cs: ConstraintSet):
         t = 1.0
         while True:
             trial = evaluate(y + t * d)
-            trial_gnorm, trial_phi = float(np.linalg.norm(trial[3])), trial[4]
+            trial_gnorm, trial_phi = float(np.linalg.norm(trial[4])), trial[5]
             if trial_gnorm <= gnorm / 2:
                 break
             # below the band phi cannot confirm the predicted decrease, so
             # only a halved gradient can still accept a step (a NaN slope
             # ends the search here too)
             if not -t * slope > band:
-                return hermitize(x), gnorm, False
+                return hermitize(x), dual, gnorm, False
             if trial_phi <= phi + 1e-4 * t * slope:
                 break
             t /= 2
         y = y + t * d
-        lam, u, x, grad, phi = trial
+        lam, u, x, dual, grad, phi = trial
         gnorm = trial_gnorm
-    return hermitize(x), gnorm, gnorm > DUAL_GRAD_TOL
+    return hermitize(x), dual, gnorm, gnorm > DUAL_GRAD_TOL

@@ -1,5 +1,5 @@
-"""Iterative schemes: Douglas-Rachford, alternating projections, Dykstra, and
-projected gradient.
+"""Iterative schemes: Douglas-Rachford, alternating projections and projected
+gradient.
 
 `solve_feasible` runs Douglas-Rachford between the marginal set and the PSD
 cone. The spectrum and rank solvers alternate: on those nonconvex sets
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -50,7 +50,6 @@ class SolveOptions:
     """Iteration limits, tolerances and seeding shared by the solvers.
 
     The sweep solvers read every field but `nspg_stationarity_tol`.
-    `dykstra_project` ignores `restarts` as well (it starts from z alone).
     `nspg_minimize` ignores `tolerance` and `restarts`.
     """
 
@@ -110,26 +109,18 @@ def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
     return np.ascontiguousarray(z.real)
 
 
-def _alternate(z, cs, second, max_sweeps, *, err_tol, increments=False):
+def _alternate(z, cs, second, max_sweeps, *, err_tol):
     """Sweep X -> second(P_A(X)) from z until Err < err_tol, in z's dtype.
 
     Each sweep reduces X to the constraints once: Err(X) and the next P_A(X)
     both read those reductions, on a `_SweepPlan` built once. Returns (x,
-    Err history, converged). With `increments` the second leg carries
-    Dykstra's correction term (the affine leg needs none).
+    Err history, converged).
     """
     plan = _SweepPlan(cs, z.dtype)
     x, deficits = z, _deficits(z, plan)
-    increment = np.zeros_like(z)
     history = []
     for _ in range(max_sweeps):
-        y = _project_affine(x, plan, deficits)
-        if increments:
-            t = y + increment
-            x = second(t)
-            increment = t - x
-        else:
-            x = second(y)
+        x = second(_project_affine(x, plan, deficits))
         deficits = _deficits(x, plan)
         history.append(_err(deficits, plan))
         if history[-1] < err_tol:
@@ -274,25 +265,11 @@ def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
     marginals admit no state, the iterate z grows linearly and the report is
     not converged; the solution stays finite, and PSD up to rounding that
     grows with z (smallest eigenvalue -1.9e-12 after 5,000 sweeps when each
-    pair of three qubits is to hold the singlet).
+    pair of three qubits is to hold the singlet). From `initial` = z it
+    reaches some state, generally not the projection of z, which
+    `project_intersection` computes.
     """
     return _sweep_solver(cs, opts, initial, _douglas_rachford, _psd)
-
-
-def dykstra_project(z, cs: ConstraintSet, opts: SolveOptions | None = None) -> SolveReport:
-    """Project z onto (marginal set) intersect (PSD cone) by Dykstra's scheme.
-
-    The PSD leg carries Dykstra's correction term (the affine leg needs
-    none), so the limit is the Frobenius projection of z. Without the
-    correction term the alternation from z reaches some point of the
-    intersection, but generally not the projection; so does
-    `solve_feasible(cs, opts, initial=z)`. Runs on the sweep solvers' driver
-    with one start, z: a z that is PSD and meets the marginals comes back
-    unchanged, and `opts.restarts` is ignored, as a projection never starts
-    from a random point.
-    """
-    loop = partial(_alternate, second=_project_psd, increments=True)
-    return _sweep_solver(cs, replace(opts or SolveOptions(), restarts=1), z, loop, _psd)
 
 
 NSPG_WINDOW = 10          # nonmonotone window: Armijo compares with the worst of these
@@ -325,7 +302,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
     ends = []            # per projection: its dual gradient norm if the cap ended it
 
     def inner_project(m):
-        x, gnorm, hit_cap = project_intersection(m, cs)
+        x, _h, gnorm, hit_cap = project_intersection(m, cs)
         ends.append(gnorm if hit_cap else None)
         return x
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -117,10 +117,6 @@ def numerical_rank(a) -> int:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; realizes tensor products of subsystem operators."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, mats)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

@@ -3,7 +3,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmarginals import ConstraintSet, fileio, partial_trace, random_density
+from qmarginals import (
+    ConstraintSet,
+    cli,
+    fileio,
+    hermitize,
+    marginal_residual,
+    partial_trace,
+    project_intersection,
+    project_marginals,
+    project_psd,
+    random_density,
+    solvers,
+)
 from qmarginals.projections import _add_lifted
 from qmarginals.tensorcore import as_dims
 
@@ -60,6 +72,64 @@ def marginal_correction(z, sigma, dims, keep):
     out = np.zeros((dims.total, dims.total), dtype=complex)
     _add_lifted(out, 1.0, partial_trace(z, dims, j) - sigma, dims, j)
     return out
+
+
+def kkt_residuals(z, x, h, cs):
+    """Residuals of the optimality conditions of x as the projection of z (its
+    Hermitian part) onto (marginal set A) intersect (PSD cone), for h
+    Hermitian and S = x - hermitize(z) - h:
+
+        -lambda_min(x), Err(x), ||P_A(x + h) - x||_F, -lambda_min(S), |<S, x>|.
+
+    Once x meets the marginals, P_A(x + h) - x is the part of h orthogonal to
+    the span of the lifted marginal operators, so the third is zero iff h lies
+    in that span. When all five are zero, x is the projection: for every y in
+    the intersection, z - x = -S - h and y - x has zero marginals, so
+    <z - x, y - x> = -<S, y> + <S, x> - <h, y - x> = -<S, y> <= 0, as S and y
+    are PSD. Calls no solver code: the affine projection it uses is the one
+    the pseudo-inverse oracle certifies.
+    """
+    s = x - hermitize(z) - h
+    return (-np.linalg.eigvalsh(x)[0], marginal_residual(x, cs),
+            float(np.linalg.norm(project_marginals(x + h, cs) - x)),
+            -np.linalg.eigvalsh(s)[0], abs(np.vdot(s, x)))
+
+
+@pytest.fixture(autouse=True)
+def certified_projections(monkeypatch):
+    """Every result of `project_intersection` that NSPG or the CLI takes and
+    that the step cap did not end must pass `kkt_residuals` at 1e-12."""
+    def certified(z, cs):
+        x, h, gnorm, capped = project_intersection(z, cs)
+        assert capped or max(kkt_residuals(z, x, h, cs)) <= 1e-12
+        return x, h, gnorm, capped
+
+    for module in (solvers, cli):
+        monkeypatch.setattr(module, "project_intersection", certified)
+
+
+def reference_dykstra_loop(z, cs, mode, max_sweeps, err_tol):
+    """Dykstra's scheme (Boyle & Dykstra 1986) between the marginal set and the
+    PSD cone from z until Err < err_tol, the paper's method for the projection
+    of z onto their intersection: the PSD leg carries the correction term, the
+    affine leg needs none. Mode "plain-alternation" drops the correction term
+    and reaches some point of the intersection, generally not the projection.
+    Returns (x, Err history, converged)."""
+    x = z
+    increment = np.zeros_like(z)
+    history = []
+    for _ in range(max_sweeps):
+        y = project_marginals(x, cs)
+        if mode == "with-increments":
+            t = y + increment
+            x = project_psd(t)
+            increment = t - x
+        else:
+            x = project_psd(y)
+        history.append(marginal_residual(x, cs))
+        if history[-1] < err_tol:
+            return x, history, True
+    return x, history, False
 
 
 @pytest.fixture(scope="session")

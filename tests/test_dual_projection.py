@@ -1,10 +1,11 @@
 """The exact projection onto (marginals) intersect (PSD cone), the CLI's and NSPG's.
 
 `project_intersection` solves the dual of this semidefinite least-squares
-problem by semismooth Newton; `dykstra_project` with increments converges to
-the same Frobenius projection and is the reference here. The instances are
-chosen so that the PSD constraint is active (the affine projection of z has
-a negative eigenvalue) and Dykstra reaches Err < 1e-12 within its budget.
+problem by semismooth Newton and returns its dual point H with X. The
+reference is the KKT certificate `kkt_residuals`, which reads X, H and z
+with no solver code; Dykstra's scheme, the paper's method, cross-checks it.
+The instances are chosen so that the PSD constraint is active (the affine
+projection of z has a negative eigenvalue).
 """
 
 import re
@@ -15,8 +16,9 @@ import pytest
 from qmarginals import (
     ConstraintSet,
     SolveOptions,
-    dykstra_project,
+    greedy_minmatch,
     hermitize,
+    interlace_decomposition,
     kron,
     marginal_residual,
     nspg_minimize,
@@ -24,10 +26,19 @@ from qmarginals import (
     project_marginals,
     projections,
     random_density,
+    rank_k_roots_of_unity,
+    rank_sweep,
     solvers,
+    variational_inequality_check,
 )
 
-from conftest import load_matrix, random_density_pair, random_hermitian
+from conftest import (
+    kkt_residuals,
+    load_matrix,
+    random_density_pair,
+    random_hermitian,
+    reference_dykstra_loop,
+)
 
 
 def _unit(h):
@@ -70,20 +81,39 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_matches_dykstra_limit(name):
+def test_kkt_certificate_holds(name):
     cs, z = CASES[name]()
     assert np.linalg.eigvalsh(project_marginals(z, cs))[0] < 0   # PSD constraint active
-    reference = dykstra_project(z, cs, SolveOptions(max_iterations=5000, tolerance=1e-12))
-    assert reference.converged
-    x, _gnorm, capped = project_intersection(z, cs)
+    x, h, _gnorm, capped = project_intersection(z, cs)
     assert not capped
-    assert np.linalg.norm(x - reference.solution) <= 1e-8
+    assert np.array_equal(h, h.conj().T)
+    assert max(kkt_residuals(z, x, h, cs)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_a_step_inside_the_marginal_set_fails_the_certificate(name):
+    """x moved by 1e-9 along a direction with zero marginals is no projection."""
+    cs, z = CASES[name]()
+    x, h, _gnorm, _capped = project_intersection(z, cs)
+    r = random_hermitian(np.random.default_rng(0), x.shape[0])
+    d = project_marginals(x + r, cs) - x
+    d *= 1e-9 / np.linalg.norm(d)
+    assert max(kkt_residuals(z, x + d, h, cs)) > 1e-12
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_dykstra_reaches_the_projection(name):
+    cs, z = CASES[name]()
+    reference, _history, converged = reference_dykstra_loop(z, cs, "with-increments", 2000,
+                                                            err_tol=1e-12)
+    assert converged
+    assert np.linalg.norm(project_intersection(z, cs)[0] - reference) <= 1e-11
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_is_psd_and_meets_marginals(name):
     cs, z = CASES[name]()
-    x, _gnorm, _capped = project_intersection(z, cs)
+    x, _h, _gnorm, _capped = project_intersection(z, cs)
     assert np.array_equal(x, x.conj().T)
     assert np.linalg.eigvalsh(x)[0] >= -1e-15
     assert marginal_residual(x, cs) <= 1e-12
@@ -152,15 +182,61 @@ def test_nspg_notes_projections_ended_by_the_cap(monkeypatch):
     assert "inner projection stopped at its 1-step cap" in notes
 
 
-def test_affine_start_is_the_answer_when_the_affine_projection_is_psd(monkeypatch):
-    r1, r2 = random_density_pair(np.random.default_rng(2), 2, 3)
+def near_product_start(pair_rng, h_rng):
+    """2x3 marginals drawn from pair_rng and z = rho1 x rho2 + 1e-3 H, with H
+    a unit Hermitian drawn from h_rng."""
+    r1, r2 = random_density_pair(pair_rng, 2, 3)
     cs = ConstraintSet((2, 3), [((1,), r1), ((2,), r2)])
-    z = hermitize(kron(r1, r2) + 1e-3 * _unit(random_hermitian(np.random.default_rng(3), 6)))
+    return cs, hermitize(kron(r1, r2) + 1e-3 * _unit(random_hermitian(h_rng, 6)))
+
+
+def product_start():
+    """2x2 marginals and z = rho1 x rho2, which is its own projection."""
+    r1, r2 = random_density_pair(np.random.default_rng(5), 2, 2)
+    return ConstraintSet((2, 2), [((1,), r1), ((2,), r2)]), kron(r1, r2)
+
+
+AFFINE_STARTS = {
+    "near-product": lambda: near_product_start(*map(np.random.default_rng, (2, 3))),
+    "near-product-one-stream": lambda: near_product_start(*[np.random.default_rng(8)] * 2),
+    "product": product_start,
+}
+
+
+@pytest.mark.parametrize("name", list(AFFINE_STARTS))
+def test_affine_start_is_the_answer_when_the_affine_projection_is_psd(monkeypatch, name):
+    cs, z = AFFINE_STARTS[name]()
     affine = project_marginals(z, cs)
     assert np.linalg.eigvalsh(affine)[0] > 0   # the PSD constraint is inactive
     monkeypatch.setattr(projections, "DUAL_MAX_ITERATIONS", 0)
-    x = project_intersection(z, cs)[0]
+    x, h, _gnorm, capped = project_intersection(z, cs)
+    assert not capped
     assert np.linalg.norm(x - affine) <= 1e-14
+    assert max(kkt_residuals(z, x, h, cs)) <= 1e-12
+
+
+def test_variational_inequality():
+    rng = np.random.default_rng(6)
+    p1 = rng.exponential(size=2)
+    p2 = rng.exponential(size=2)
+    r1 = np.diag(np.sort(p1 / p1.sum())[::-1])
+    r2 = np.diag(np.sort(p2 / p2.sum())[::-1])
+    cs = ConstraintSet((2, 2), [((1,), r1), ((2,), r2)])
+    z = random_hermitian(rng, 4)
+    x, _h, _gnorm, capped = project_intersection(z, cs)
+    assert not capped
+    # feasible probes: every direct construction plus random mixtures
+    base = [np.array(greedy_minmatch(r1, r2)[0]),
+            np.array(interlace_decomposition(r1, r2)[0]),
+            np.array(rank_k_roots_of_unity(r1, r2, 2)),
+            np.array(rank_k_roots_of_unity(r1, r2, 3)),
+            np.array(rank_sweep(r1, r2, 4)),
+            kron(r1, r2)]
+    samples = list(base)
+    while len(samples) < 200:
+        w = rng.dirichlet(np.ones(len(base)))
+        samples.append(sum(wi * b for wi, b in zip(w, base)))
+    assert variational_inequality_check(z, x, samples) <= 1e-8
 
 
 def test_nspg_certifies_near_singular_marginals():

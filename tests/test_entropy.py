@@ -5,6 +5,7 @@ from qmarginals import (
     grad_renyi,
     grad_von_neumann_objective,
     kron,
+    numerical_rank,
     random_density,
     random_unitary,
     renyi,
@@ -53,6 +54,16 @@ class TestVonNeumann:
     def test_rejects_non_square_naming_rho(self, entropy):
         with pytest.raises(ValueError, match="^rho must be square"):
             entropy(np.ones((2, 3)) / 6)
+
+    @pytest.mark.parametrize("entropy", [von_neumann, lambda m: renyi(m, 2.0)],
+                             ids=["von_neumann", "renyi"])
+    def test_reads_the_hermitian_part(self, entropy):
+        """[[0.5, 1], [0, 0.5]] has Hermitian part [[0.5, 0.5], [0.5, 0.5]],
+        eigenvalues 1 and 0, as numerical_rank reads it; its lower triangle
+        alone has eigenvalues 0.5 and 0.5, entropy ln 2."""
+        m = np.array([[0.5, 1.0], [0.0, 0.5]])
+        assert numerical_rank(m) == 1
+        assert entropy(m) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestRenyi:

@@ -24,7 +24,6 @@ import pytest
 from qmarginals import (
     ConstraintSet,
     SolveOptions,
-    dykstra_project,
     fileio,
     greedy_minmatch,
     hermitize,
@@ -50,6 +49,7 @@ from conftest import (
     nested_family,
     random_density_pair,
     random_hermitian,
+    reference_dykstra_loop,
 )
 
 
@@ -77,35 +77,6 @@ def reference_objective_and_gradient(kind, alpha):
         return hermitize(scale * (u * (v ** (alpha - 1.0))) @ u.conj().T)
 
     return f, grad
-
-
-def reference_dykstra_loop(z, cs, mode, max_sweeps, err_tol=0.0, change_tol=0.0):
-    """The former Dykstra loop, kept apart from the sweep solvers' loop."""
-    x = z
-    increment = np.zeros_like(z)
-    history = []
-    converged = False
-    with_increments = mode == "with-increments"
-    track_err = err_tol > 0.0
-    for _ in range(max_sweeps):
-        x_prev = x
-        y = project_marginals(x, cs)
-        if with_increments:
-            t = y + increment
-            x = project_psd(t)
-            increment = t - x
-        else:
-            x = project_psd(y)
-        if track_err:
-            err = marginal_residual(x, cs)
-            history.append(err)
-            if err < err_tol:
-                converged = True
-                break
-        if change_tol and np.linalg.norm(x - x_prev) <= change_tol:
-            converged = True
-            break
-    return x, history, converged
 
 
 def spectra(seed):
@@ -151,12 +122,11 @@ def instances():
         yield cs, hermitize(random_hermitian(rng, cs.dims.total))
 
 
-@pytest.mark.parametrize("mode", ["with-increments", "plain-alternation"])
+@pytest.mark.parametrize("mode", ["plain-alternation"])
 @pytest.mark.parametrize("tols", [dict(err_tol=1e-10)])
 def test_alternate_matches_reference_loop_exactly(mode, tols):
     for cs, z in instances():
-        x, history, converged = _alternate(z, cs, project_psd, 400,
-                                           increments=mode == "with-increments", **tols)
+        x, history, converged = _alternate(z, cs, project_psd, 400, **tols)
         x_ref, history_ref, converged_ref = reference_dykstra_loop(z, cs, mode, 400, **tols)
         assert np.array_equal(x, x_ref)
         assert history == history_ref
@@ -353,15 +323,12 @@ def reference_douglas_rachford(z, cs, max_sweeps, *, err_tol, iterates=None):
         a = project_marginals(z, cs)
 
 
-def reference_iterates(z, cs, second, sweeps, increments=False):
+def reference_iterates(z, cs, second, sweeps):
     """Every iterate of the alternation in complex arithmetic through the
     public marginal projection, which traces each lattice node from x."""
-    x, increment, iterates = z.astype(complex), 0.0, []
+    x, iterates = z.astype(complex), []
     for _ in range(sweeps):
-        t = project_marginals(x, cs) + increment
-        x = second(t)
-        if increments:
-            increment = t - x
+        x = second(project_marginals(x, cs))
         iterates.append(x)
     return iterates
 
@@ -382,34 +349,26 @@ def rank_3x4_greedy():
 
 
 def real_tripartite():
-    """Pair marginals (1,2), (2,3) of a real three-qubit state and a real symmetric z."""
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(8, 8))
+    """Pair marginals (1,2), (2,3) of a real three-qubit state."""
+    g = np.random.default_rng(5).normal(size=(8, 8))
     rho = g @ g.T / np.trace(g @ g.T)
     dims = (2, 2, 2)
-    cs = ConstraintSet(dims, [(keep, partial_trace(rho, dims, keep)) for keep in [(1, 2), (2, 3)]])
-    h = rng.normal(size=(8, 8))
-    return cs, (h + h.T) / 2
+    return ConstraintSet(dims, [(keep, partial_trace(rho, dims, keep))
+                                for keep in [(1, 2), (2, 3)]])
 
 
 def real_cases():
     cs34, greedy = rank_3x4_greedy()
-    cs_tri, z_tri = real_tripartite()
-    z34 = np.random.default_rng(6).normal(size=(12, 12))
-    return {
-        "rank-cap-greedy": (cs34, greedy.real, lambda y: _project_rank(y, 2), False),
-        "dykstra-tripartite": (cs_tri, z_tri, _project_psd, True),
-        "dykstra-3x4": (cs34, (z34 + z34.T) / 2, _project_psd, True),
-    }
+    return {"rank-cap-greedy": (cs34, greedy.real, lambda y: _project_rank(y, 2))}
 
 
-@pytest.mark.parametrize("case", ["rank-cap-greedy", "dykstra-tripartite", "dykstra-3x4"])
+@pytest.mark.parametrize("case", ["rank-cap-greedy"])
 def test_real_sweeps_follow_the_complex_loop(case):
-    cs, z, second, increments = real_cases()[case]
+    cs, z, second = real_cases()[case]
     assert z.dtype == np.float64
     iterates = []
-    _alternate(z, cs, recording(second, iterates), 200, err_tol=0.0, increments=increments)
-    reference = reference_iterates(z, cs, second, 200, increments)
+    _alternate(z, cs, recording(second, iterates), 200, err_tol=0.0)
+    reference = reference_iterates(z, cs, second, 200)
     assert len(iterates) == len(reference) == 200
     assert all(x.dtype == np.float64 for x in iterates)
     assert all(x.dtype == np.complex128 for x in reference)
@@ -426,7 +385,7 @@ def with_imaginary_entry(m):
 def sweep_cases():
     """(solver call, name of the step it sweeps through, whether the sweeps should be real)."""
     cs34, greedy = rank_3x4_greedy()
-    cs_tri, z_tri = real_tripartite()
+    cs_tri = real_tripartite()
     a, b = (c.target for c in cs34)
     cs34_complex = ConstraintSet((3, 4), [((1,), a), ((2,), with_imaginary_entry(b))])
     opts = SolveOptions(max_iterations=30)
@@ -439,9 +398,6 @@ def sweep_cases():
         "rank-cap-imaginary-start": (lambda: rank(cs34, with_imaginary_entry(greedy)),
                                      "_project_rank", False),
         "rank-cap-imaginary-target": (lambda: rank(cs34_complex, greedy), "_project_rank", False),
-        "dykstra-real": (lambda: dykstra_project(z_tri, cs_tri, opts), "_project_psd", True),
-        "dykstra-imaginary-start": (lambda: dykstra_project(with_imaginary_entry(z_tri), cs_tri,
-                                                            opts), "_project_psd", False),
         "feasible-real-start": (lambda: solve_feasible(cs_tri, opts, initial=np.eye(8) / 8),
                                 "_project_psd", True),
         "feasible-random-start": (lambda: solve_feasible(cs_tri, opts), "_project_psd", False),

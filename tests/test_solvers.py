@@ -4,7 +4,6 @@ import pytest
 from qmarginals import (
     ConstraintSet,
     SolveOptions,
-    dykstra_project,
     greedy_minmatch,
     hermitize,
     interlace_decomposition,
@@ -18,12 +17,9 @@ from qmarginals import (
     project_spectrum,
     random_density,
     random_unitary,
-    rank_k_roots_of_unity,
-    rank_sweep,
     solve_feasible,
     solve_with_rank_cap,
     solve_with_spectrum,
-    variational_inequality_check,
     von_neumann,
 )
 from qmarginals import solvers
@@ -320,98 +316,33 @@ class TestSolveFeasible:
         with pytest.raises(ValueError, match="initial point"):
             solve(bipartite_cs(r1, r2), np.full((4, 4), np.nan))
 
-
-class TestDykstra:
-    def test_fixed_point(self):
-        rng = np.random.default_rng(5)
-        r1, r2 = random_density_pair(rng, 2, 2)
-        cs = bipartite_cs(r1, r2)
-        z = kron(r1, r2)
-        rep = dykstra_project(z, cs, SolveOptions(max_iterations=50, tolerance=1e-12))
-        assert rep.converged and rep.iterations <= 2
-        assert np.abs(rep.solution - z).max() < 1e-12
-
     def test_feasible_psd_start_comes_back_unchanged(self):
         r1, r2 = (hermitize(r) for r in random_density_pair(np.random.default_rng(5), 2, 2))
         z = kron(r1, r2)
-        rep = dykstra_project(z, bipartite_cs(r1, r2), SolveOptions(tolerance=1e-12))
+        rep = solve_feasible(bipartite_cs(r1, r2), SolveOptions(tolerance=1e-12), initial=z)
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(rep.solution, z)
         # PSD means what verify accepts: a smallest eigenvalue down to -PSD_ATOL
         for start, cs in band_starts():
             assert numerical_rank(start) == 2
-            for rep in [solve_feasible(cs, SolveOptions(), initial=start),
-                        dykstra_project(start, cs, SolveOptions())]:
-                assert rep.converged and rep.iterations == 0
-                assert np.array_equal(rep.solution, start)
-
-    def test_restarts_never_start_from_a_random_point(self):
-        rng = np.random.default_rng(7)
-        cs = bipartite_cs(*random_density_pair(rng, 2, 3))
-        z = random_hermitian(rng, 6)
-        one, three = (dykstra_project(z, cs, SolveOptions(max_iterations=3, seed=4,
-                                                          restarts=restarts))
-                      for restarts in (1, 3))
-        assert not one.converged and one.iterations == 3
-        for field in ["solution", "iterations", "residual_history", "converged",
-                      "final_residual", "seed_used", "notes"]:
-            assert np.array_equal(getattr(three, field), getattr(one, field)), field
-        assert three.seed_used == 4
+            rep = solve_feasible(cs, SolveOptions(), initial=start)
+            assert rep.converged and rep.iterations == 0
+            assert np.array_equal(rep.solution, start)
 
     def test_wrong_order_names_the_initial_point(self):
         r1, r2 = random_density_pair(np.random.default_rng(5), 2, 2)
         with pytest.raises(ValueError, match="initial point order 3 does not match dims"):
-            dykstra_project(np.eye(3) / 3, bipartite_cs(r1, r2))
+            solve_feasible(bipartite_cs(r1, r2), initial=np.eye(3) / 3)
 
-    def test_variational_inequality(self):
-        rng = np.random.default_rng(6)
-        p1 = rng.exponential(size=2)
-        p2 = rng.exponential(size=2)
-        r1 = np.diag(np.sort(p1 / p1.sum())[::-1])
-        r2 = np.diag(np.sort(p2 / p2.sum())[::-1])
-        cs = bipartite_cs(r1, r2)
-        z = random_hermitian(rng, 4)
-        rep = dykstra_project(z, cs, SolveOptions(max_iterations=30000, tolerance=1e-12))
-        assert rep.converged
-        # feasible probes: every direct construction plus random mixtures
-        base = [np.array(greedy_minmatch(r1, r2)[0]),
-                np.array(interlace_decomposition(r1, r2)[0]),
-                np.array(rank_k_roots_of_unity(r1, r2, 2)),
-                np.array(rank_k_roots_of_unity(r1, r2, 3)),
-                np.array(rank_sweep(r1, r2, 4)),
-                kron(r1, r2)]
-        samples = list(base)
-        while len(samples) < 200:
-            w = rng.dirichlet(np.ones(len(base)))
-            samples.append(sum(wi * b for wi, b in zip(w, base)))
-        assert variational_inequality_check(z, rep.solution, samples) <= 1e-8
-
-    def test_modes_both_land_in_intersection(self):
+    def test_start_z_lands_in_intersection(self):
         rng = np.random.default_rng(7)
         r1, r2 = random_density_pair(rng, 2, 2)
         cs = bipartite_cs(r1, r2)
         z = random_hermitian(rng, 4)
-        opts = SolveOptions(max_iterations=30000, tolerance=1e-11)
-        a = dykstra_project(z, cs, opts)
-        b = solve_feasible(cs, opts, initial=z)  # Douglas-Rachford from z
-        for rep in (a, b):
-            assert rep.converged
-            assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-12
-            assert marginal_residual(rep.solution, cs) <= 1e-11
-        # the two limits may differ; record the gap rather than equate them
-        gap = np.linalg.norm(a.solution - b.solution)
-        assert np.isfinite(gap)
-
-    def test_affine_only_pair_equals_single_shot(self):
-        rng = np.random.default_rng(8)
-        r1, r2 = random_density_pair(rng, 2, 3)
-        cs = bipartite_cs(r1, r2)
-        h = random_hermitian(rng, 6)
-        h /= np.linalg.norm(h)
-        z = kron(r1, r2) + 0.001 * h  # affine projection stays PSD
-        rep = dykstra_project(z, cs, SolveOptions(max_iterations=100, tolerance=1e-12))
+        rep = solve_feasible(cs, SolveOptions(max_iterations=30000, tolerance=1e-11), initial=z)
         assert rep.converged
-        assert np.abs(rep.solution - project_marginals(z, cs)).max() < 1e-10
+        assert np.linalg.eigvalsh(rep.solution)[0] >= -1e-12
+        assert marginal_residual(rep.solution, cs) <= 1e-11
 
 
 class TestNspg:
@@ -503,11 +434,10 @@ class TestDeterminismAndRestarts:
         lambda cs, z: solve_with_rank_cap(cs, 2, SolveOptions(max_iterations=40, seed=2,
                                                               restarts=2)),
         lambda cs, z: solve_rank_3x4_from_greedy(SolveOptions(max_iterations=300)),
-        lambda cs, z: dykstra_project(z, cs, SolveOptions(max_iterations=200)),
         lambda cs, z: nspg_minimize(cs, "von-neumann", opts=SolveOptions(max_iterations=60,
                                                                          seed=2)),
         lambda cs, z: nspg_minimize(cs, "renyi", 2.0, SolveOptions(max_iterations=60, seed=2)),
-    ], ids=["feasible", "spectrum", "rank-cap", "rank-cap-greedy", "dykstra", "nspg-von-neumann",
+    ], ids=["feasible", "spectrum", "rank-cap", "rank-cap-greedy", "nspg-von-neumann",
             "nspg-renyi"])
     def test_every_solver_is_bit_reproducible(self, solve):
         rng = np.random.default_rng(14)

@@ -4,15 +4,14 @@ change leaves results bit-identical.
     python3 tools/output_digests.py <checkout>   # e.g. . or a clone of the parent
 
 Prints one digest per item and a total. Covered: every SolveReport field
-except wall_time for the five solvers over seeds 0-3; project_marginals,
-solve_feasible at seeds 0-1 and dykstra_project on two families whose sweeps
-trace more than one lattice node (kept sets (1,2), (2,3), (2,) of three
-qubits, and all pairs of five qubits); rank_sweep and
-rank_k_roots_of_unity at every admissible k, greedy_minmatch and
-interlace_decomposition (state and decomposition) on a seeded rotated pair,
-and pure_state_from_isospectral on its first marginal and that marginal's
-complex conjugate; the parsed values of every file the CLI writes with --out (report.json without
-wall_time_s).
+except wall_time for the four solvers over seeds 0-3; project_marginals and
+solve_feasible at seeds 0-1 on two families whose sweeps trace more than one
+lattice node (kept sets (1,2), (2,3), (2,) of three qubits, and all pairs of
+five qubits); rank_sweep and rank_k_roots_of_unity at every admissible k,
+greedy_minmatch and interlace_decomposition (state and decomposition) on a
+seeded rotated pair, and pure_state_from_isospectral on its first marginal
+and that marginal's complex conjugate; the parsed values of every file the
+CLI writes with --out (report.json without wall_time_s).
 Floats are hashed by their bytes, so even the sign of a zero counts.
 """
 
@@ -89,7 +88,6 @@ def solver_digests() -> dict:
     greedy = qm.greedy_minmatch(a34, b34)[0].matrix
     cs22 = qm.ConstraintSet((2, 2), [((1,), qm.random_density((2,), 3).matrix),
                                      ((2,), qm.random_density((2,), 4).matrix)])
-    rng = np.random.default_rng(11)
     for seed in range(4):
         o = qm.SolveOptions(seed=seed, tolerance=1e-10, max_iterations=3000)
         out[f"feasible-tri-{seed}"] = report(qm.solve_feasible(cs_tri, o))
@@ -98,10 +96,6 @@ def solver_digests() -> dict:
         out[f"rank-3x4-{seed}"] = report(qm.solve_with_rank_cap(
             cs34, 2, qm.SolveOptions(seed=seed, max_iterations=4000),
             initial=greedy if seed == 0 else None))
-        z = 2 * qm.random_density((2, 2, 2), 100 + seed).matrix - np.eye(8) / 8
-        z = qm.hermitize(z + 0.3 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))))
-        out[f"dykstra-tri-{seed}"] = report(qm.dykstra_project(
-            z, cs_tri, qm.SolveOptions(tolerance=1e-10, max_iterations=5000)))
         nspg = qm.SolveOptions(seed=seed, max_iterations=200)
         out[f"nspg-2x2-{seed}"] = report(qm.nspg_minimize(cs22, opts=nspg))
         out[f"nspg-renyi-2x2-{seed}"] = report(qm.nspg_minimize(cs22, "renyi", 2.0, opts=nspg))
@@ -124,8 +118,6 @@ def multinode_digests() -> dict:
         for s in range(2):
             out[f"feasible-{name}-{s}"] = report(qm.solve_feasible(
                 cs, qm.SolveOptions(seed=s, tolerance=1e-10, max_iterations=3000)))
-        out[f"dykstra-{name}"] = report(qm.dykstra_project(
-            z, cs, qm.SolveOptions(tolerance=1e-10, max_iterations=5000)))
     return out
 
 
