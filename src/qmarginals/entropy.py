@@ -42,6 +42,15 @@ def _grad_renyi(values: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     return hermitize(scale * (u * powers) @ u.conj().T)
 
 
+def _check_alpha(alpha, strict: bool) -> None:
+    """Raise ValueError unless alpha is a finite Renyi order: > 0 when
+    `strict`, else >= 0, and not 1, the von Neumann limit."""
+    if alpha is None or not np.isfinite(alpha) or alpha < 0 or (strict and alpha == 0):
+        raise ValueError(f"alpha must be finite and {'>' if strict else '>='} 0, got {alpha}")
+    if alpha == 1:
+        raise ValueError("alpha = 1 is the von Neumann limit")
+
+
 def _clipped_spectrum(rho) -> np.ndarray:
     """Eigenvalues of rho's Hermitian part, as `numerical_rank` reads it, clipped at 0."""
     values = np.linalg.eigvalsh(hermitize(_as_square(rho, "rho")))
@@ -57,10 +66,7 @@ def von_neumann(rho) -> float:
 
 def renyi(rho, alpha: float) -> float:
     """S_alpha(rho) = ln(sum lambda_j^alpha) / (1 - alpha), alpha >= 0, alpha != 1."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 1:
-        raise ValueError("alpha = 1 is the von Neumann limit; use von_neumann")
+    _check_alpha(alpha, strict=False)
     v = _clipped_spectrum(rho)
     return _renyi(v[v > 0.0], alpha)
 
@@ -77,10 +83,7 @@ def grad_von_neumann_objective(rho) -> np.ndarray:
 
 def grad_renyi(rho, alpha: float) -> np.ndarray:
     """Gradient of S_alpha: alpha/(1 - alpha) * rho^(alpha-1) / tr(rho^alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if alpha == 1:
-        raise ValueError("alpha = 1 is the von Neumann limit")
+    _check_alpha(alpha, strict=True)
     return _grad_renyi(*np.linalg.eigh(density_input(rho)), alpha)
 
 
@@ -94,8 +97,7 @@ def entropy_objective(objective: str, alpha: float | None):
     if objective == "von-neumann":
         return _von_neumann, _grad_von_neumann_objective
     if objective == "renyi":
-        if alpha is None or alpha <= 0 or alpha == 1:
-            raise ValueError("renyi objective needs alpha > 0, alpha != 1")
+        _check_alpha(alpha, strict=True)
 
         def entropy(values):
             return _renyi(np.clip(values, LOG_FLOOR, None), alpha)

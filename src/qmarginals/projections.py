@@ -122,6 +122,17 @@ class ConstraintSet:
         return tuple(sorted(terms, key=lambda term: term[1]))
 
     @cached_property
+    def _nodes(self) -> tuple[tuple[tuple[int, ...], object, np.ndarray], ...]:
+        """(S, reducer, sigma_S) for every constraint, in order, then every
+        other nonempty node of the lattice plan: what a sweep traces its
+        iterate to. sigma_S is stored in float64 when its imaginary part is
+        exactly zero, so a real iterate stays real."""
+        targets = {c.keep: c.target for c in self.constraints}
+        targets.update((labels, t) for _w, labels, t in self.correction_terms if labels)
+        return tuple((s, _reducer(self.dims, s), t if np.any(t.imag) else t.real)
+                     for s, t in targets.items())
+
+    @cached_property
     def _dual_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, b): an orthonormal basis of span{E x I_{J^c}} over every constraint, and b = <B, X>.
 
@@ -236,39 +247,22 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     the Hermitian part, so that is taken once, of the result.
     """
     z = _as_square(z, "z", cs.dims)
-    plan = _SweepPlan(cs, z.dtype)
-    return _project_affine(z, plan, _deficits(z, plan))
+    return _project_affine(z, cs, _deficits(z, cs))
 
 
-class _SweepPlan:
-    """What a sweep loop in one dtype needs of `cs`, built once per loop:
-    (S, reducer, sigma_S) for every constraint and every nonempty lattice
-    node, sigma_S in that dtype (float64 needs real targets) and a kept set
-    that is also a node listed once; the constraint keys that Err sums; and
-    the lattice plan's terms, which the affine step lifts onto a copy of z."""
-
-    def __init__(self, cs: ConstraintSet, dtype):
-        real = np.dtype(dtype) == np.float64
-        targets = {c.keep: c.target for c in cs.constraints}
-        targets.update((labels, t) for _w, labels, t in cs.correction_terms if labels)
-        self.nodes = [(s, _reducer(cs.dims, s), t.real if real else t) for s, t in targets.items()]
-        self.keys = [c.keep for c in cs.constraints]
-        self.dims, self.terms = cs.dims, cs.correction_terms
+def _deficits(x, cs: ConstraintSet) -> dict:
+    """{S: tr_{S^c}(x) - sigma_S} over `cs._nodes`, each traced once from x."""
+    return {s: reduce(x) - t for s, reduce, t in cs._nodes}
 
 
-def _deficits(x, plan: _SweepPlan) -> dict:
-    """{S: tr_{S^c}(x) - sigma_S} over the plan's nodes, each traced once from x."""
-    return {s: reduce(x) - t for s, reduce, t in plan.nodes}
-
-
-def _project_affine(z, plan: _SweepPlan, deficits) -> np.ndarray:
+def _project_affine(z, cs: ConstraintSet, deficits) -> np.ndarray:
     """project_marginals in z's dtype, given z's `_deficits`: each nonempty
     node lifts its own deficit, and the empty node reads the trace of z."""
     n = z.shape[0]
     out = z.copy()
-    for w, labels, target in plan.terms:
+    for w, labels, target in cs.correction_terms:
         if labels:
-            _add_lifted(out, w, deficits[labels], plan.dims, labels)
+            _add_lifted(out, w, deficits[labels], cs.dims, labels)
         else:
             out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
     return _sym(out)

@@ -1,8 +1,8 @@
-"""Iterative schemes: Douglas-Rachford, alternating projections and projected
-gradient.
+"""Iterative schemes: projection sweeps and projected gradient.
 
-`solve_feasible` runs Douglas-Rachford between the marginal set and the PSD
-cone. The spectrum and rank solvers alternate: on those nonconvex sets
+The sweep solvers run one loop, `_sweeps`, between the marginal set and a
+second set. `solve_feasible` reflects (Douglas-Rachford onto the PSD cone);
+the spectrum and rank solvers alternate: on those nonconvex sets
 Douglas-Rachford takes more sweeps. Every solver runs from a seeded random
 start (or an explicit initial matrix), records one marginal residual per
 sweep, and returns a SolveReport. Identical seeds and options reproduce
@@ -17,7 +17,6 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .entropy import entropy_objective
 from .projections import (
     ConstraintSet,
     project_intersection,
-    _SweepPlan,
     _deficits,
     _project_affine,
     _project_psd,
@@ -60,14 +58,14 @@ class SolveOptions:
     nspg_stationarity_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("tolerance", "nspg_stationarity_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -90,9 +88,9 @@ def marginal_residual(x, cs: ConstraintSet) -> float:
                      for c in cs.constraints))
 
 
-def _err(deficits, plan: _SweepPlan) -> float:
+def _err(deficits, cs: ConstraintSet) -> float:
     """Err from the marginal deficits: the sum of the constraints' Frobenius norms."""
-    return float(sum(np.linalg.norm(deficits[keep]) for keep in plan.keys))
+    return float(sum(np.linalg.norm(deficits[c.keep]) for c in cs.constraints))
 
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
@@ -102,58 +100,43 @@ def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
 
 
 def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
-    """z in float64 when z and every target have an exactly zero imaginary
-    part, else z. Every sweep step maps real matrices to real ones."""
-    if np.any(z.imag) or any(np.any(c.target.imag) for c in cs.constraints):
+    """z in float64 when z has an exactly zero imaginary part and `cs` stores
+    every target in float64, else z. Every sweep step maps real matrices to
+    real ones."""
+    if np.any(z.imag) or any(np.iscomplexobj(t) for _s, _r, t in cs._nodes):
         return z
     return np.ascontiguousarray(z.real)
 
 
-def _alternate(z, cs, second, max_sweeps, *, err_tol):
-    """Sweep X -> second(P_A(X)) from z until Err < err_tol, in z's dtype.
+def _sweeps(z, cs, second, max_sweeps, *, err_tol, reflect):
+    """Projection sweeps between the marginal set A and a second set from z,
+    in z's dtype, until Err < err_tol or `max_sweeps` sweeps.
 
-    Each sweep reduces X to the constraints once: Err(X) and the next P_A(X)
-    both read those reductions, on a `_SweepPlan` built once. Returns (x,
-    Err history, converged).
+    Starts at z_0 = a_0 = P_A(z); each sweep takes x = second(2 a - z) when
+    `reflect` is set (Douglas-Rachford, Lions & Mercier 1979), else
+    x = second(a), and records Err(x). Alternation then takes a <- P_A(x);
+    Douglas-Rachford steps z <- z + x - a and a <- P_A(z), which is P_A(x)
+    as P_A is affine and a = P_A(z). The first sweep of either is therefore
+    one alternation sweep, and a sweep traces only x: Err(x) and the next
+    P_A read the same `_deficits`. Every iterate is exactly Hermitian, as
+    the second projections require. Returns (x, Err history, converged).
     """
-    plan = _SweepPlan(cs, z.dtype)
-    x, deficits = z, _deficits(z, plan)
-    history = []
-    for _ in range(max_sweeps):
-        x = second(_project_affine(x, plan, deficits))
-        deficits = _deficits(x, plan)
-        history.append(_err(deficits, plan))
-        if history[-1] < err_tol:
-            return x, history, True
-    return x, history, False
-
-
-def _douglas_rachford(z, cs, max_sweeps, *, err_tol):
-    """Douglas-Rachford between the marginal set A and the PSD cone from z, in z's dtype.
-
-    Starts at z_0 = a_0 = P_A(z); each sweep takes x = P_psd(2 a - z), records
-    Err(x), then steps z <- z + x - a and a <- P_A(z). The first sweep is
-    therefore exactly one alternation sweep. As P_A is affine and a = P_A(z),
-    P_A(z + x - a) = P_A(x): the next a comes from the reductions of x that
-    Err(x) took, so a sweep traces only x. Every iterate is exactly
-    Hermitian, as the PSD projection requires. Returns (x, Err history,
-    converged); x is PSD.
-    """
-    plan = _SweepPlan(cs, z.dtype)
-    a = z = _project_affine(z, plan, _deficits(z, plan))
+    a = z = _project_affine(z, cs, _deficits(z, cs))
     history = []
     while True:
-        x = _project_psd(2 * a - z)
-        deficits = _deficits(x, plan)
-        history.append(_err(deficits, plan))
+        x = second(2 * a - z if reflect else a)
+        deficits = _deficits(x, cs)
+        history.append(_err(deficits, cs))
         if history[-1] < err_tol or len(history) == max_sweeps:
             return x, history, history[-1] < err_tol
-        z = z + x - a
-        a = _project_affine(x, plan, deficits)
+        if reflect:
+            z = z + x - a
+        a = _project_affine(x, cs, deficits)
 
 
-def _sweep_solver(cs, opts, initial, loop, contains, nudge=False) -> SolveReport:
-    """Run `loop(x, cs, max_sweeps=, err_tol=)` from each restart until Err < tolerance.
+def _sweep_solver(cs, opts, initial, second, contains, *, reflect=False,
+                  nudge=False) -> SolveReport:
+    """Run `_sweeps` through `second` from each restart until Err < tolerance.
 
     Restarts after the first start from seeded random points. A start that
     meets the marginals and whose ascending eigenvalues the target set
@@ -173,8 +156,8 @@ def _sweep_solver(cs, opts, initial, loop, contains, nudge=False) -> SolveReport
             x = _real_if_exact(x, cs)
             if nudge:
                 x = _nudged(x, seed)
-            x, history, converged = loop(x, cs, max_sweeps=opts.max_iterations,
-                                         err_tol=opts.tolerance)
+            x, history, converged = _sweeps(x, cs, second, opts.max_iterations,
+                                            err_tol=opts.tolerance, reflect=reflect)
         reports.append(SolveReport(
             solution=x.astype(complex, copy=False), iterations=len(history),
             residual_history=np.asarray(history), converged=converged,
@@ -216,8 +199,7 @@ def solve_with_spectrum(cs: ConstraintSet, c, opts: SolveOptions | None = None,
     def contains(values):
         return bool(np.max(np.abs(values[::-1] - c)) <= SPECTRUM_ATOL)
 
-    loop = partial(_alternate, second=lambda y: _project_spectrum(y, c))
-    return _sweep_solver(cs, opts, initial, loop, contains)
+    return _sweep_solver(cs, opts, initial, lambda y: _project_spectrum(y, c), contains)
 
 
 def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = None,
@@ -240,8 +222,8 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
     def contains(values):
         return _psd(values) and numerical_rank(values) <= r
 
-    loop = partial(_alternate, second=lambda y: _project_rank(y, r))
-    return _sweep_solver(cs, opts, initial, loop, contains, nudge=True)
+    return _sweep_solver(cs, opts, initial, lambda y: _project_rank(y, r), contains,
+                         nudge=True)
 
 
 def _project_rank(y, r: int) -> np.ndarray:
@@ -260,7 +242,7 @@ def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
     random density matrix or `initial`. The iteration (Lions & Mercier 1979)
     starts from the affine projection of that start, so its first sweep is
     one alternation sweep, and makes the same two projections per sweep as
-    alternation in far fewer sweeps (`_douglas_rachford`). The solution is
+    alternation in far fewer sweeps (`_sweeps` with `reflect`). The solution is
     the PSD point of the last sweep, so it is PSD by construction. When the
     marginals admit no state, the iterate z grows linearly and the report is
     not converged; the solution stays finite, and PSD up to rounding that
@@ -269,7 +251,7 @@ def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,
     reaches some state, generally not the projection of z, which
     `project_intersection` computes.
     """
-    return _sweep_solver(cs, opts, initial, _douglas_rachford, _psd)
+    return _sweep_solver(cs, opts, initial, _project_psd, _psd, reflect=True)
 
 
 NSPG_WINDOW = 10          # nonmonotone window: Armijo compares with the worst of these

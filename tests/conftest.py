@@ -108,24 +108,18 @@ def certified_projections(monkeypatch):
         monkeypatch.setattr(module, "project_intersection", certified)
 
 
-def reference_dykstra_loop(z, cs, mode, max_sweeps, err_tol):
+def reference_dykstra_loop(z, cs, max_sweeps, err_tol):
     """Dykstra's scheme (Boyle & Dykstra 1986) between the marginal set and the
     PSD cone from z until Err < err_tol, the paper's method for the projection
     of z onto their intersection: the PSD leg carries the correction term, the
-    affine leg needs none. Mode "plain-alternation" drops the correction term
-    and reaches some point of the intersection, generally not the projection.
-    Returns (x, Err history, converged)."""
+    affine leg needs none. Returns (x, Err history, converged)."""
     x = z
     increment = np.zeros_like(z)
     history = []
     for _ in range(max_sweeps):
-        y = project_marginals(x, cs)
-        if mode == "with-increments":
-            t = y + increment
-            x = project_psd(t)
-            increment = t - x
-        else:
-            x = project_psd(y)
+        t = project_marginals(x, cs) + increment
+        x = project_psd(t)
+        increment = t - x
         history.append(marginal_residual(x, cs))
         if history[-1] < err_tol:
             return x, history, True

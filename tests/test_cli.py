@@ -373,7 +373,10 @@ class TestSolveCommands:
          "nspg_stationarity_tol must be finite and positive"),
         (["verify", FIXTURES / "bipartite_2x3" / "rho_a.json", "--tol", "nan"],
          "--tol must be finite and positive"),
-    ], ids=["solve-tol-nan", "stationarity-tol-negative", "verify-tol-nan"])
+        (["solve", "max-entropy", "--alpha", "nan"], "error: alpha must be finite and > 0, got nan"),
+        (["solve", "max-entropy", "--alpha", "inf"], "error: alpha must be finite and > 0, got inf"),
+    ], ids=["solve-tol-nan", "stationarity-tol-negative", "verify-tol-nan", "alpha-nan",
+            "alpha-inf"])
     def test_bad_tolerance_exits_one(self, runner, args, message):
         result = runner.invoke(main, [str(a) for a in args] + [
             "--dims", "2,3", "--marginal", f"1:{FIXTURES}/bipartite_2x3/rho_a.json"])

@@ -104,8 +104,7 @@ def test_a_step_inside_the_marginal_set_fails_the_certificate(name):
 @pytest.mark.parametrize("name", list(CASES))
 def test_dykstra_reaches_the_projection(name):
     cs, z = CASES[name]()
-    reference, _history, converged = reference_dykstra_loop(z, cs, "with-increments", 2000,
-                                                            err_tol=1e-12)
+    reference, _history, converged = reference_dykstra_loop(z, cs, 2000, err_tol=1e-12)
     assert converged
     assert np.linalg.norm(project_intersection(z, cs)[0] - reference) <= 1e-11
 
@@ -167,7 +166,7 @@ def test_nspg_projects_without_alternation(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("NSPG must not alternate projections")
 
-    for name in ["_alternate", "_project_psd", "_project_affine"]:
+    for name in ["_sweeps", "_project_psd", "_project_affine"]:
         monkeypatch.setattr(solvers, name, forbidden)
     rep = nspg_minimize(small_nspg_case(), opts=SolveOptions(max_iterations=300, seed=5))
     assert rep.converged

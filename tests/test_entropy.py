@@ -11,7 +11,7 @@ from qmarginals import (
     renyi,
     von_neumann,
 )
-from qmarginals.entropy import negative_entropy
+from qmarginals.entropy import entropy_objective, negative_entropy
 
 from conftest import random_hermitian
 
@@ -83,6 +83,16 @@ class TestRenyi:
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
             renyi(np.eye(2) / 2, 1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        """renyi, grad_renyi and the projected gradient objective all refuse
+        it, rather than return NaN."""
+        rho = np.diag([0.7, 0.3])
+        for call in (lambda: renyi(rho, alpha), lambda: grad_renyi(rho, alpha),
+                     lambda: entropy_objective("renyi", alpha)):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                call()
 
     def test_von_neumann_limit(self):
         rho = np.array(random_density((4,), 2))

@@ -1,9 +1,9 @@
 """Kernels against the implementations they replaced, kept here as
-test-only references: the shared entropy kernels, the single alternation
-loop, the vectorized eigenvector phase fix of the direct constructions,
-the one-pair-per-line matrix writer, the phase-free spectral projections,
-and the sweeps that trace each iterate once per constraint, in real
-arithmetic when the instance is real.
+test-only references: the shared entropy kernels, the sweep loop in its
+alternation and Douglas-Rachford forms, the vectorized eigenvector phase
+fix of the direct constructions, the one-pair-per-line matrix writer, the
+phase-free spectral projections, and the sweeps that trace each iterate
+once per constraint, in real arithmetic when the instance is real.
 
 Agreement is exact: `==` on values, `np.array_equal` on matrices, and equal
 bytes where the sign of a zero matters. The spectral projections round
@@ -41,7 +41,7 @@ from qmarginals import (
 from qmarginals.constructive import _phase_fixed_eig
 from qmarginals.entropy import LOG_FLOOR, entropy_objective
 from qmarginals.projections import _project_psd
-from qmarginals.solvers import _alternate, _douglas_rachford, _project_rank
+from qmarginals.solvers import _project_rank, _sweeps
 
 from conftest import (
     load_matrix,
@@ -49,7 +49,6 @@ from conftest import (
     nested_family,
     random_density_pair,
     random_hermitian,
-    reference_dykstra_loop,
 )
 
 
@@ -122,12 +121,27 @@ def instances():
         yield cs, hermitize(random_hermitian(rng, cs.dims.total))
 
 
-@pytest.mark.parametrize("mode", ["plain-alternation"])
-@pytest.mark.parametrize("tols", [dict(err_tol=1e-10)])
-def test_alternate_matches_reference_loop_exactly(mode, tols):
+def reference_alternation(z, cs, second, max_sweeps, err_tol):
+    """X -> second(P_A(X)) from z until Err < err_tol, through the public
+    marginal projection and `marginal_residual`. Returns (x, Err history,
+    converged)."""
+    x, history = z, []
+    for _ in range(max_sweeps):
+        x = second(project_marginals(x, cs))
+        history.append(marginal_residual(x, cs))
+        if history[-1] < err_tol:
+            return x, history, True
+    return x, history, False
+
+
+def test_alternate_matches_reference_loop_exactly():
+    """The alternation sweeps of `solve rank`, at cap 2."""
+    def second(y):
+        return _project_rank(y, 2)
+
     for cs, z in instances():
-        x, history, converged = _alternate(z, cs, project_psd, 400, **tols)
-        x_ref, history_ref, converged_ref = reference_dykstra_loop(z, cs, mode, 400, **tols)
+        x, history, converged = _sweeps(z, cs, second, 400, err_tol=1e-10, reflect=False)
+        x_ref, history_ref, converged_ref = reference_alternation(z, cs, second, 400, 1e-10)
         assert np.array_equal(x, x_ref)
         assert history == history_ref
         assert converged == converged_ref
@@ -367,7 +381,7 @@ def test_real_sweeps_follow_the_complex_loop(case):
     cs, z, second = real_cases()[case]
     assert z.dtype == np.float64
     iterates = []
-    _alternate(z, cs, recording(second, iterates), 200, err_tol=0.0)
+    _sweeps(z, cs, recording(second, iterates), 200, err_tol=0.0, reflect=False)
     reference = reference_iterates(z, cs, second, 200)
     assert len(iterates) == len(reference) == 200
     assert all(x.dtype == np.float64 for x in iterates)
@@ -429,13 +443,12 @@ def singlet_triangle():
 
 @pytest.mark.parametrize("make_cs,growth", [(tripartite_fixture, 1.0), (singlet_triangle, 50.0)],
                          ids=["tripartite_222", "singlet-triangle"])
-def test_douglas_rachford_follows_the_former_loop(monkeypatch, make_cs, growth):
+def test_douglas_rachford_follows_the_former_loop(make_cs, growth):
     """On the singlet triangle, which no state has, z grows linearly."""
     cs = make_cs()
     z = random_density(cs.dims, 0).matrix
     iterates, reference = [], []
-    monkeypatch.setattr(solvers, "_project_psd", recording(_project_psd, iterates))
-    _douglas_rachford(z, cs, 200, err_tol=0.0)
+    _sweeps(z, cs, recording(_project_psd, iterates), 200, err_tol=0.0, reflect=True)
     reference_douglas_rachford(z, cs, 200, err_tol=0.0, iterates=reference)
     assert len(iterates) == len(reference) == 200
     for x, (x_ref, z_norm) in zip(iterates, reference):
@@ -464,7 +477,12 @@ def all_pairs(k, seed):
 def test_feasible_solver_takes_the_former_loops_sweep_count(monkeypatch, make_cs):
     cs = make_cs()
     rep = solve_feasible(cs, SolveOptions(max_iterations=500))
-    monkeypatch.setattr(solvers, "_douglas_rachford", reference_douglas_rachford)
+
+    def former_loop(z, cs, second, max_sweeps, *, err_tol, reflect):
+        assert second is solvers._project_psd and reflect
+        return reference_douglas_rachford(z, cs, max_sweeps, err_tol=err_tol)
+
+    monkeypatch.setattr(solvers, "_sweeps", former_loop)
     ref = solve_feasible(cs, SolveOptions(max_iterations=500))
     assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
     assert np.abs(rep.solution - ref.solution).max() <= 1e-10

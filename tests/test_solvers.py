@@ -63,9 +63,10 @@ class TestSolveOptions:
         ("nspg_stationarity_tol", 0.0), ("nspg_stationarity_tol", -1.0),
         ("nspg_stationarity_tol", np.nan), ("nspg_stationarity_tol", np.inf),
         ("max_iterations", 0), ("restarts", 0),
+        ("max_iterations", 2.5), ("restarts", 1.5), ("seed", 0.5), ("seed", -1),
     ])
     def test_validation(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
 
 
