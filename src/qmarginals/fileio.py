@@ -18,22 +18,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorcore import SystemDims, as_dims, hermitize
+from .tensorcore import SystemDims, as_dims, hermitize, _finite
 
 
 def write_matrix(path, matrix, dims) -> None:
     """Write a square complex matrix on `dims` as a matrix file.
 
     No Hermiticity check: unitaries are written too, though `read_matrix`
-    reads back only Hermitian matrices.
+    reads back only Hermitian matrices. Numbers are written as `json.dumps`
+    writes them, by float repr; NaN and infinities, which JSON lacks, raise
+    a ValueError naming `path` before anything is written.
     """
     m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
     dims = as_dims(dims)
     if m.shape != (dims.total, dims.total):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims.dims}")
-    pairs = json.dumps(np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist())
-    write_text(path, f'{{"dims": {json.dumps(list(dims.dims))}, "entries": [\n '
-                     + pairs[1:-1].replace("], [", "],\n [") + "\n]}\n")
+    _finite(m, str(path))
+    numbers = iter(map(float.__repr__, m.ravel().view(float).tolist()))
+    pairs = "],\n [".join(map(", ".join, zip(numbers, numbers)))
+    write_text(path, f'{{"dims": {json.dumps(list(dims.dims))}, "entries": [\n [{pairs}]\n]}}\n')
 
 
 def write_text(path, text: str) -> None:
@@ -71,11 +74,13 @@ def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
         raise ValueError(f"{path}: expected {n * n} entries for dims {dims.dims}, "
                          f"got {len(entries)}")
     try:
-        _numbers_only(chain.from_iterable(entries))
-        pairs = np.array(entries, dtype=float).reshape(n * n, 2)   # fails unless all are pairs
-    except (TypeError, ValueError, OverflowError) as exc:
+        if not all(type(e) is list and len(e) == 2 for e in entries):
+            raise TypeError("expected pairs")
+        flat = list(chain.from_iterable(entries))
+        _numbers_only(flat)
+        m = np.array(flat, dtype=float).view(complex).reshape(n, n)
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: entries must be [re, im] pairs of floats") from exc
-    m = pairs.view(complex).reshape(n, n)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > 1e-12:

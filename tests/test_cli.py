@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=f"{spec.name}: values must be finite"):
             fileio.read_spectrum(spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_write_rejects_non_finite_and_leaves_no_file(self, tmp_path, bad):
+        # JSON has no number for these, so no file could be read back
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=f"{path.name}: entries must be finite"):
+            fileio.write_matrix(path, [[bad]], (1,))
+        with pytest.raises(ValueError, match=f"{path.name}: entries must be finite"):
+            fileio.write_matrix(path, np.diag([0.5, 0.5 + 1j * bad]), (2,))
+        assert list(tmp_path.iterdir()) == []
+
     def test_spectrum_renormalizes_print_rounding(self, tmp_path):
         path = tmp_path / "c.json"
         fileio.write_spectrum(path, [0.8, 0.15, 0.0501])
@@ -97,25 +108,34 @@ class TestFileFormat:
             assert f"error: {named}: " in result.output
 
 
+DIMS_ERROR = "dims must be a nonempty list of positive integers"
+PAIRS_ERROR = r"entries must be \[re, im\] pairs of floats"
 MALFORMED_MATRIX_FILES = {
-    "dims-true": '{"dims": [true], "entries": [[1, 0]]}',
-    "dims-fraction": '{"dims": [2.5], "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
-    "dims-overflow": '{"dims": [1e400], "entries": [[1, 0]]}',
-    "dims-string": '{"dims": ["a"], "entries": [[1, 0]]}',
-    "entries-number": '{"dims": [1], "entries": 5}',
+    "dims-true": ('{"dims": [true], "entries": [[1, 0]]}', DIMS_ERROR),
+    "dims-fraction": ('{"dims": [2.5], "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+                      DIMS_ERROR),
+    "dims-overflow": ('{"dims": [1e400], "entries": [[1, 0]]}', DIMS_ERROR),
+    "dims-string": ('{"dims": ["a"], "entries": [[1, 0]]}', DIMS_ERROR),
+    "entries-number": ('{"dims": [1], "entries": 5}',
+                       r"entries must be a list of \[re, im\] pairs"),
+    # one entry at dims [1] that is not a pair of numbers
+    **{f"entry-{name}": (f'{{"dims": [1], "entries": [{entry}]}}', PAIRS_ERROR)
+       for name, entry in [("string", '"ab"'), ("triple", "[1, 0, 0]"), ("single", "[1]"),
+                           ("nested", "[1, [0]]"), ("number", "5"), ("null", "[null, 0]"),
+                           ("object", '{"a": 1, "b": 2}')]},
 }
 
 
-@pytest.mark.parametrize("text", MALFORMED_MATRIX_FILES.values(),
+@pytest.mark.parametrize("text,error", MALFORMED_MATRIX_FILES.values(),
                          ids=list(MALFORMED_MATRIX_FILES))
 class TestMalformedMatrixFile:
-    def test_read_raises_naming_the_file(self, tmp_path, text):
+    def test_read_raises_naming_the_file(self, tmp_path, text, error):
         path = tmp_path / "m.json"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"{path.name}: (dims|entries) must be a"):
+        with pytest.raises(ValueError, match=f"{path.name}: {error}$"):
             fileio.read_matrix(path)
 
-    def test_verify_exits_one_naming_the_file(self, runner, tmp_path, text):
+    def test_verify_exits_one_naming_the_file(self, runner, tmp_path, text, error):
         path = tmp_path / "m.json"
         path.write_text(text)
         result = invoke(runner, "verify", path, "--dims", "1", "--marginal", f"1:{path}")
@@ -242,6 +262,25 @@ class TestSolveCommands:
         assert result.exit_code == 0
         assert "rank: 2" in result.output
         assert "entropy: 0.189" in result.output
+
+    def test_solve_rank_notes_the_gauss_newton_finish(self, runner, tmp_path):
+        marginals = []
+        for keep, side in [("1", "a"), ("2", "b")]:
+            spectrum = fileio.read_spectrum(FIXTURES / f"rank_3x4/spectrum_{side}.json")
+            fileio.write_matrix(tmp_path / f"rho_{side}.json", np.diag(spectrum),
+                                (len(spectrum),))
+            marginals += ["--marginal", f"{keep}:{tmp_path / f'rho_{side}.json'}"]
+        for max_iter, notes in [("1300", r"Gauss-Newton finish: \d+ steps after \d+ sweeps"),
+                                ("100", "")]:   # 100 sweeps end far above 1e-6
+            out = tmp_path / max_iter
+            result = invoke(runner, "solve", "rank", "--cap", "2", "--dims", "3,4", *marginals,
+                            "--init", "greedy", "--max-iter", max_iter, "--tol", "1e-12",
+                            "--out", out)
+            assert result.exit_code == (0 if notes else 2), result.output
+            written = json.loads((out / "report.json").read_text())["notes"]
+            assert re.fullmatch(notes, written)
+            printed = re.findall(r"^notes: (.*)$", result.output, re.M)
+            assert printed == ([written] if notes else [])
 
     def test_solve_rank_iterates_a_non_psd_start_that_meets_the_marginals(self, runner,
                                                                           tmp_path):

@@ -1,7 +1,7 @@
 """Kernels against the implementations they replaced, kept here as
 test-only references: the shared entropy kernels, the sweep loop in its
 alternation and Douglas-Rachford forms, the vectorized eigenvector phase
-fix of the direct constructions, the one-pair-per-line matrix writer, the
+fix of the direct constructions, the matrix writers over nested lists, the
 phase-free spectral projections, and the sweeps that trace each iterate
 once per constraint, in real arithmetic when the instance is real.
 
@@ -190,6 +190,15 @@ def reference_write_matrix(path, m, dims):
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
+def reference_pair_per_line_writer(path, m, dims):
+    """The former one-pair-per-line writer: json.dumps over nested lists, then
+    a line break spliced in after every pair."""
+    m = np.asarray(m, dtype=complex)
+    pairs = json.dumps(np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist())
+    Path(path).write_text(f'{{"dims": {json.dumps(list(dims))}, "entries": [\n '
+                          + pairs[1:-1].replace("], [", "],\n [") + "\n]}\n")
+
+
 def file_matrices(seed):
     """Hermitian matrices carrying -0.0, the smallest subnormal, 1e300 and random entries."""
     rng = np.random.default_rng(seed)
@@ -212,6 +221,15 @@ def test_matrix_files_round_trip_bit_exact_in_either_layout(tmp_path, seed):
         assert new.tobytes() == old.tobytes() == m.tobytes()
         lines = (tmp_path / "new.json").read_text().splitlines()
         assert len(lines) == m.size + 2   # one [re, im] pair per line
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_writer_matches_the_pair_per_line_reference_byte_for_byte(tmp_path, seed):
+    for m in file_matrices(seed) + [file_matrices(seed)[2].T]:   # and a non-contiguous one
+        dims = (m.shape[0],)
+        fileio.write_matrix(tmp_path / "new.json", m, dims)
+        reference_pair_per_line_writer(tmp_path / "old.json", m, dims)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 def reference_project_psd(z):

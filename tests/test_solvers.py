@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from qmarginals import (
     von_neumann,
 )
 from qmarginals import solvers
+from qmarginals.tensorcore import _psd
 
 from conftest import load_matrix, load_spectrum, random_density_pair, random_hermitian
 
@@ -175,13 +178,86 @@ class TestSolveWithRankCap:
         assert rep.final_residual > 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_greedy_start_certifies_within_2000_sweeps(self, seed):
+    def test_greedy_start_certifies_within_1300_iterations(self, seed):
         # the greedy start's zero pattern holds a rank-2 saddle at Err 0.013142;
         # without the seeded nudge the sweeps leave it only on rounding noise,
-        # after 2,862 sweeps in all
-        rep = solve_rank_3x4_from_greedy(SolveOptions(max_iterations=2000, seed=seed))
-        assert rep.converged and rep.iterations <= 2000
+        # after 2,862 sweeps in all. Nudged, the sweeps alone take 1,582 or
+        # more; the Gauss-Newton finish cuts their linear tail.
+        rep = solve_rank_3x4_from_greedy(SolveOptions(max_iterations=1300, seed=seed))
+        assert rep.converged and rep.iterations <= 1300
         assert von_neumann(project_psd(rep.solution)) == pytest.approx(0.189284, abs=1e-6)
+
+    @pytest.mark.parametrize("frame", [None, (5, 6)], ids=["real", "complex"])
+    def test_gauss_newton_finish_halves_the_residual_in_the_target_set(self, monkeypatch,
+                                                                      frame):
+        """From a sweep iterate at Err < RANK_FINISH_ERR on rank_3x4, in the
+        fixture's frame (float64) or in that of random_unitary(3, 5) x
+        random_unitary(4, 6) (complex)."""
+        a, b = (np.diag(v / v.sum()) for v in (load_spectrum(f"rank_3x4/spectrum_{side}.json")
+                                              for side in "ab"))
+        start = greedy_minmatch(a, b)[0].matrix.real
+        if frame is not None:
+            u, w = random_unitary(3, frame[0]), random_unitary(4, frame[1])
+            a, b = u @ a @ u.conj().T, w @ b @ w.conj().T
+            uw = kron(u, w)
+            start = hermitize(uw @ start @ uw.conj().T)
+        cs = bipartite_cs(a, b)
+        x = solvers._real_if_exact(solvers._nudged(start, 0), cs)
+        x, history, converged = solvers._sweeps(
+            x, cs, lambda y: solvers._project_rank(y, 2), 5000,
+            err_tol=solvers.RANK_FINISH_ERR, reflect=False)
+        assert converged and x.dtype == start.dtype
+        norms = []
+        residual = solvers._lm_residual
+
+        def recording(v, cs):
+            out = residual(v, cs)
+            norms.append(np.linalg.norm(out[0]))
+            return out
+
+        monkeypatch.setattr(solvers, "_lm_residual", recording)
+        y, steps = solvers._gauss_newton_rank(x, 2, cs, 20)
+        assert 2 <= len(steps) < 20 and steps[-1] < 1e-14
+        # the start, each accepted step, and the discarded one
+        assert len(norms) == len(steps) + 2
+        assert all(new <= old / 2 for old, new in zip(norms[:-1], norms[1:-1]))
+        assert not norms[-1] <= norms[-2] / 2
+        assert y.dtype == start.dtype
+        values = np.linalg.eigvalsh(y)
+        assert _psd(values) and numerical_rank(values) <= 2
+        assert marginal_residual(y, cs) == pytest.approx(steps[-1], rel=1e-6, abs=1e-18)
+
+    @pytest.mark.parametrize("keeps,complex_v", [([(1, 3), (2,)], True),
+                                                 ([(1, 2), (2, 3)], False)])
+    def test_finish_jacobian_rows_match_central_differences(self, keeps, complex_v):
+        rng = np.random.default_rng(0)
+        dims = (2, 3, 2)
+        x = random_density(dims, 1).matrix
+        cs = ConstraintSet(dims, [(keep, partial_trace(x, dims, keep)) for keep in keeps])
+
+        def draw():
+            return rng.standard_normal((12, 2)) + (1j * rng.standard_normal((12, 2))
+                                                   if complex_v else 0.0)
+
+        v, dv, h = draw(), draw(), 1e-6
+        rows = solvers._lm_rows(v, cs)
+        central = (solvers._lm_residual(v + h * dv, cs)[0]
+                   - solvers._lm_residual(v - h * dv, cs)[0]) / (2 * h)
+        assert np.abs((rows.conj() @ dv.ravel()).real - central).max() < 1e-7
+
+    def test_failed_finish_hands_back_to_the_sweeps(self, monkeypatch):
+        # negated rows step uphill, so the finish's first step is discarded
+        rows = solvers._lm_rows
+        monkeypatch.setattr(solvers, "_lm_rows", lambda v, cs: -rows(v, cs))
+        rep = solve_rank_3x4_from_greedy(SolveOptions(max_iterations=2000))
+        assert rep.converged and rep.iterations <= 2000
+        sweeps = int(re.fullmatch(r"Gauss-Newton finish: 0 steps after (\d+) sweeps",
+                                  rep.notes).group(1))
+        assert sweeps < rep.iterations
+        assert von_neumann(project_psd(rep.solution)) == pytest.approx(0.189284, abs=1e-6)
+        # one iteration left at the hand-over: the discarded step uses none of it
+        rep = solve_rank_3x4_from_greedy(SolveOptions(max_iterations=sweeps + 1))
+        assert rep.iterations == sweeps + 1 and not rep.converged
 
     def test_start_in_the_target_set_comes_back_unchanged(self):
         # the greedy state has rank 3 and meets its marginals: no nudge, no sweep
@@ -435,11 +511,12 @@ class TestDeterminismAndRestarts:
         lambda cs, z: solve_with_rank_cap(cs, 2, SolveOptions(max_iterations=40, seed=2,
                                                               restarts=2)),
         lambda cs, z: solve_rank_3x4_from_greedy(SolveOptions(max_iterations=300)),
+        lambda cs, z: solve_rank_3x4_from_greedy(SolveOptions(max_iterations=2000)),
         lambda cs, z: nspg_minimize(cs, "von-neumann", opts=SolveOptions(max_iterations=60,
                                                                          seed=2)),
         lambda cs, z: nspg_minimize(cs, "renyi", 2.0, SolveOptions(max_iterations=60, seed=2)),
-    ], ids=["feasible", "spectrum", "rank-cap", "rank-cap-greedy", "nspg-von-neumann",
-            "nspg-renyi"])
+    ], ids=["feasible", "spectrum", "rank-cap", "rank-cap-greedy",
+            "rank-cap-greedy-finish", "nspg-von-neumann", "nspg-renyi"])
     def test_every_solver_is_bit_reproducible(self, solve):
         rng = np.random.default_rng(14)
         cs = bipartite_cs(*random_density_pair(rng, 2, 2))
