@@ -25,6 +25,7 @@ from .tensorcore import (
     as_spectrum,
     hermitize,
     _as_square,
+    _positive_definite,
     _reducer,
     _sym,
 )
@@ -305,7 +306,8 @@ def _project_spectrum(p: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def project_psd(z) -> np.ndarray:
     """Nearest PSD matrix to a Hermitian z: z - V_ L_ V_* over its negative
-    eigenpairs (Higham 1988).
+    eigenpairs (Higham 1988), unless a Cholesky factorization of z succeeds,
+    which shows there is nothing to clip; then a copy of z. Always a new array.
 
     z must be exactly Hermitian, as both triangles are read; pass
     `hermitize(z)` for any other square matrix, which projects its Hermitian
@@ -315,7 +317,15 @@ def project_psd(z) -> np.ndarray:
 
 
 def _project_psd(z: np.ndarray) -> np.ndarray:
-    """project_psd in z's own dtype: a real symmetric z gives a real result."""
+    """project_psd in z's own dtype: a real symmetric z gives a real result.
+
+    A positive definite z (`_positive_definite`, about a tenth of the price
+    of `eigh` at n = 128) returns `_sym(z)`, bit for bit what the `eigh`
+    path gives an exactly Hermitian z with no negative eigenvalue. The test
+    only skips work; it decides no verdict.
+    """
+    if _positive_definite(z):
+        return _sym(z)
     values, u = np.linalg.eigh(z)   # ascending; U f(Lambda) U* needs no phase fix
     k = int(np.searchsorted(values, 0.0))
     return _sym(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)
@@ -334,7 +344,11 @@ def project_intersection(z, cs: ConstraintSet):
     phi(y) = ||P_+(z + sum y_k B_k)||^2 / 2 - <b, y>, whose gradient
     <B, X(y)> - b is the marginal error of X(y) = P_+(z + sum y_k B_k).
     Starts from the affine projection's dual point b - <B, z>, where
-    X = P_+(P_A(z)) (the answer when P_A(z) is PSD). Stops at gradient norm
+    X = P_+(P_A(z)) (the answer when P_A(z) is PSD). When a Cholesky
+    factorization of P_A(z) succeeds, it returns P_A(z), that dual point,
+    its gradient norm and False with no eigendecomposition: the Newton loop
+    would reach the same X up to rounding. The factorization only skips
+    work and decides no verdict. Otherwise it stops at gradient norm
     DUAL_GRAD_TOL, after DUAL_MAX_ITERATIONS Newton steps, or when the line
     search cannot tell a step from rounding. Returns (X(y), H, gradient norm,
     whether the step cap ended it), with H = sum y_k B_k the dual point as a
@@ -359,6 +373,10 @@ def project_intersection(z, cs: ConstraintSet):
         return lam, u, x, dual, grad, 0.5 * float(plus @ plus) - float(b @ y)
 
     y = b - (flat.conj() @ z.ravel()).real
+    dual = (y @ flat).reshape(n, n)
+    x = _sym(z + dual)   # P_A(z)
+    if _positive_definite(x):
+        return x, dual, float(np.linalg.norm((flat.conj() @ x.ravel()).real - b)), False
     lam, u, x, dual, grad, phi = evaluate(y)
     gnorm = float(np.linalg.norm(grad))
     for _ in range(DUAL_MAX_ITERATIONS):

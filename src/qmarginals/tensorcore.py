@@ -104,6 +104,19 @@ def _psd(values) -> bool:
     return bool(values[0] >= -PSD_ATOL)
 
 
+def _positive_definite(z: np.ndarray) -> bool:
+    """Whether `np.linalg.cholesky` factors the Hermitian z, of which it reads
+    the lower triangle. Success shows that no eigenvalue of z is negative
+    beyond rounding, so a projection onto the PSD cone has nothing to clip:
+    a sufficient test that lets a projection skip its eigendecomposition. It
+    decides no verdict; `_psd` is the one PSD rule."""
+    try:
+        np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def numerical_rank(a) -> int:
     """Count of eigenvalues above RANK_RTOL * max(1, lambda_max), of a matrix or
     of its eigenvalues given as a 1-D array, which must be finite too."""

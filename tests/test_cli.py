@@ -570,6 +570,49 @@ class TestVerify:
         assert result.exit_code == 1
 
 
+class TestVerifyThresholds:
+    """verify's verdicts on either side of each threshold, on two-qubit states
+    whose marginals are given exactly: PSD_ATOL = 1e-10, TRACE_ATOL = 1e-10,
+    and the marginal residual against --tol itself."""
+
+    def run(self, runner, tmp_path, x, marginals, *options):
+        path = tmp_path / "x.json"
+        fileio.write_matrix(path, x, (2, 2))
+        args = []
+        for keep, m in marginals.items():
+            fileio.write_matrix(tmp_path / f"m{keep}.json", m, (2,))
+            args += ["--marginal", f"{keep}:{tmp_path / f'm{keep}.json'}"]
+        result = runner.invoke(main, [str(a) for a in
+                                      ["verify", path, "--dims", "2,2", *args, *options]])
+        return result.exit_code, dict(line.split(": ") for line in result.output.splitlines()
+                                      if ": " in line)
+
+    @pytest.mark.parametrize("eps,verdict", [(1e-11, "ok"), (1e-9, "FAIL")])
+    def test_psd_line_at_an_eigenvalue_of_minus_eps(self, runner, tmp_path, eps, verdict):
+        zz = np.diag([1.0, -1.0, -1.0, 1.0])   # eigenvalues 1/2 + eps, -eps twice
+        x = np.eye(4) / 4 + (0.25 + eps) * zz
+        code, lines = self.run(runner, tmp_path, x, {1: np.eye(2) / 2, 2: np.eye(2) / 2})
+        assert lines["psd"] == verdict and code == (0 if verdict == "ok" else 1)
+        assert lines["marginals"] == lines["unit_trace"] == "ok"
+
+    @pytest.mark.parametrize("eps,verdict", [(1e-11, "ok"), (1e-9, "FAIL")])
+    def test_unit_trace_line_at_a_trace_of_one_plus_eps(self, runner, tmp_path, eps, verdict):
+        x = (1 + eps) * np.eye(4) / 4
+        half = (1 + eps) * np.eye(2) / 2
+        code, lines = self.run(runner, tmp_path, x, {1: half, 2: half}, "--tol", "1e-12")
+        assert lines["unit_trace"] == verdict and code == (0 if verdict == "ok" else 1)
+        assert lines["psd"] == lines["marginals"] == "ok"
+
+    @pytest.mark.parametrize("tol,verdict", [("1e-6", "ok"), ("1e-7", "FAIL")])
+    def test_marginals_line_against_tol(self, runner, tmp_path, tol, verdict):
+        """A marginal residual of sqrt(2) 1e-7 passes --tol 1e-6 and fails 1e-7."""
+        x = np.eye(4) / 4 + 1e-7 * np.kron(np.diag([1.0, -1.0]), np.eye(2)) / 2
+        code, lines = self.run(runner, tmp_path, x, {1: np.eye(2) / 2, 2: np.eye(2) / 2},
+                               "--tol", tol)
+        assert lines["marginals"] == verdict and code == (0 if verdict == "ok" else 1)
+        assert lines["psd"] == lines["unit_trace"] == "ok"
+
+
 class TestRandomCommands:
     def test_unitary_deterministic(self, runner, tmp_path):
         a = tmp_path / "a.json"

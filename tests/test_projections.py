@@ -4,19 +4,25 @@ import pytest
 from qmarginals import (
     ConstraintSet,
     MarginalConstraint,
+    SolveOptions,
     SystemDims,
     check_consistency,
     kron,
     partial_trace,
     project_bipartite_affine,
+    project_intersection,
     project_marginals,
     project_psd,
     project_spectrum,
     pseudoinverse_projection,
     random_density,
     random_unitary,
+    solve_feasible,
     vectorize_constraints,
 )
+from qmarginals import projections
+from qmarginals.projections import _project_psd
+from qmarginals.tensorcore import _sym
 
 from conftest import (
     load_matrix,
@@ -125,6 +131,108 @@ class TestPsdProjection:
         assert np.abs(out - np.array([[0.5, 0.5], [0.5, 0.5]])).max() < 1e-12
 
 
+def reference_project_psd(z):
+    """The PSD projection without the Cholesky test: z - V_ L_ V_* from `eigh`."""
+    values, u = np.linalg.eigh(z)
+    k = int(np.searchsorted(values, 0.0))
+    return _sym(z - (u[:, :k] * values[:k]) @ u[:, :k].conj().T)
+
+
+def with_spectrum(values, seed, real):
+    """U diag(values) U*, exactly Hermitian, with U Haar (real orthogonal when `real`)."""
+    n = len(values)
+    if real:
+        u = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+    else:
+        u = random_unitary(n, seed)
+    return _sym((u * np.asarray(values)) @ u.conj().T)
+
+
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    """A list that counts the `np.linalg.eigh` calls made while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestPsdSkip:
+    """The PSD step skips `eigh` when a Cholesky factorization succeeds, and
+    returns what the `eigh` path returns, bit for bit."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [4, 12, 64])
+    def test_positive_definite_input_takes_no_eigh(self, eigh_calls, n, real):
+        z = with_spectrum(np.linspace(1e-3, 1.0, n), n, real)
+        x = _project_psd(z)
+        assert eigh_calls == []
+        ref = reference_project_psd(z)
+        assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["singular", "negative"])
+    def test_other_inputs_take_the_eigh_path(self, eigh_calls, kind, real):
+        if kind == "singular":
+            # the zero row and column leave a zero pivot, which Cholesky refuses
+            z = with_spectrum(np.linspace(0.1, 1.0, 12), 3, real)
+            z[-1, :] = z[:, -1] = 0.0
+        else:
+            z = with_spectrum(np.r_[-1e-3, np.linspace(0.1, 1.0, 11)], 3, real)
+        x = _project_psd(z)
+        assert len(eigh_calls) == 1
+        assert x.tobytes() == reference_project_psd(z).tobytes()
+
+    @pytest.mark.parametrize("values", [[0.5, 1.0], [-0.5, 1.0]], ids=["skip", "eigh"])
+    def test_result_is_a_new_array(self, values):
+        z = with_spectrum(values, 1, False)
+        before = z.copy()
+        x = project_psd(z)
+        assert x is not z
+        x[...] = 7.0
+        assert np.array_equal(z, before)
+
+    def test_intersection_with_positive_definite_affine_point_takes_no_eigh(self,
+                                                                           eigh_calls):
+        rng = np.random.default_rng(30)
+        r1, r2 = random_density_pair(rng, 2, 3)
+        cs = bipartite_cs(r1, r2)
+        z = kron(r1, r2) + 1e-3 * random_hermitian(rng, 6)
+        cs._dual_basis   # the basis is built once per set, with an eigh of its Gram matrix
+        eigh_calls.clear()
+        x, h, gnorm, capped = project_intersection(z, cs)
+        assert eigh_calls == [] and not capped
+        assert np.abs(x - project_marginals(z, cs)).max() <= 1e-15
+        assert np.array_equal(x, x.conj().T) and gnorm <= 1e-14
+
+    def test_chain_instance_pins_its_eigh_calls(self, eigh_calls, monkeypatch):
+        """7 qubits, the six nearest-neighbour pairs of 0.2 (product pure state)
+        + 0.8 (random state): the last 2 of the 6 Douglas-Rachford sweeps find
+        2a - z positive definite and skip `eigh`."""
+        rng = np.random.default_rng(0)
+        dims = (2,) * 7
+        psi = np.ones(1)
+        for _ in dims:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi = np.kron(psi, v / np.linalg.norm(v))
+        rho = 0.2 * np.outer(psi, psi.conj()) + 0.8 * random_density(dims, 0).matrix
+        cs = ConstraintSet(dims, [((i, i + 1), partial_trace(rho, dims, (i, i + 1)))
+                                  for i in range(1, 7)])
+        opts = SolveOptions(tolerance=1e-8)
+        rep = solve_feasible(cs, opts)
+        assert rep.converged and (rep.iterations, len(eigh_calls)) == (6, 4)
+        eigh_calls.clear()
+        monkeypatch.setattr(projections, "_positive_definite", lambda z: False)
+        ref = solve_feasible(cs, opts)
+        assert (ref.iterations, len(eigh_calls)) == (6, 6)
+        assert np.array_equal(rep.solution, ref.solution)
+
+
 class TestMarginalCorrection:
     def test_no_correction_needed(self):
         rng = np.random.default_rng(8)
@@ -197,6 +305,21 @@ class TestConsistency:
         cs = ConstraintSet((2, 2, 2), [((1, 2), r12), ((2, 3), r23)])
         rep = check_consistency(cs)
         assert not rep.consistent
+
+    @pytest.mark.parametrize("eps,consistent", [(1e-9, True), (1e-7, False)])
+    def test_overlap_disagreeing_by_eps(self, eps, consistent):
+        """The two pair marginals of three qubits disagree on qubit 2 by
+        sqrt(2) eps in Frobenius norm, against CONSISTENCY_TOL = 1e-8."""
+        half = np.eye(2) / 2
+        shifted = half + eps * np.diag([1.0, -1.0])
+        cs = ConstraintSet((2, 2, 2), [((1, 2), kron(half, half)),
+                                       ((2, 3), kron(shifted, half))])
+        rep = check_consistency(cs)
+        assert rep.consistent is consistent
+        assert abs(rep.max_discrepancy - np.sqrt(2) * eps) <= 1e-3 * eps
+        if not consistent:
+            with pytest.raises(ValueError, match="inconsistent constraint set"):
+                project_marginals(np.eye(8) / 8, cs)
 
 
 class TestProjectMarginals:

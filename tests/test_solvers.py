@@ -84,6 +84,19 @@ class TestSolveWithSpectrum:
         assert rep.converged and rep.iterations == 0
         assert len(rep.residual_history) == rep.iterations
 
+    @pytest.mark.parametrize("eps,sweeps", [(1e-9, 0), (1e-7, 3)])
+    def test_start_off_the_spectrum_by_eps(self, eps, sweeps):
+        """A start that meets the marginals comes back unchanged when its
+        spectrum is within SPECTRUM_ATOL = 1e-8 of c, and is swept otherwise."""
+        r1, r2 = random_density_pair(np.random.default_rng(0), 2, 3)
+        x0 = kron(r1, r2)
+        c = np.sort(np.linalg.eigvalsh(x0))[::-1]
+        c[0] += eps
+        c[-1] -= eps
+        rep = solve_with_spectrum(bipartite_cs(r1, r2), c, SolveOptions(max_iterations=3),
+                                  initial=x0)
+        assert rep.iterations == sweeps
+
     def test_bipartite_fixture_instance(self):
         r1, _ = load_matrix("bipartite_2x3/rho_a.json")
         r2, _ = load_matrix("bipartite_2x3/rho_b.json")

@@ -293,6 +293,19 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    @pytest.mark.parametrize("eps", [1e-11, 1e-9])
+    def test_trace_and_psd_thresholds(self, eps):
+        """TRACE_ATOL = PSD_ATOL = 1e-10: an excess of 1e-11 passes, 1e-9 fails."""
+        for call, message in [
+                (lambda: DensityMatrix((1 + eps) * np.eye(2) / 2), "trace must be 1"),
+                (lambda: DensityMatrix(np.diag([1.0 + eps, -eps])), "not PSD"),
+                (lambda: as_spectrum([0.5 + eps, 0.5], probability=True), "sum to 1")]:
+            if eps < 1e-10:
+                call()
+            else:
+                with pytest.raises(ValueError, match=message):
+                    call()
+
     def test_hermitizes(self):
         m = np.array([[0.5, 0.1 + 1e-14j], [0.1, 0.5]])
         dm = DensityMatrix(m)
