@@ -13,9 +13,9 @@ All projections are in the Frobenius norm.
 from __future__ import annotations
 
 import itertools
-import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -25,12 +25,16 @@ from .tensorcore import (
     as_spectrum,
     hermitize,
     _as_square,
+    _gather,
     _positive_definite,
-    _reducer,
+    _segment_sums,
     _sym,
+    _trace_down,
 )
 
 CONSISTENCY_TOL = 1e-8
+
+_NodeTable = namedtuple("_NodeTable", "gather starts targets bounds scale weight lift rows")
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,36 @@ class ConstraintSet:
         return tuple(sorted(terms, key=lambda term: term[1]))
 
     @cached_property
-    def _nodes(self) -> tuple[tuple[tuple[int, ...], object, np.ndarray], ...]:
-        """(S, reducer, sigma_S) for every constraint, in order, then every
-        other nonempty node of the lattice plan: what a sweep traces its
-        iterate to. sigma_S is stored in float64 when its imaginary part is
-        exactly zero, so a real iterate stays real."""
+    def _nodes(self) -> _NodeTable:
+        """Every node a sweep traces its iterate to, as flat arrays: each
+        constraint's kept set S, in order, then every other nonempty node of
+        the lattice plan. `gather` concatenates the nodes' `_gather` indices
+        and `targets` their sigma_S (float64 when all are real), node after
+        node; `starts` begins each deficit entry's run, and `bounds`
+        delimits the constraints' blocks. Each nonempty term w of
+        `correction_terms` lifts w (1/n_{S^c}) D_S onto the entries `lift`:
+        `rows` names the deficit entry that each repeats, and `scale` and
+        `weight` hold 1/n_{S^c} and w per deficit entry.
+        """
+        dims, n, terms = self.dims, self.dims.total, self.correction_terms
         targets = {c.keep: c.target for c in self.constraints}
-        targets.update((labels, t) for _w, labels, t in self.correction_terms if labels)
-        return tuple((s, _reducer(self.dims, s), t if np.any(t.imag) else t.real)
-                     for s, t in targets.items())
+        targets.update((labels, t) for _w, labels, t in terms if labels)
+        sizes = [dims.subdim(s) ** 2 for s in targets]
+        lengths = np.repeat([n // dims.subdim(s) for s in targets], sizes)   # n_{S^c} per entry
+        entries = dict(zip(targets, np.split(np.arange(lengths.size), np.cumsum(sizes)[:-1])))
+        flat = np.concatenate([np.ravel(t) for t in targets.values()])
+        coef = {labels: w for w, labels, _t in terms}
+        lifted = [labels for _w, labels, _t in terms if labels]
+        lifted_entries = np.concatenate([entries[s] for s in lifted])
+        return _NodeTable(
+            gather=np.concatenate([_gather(dims, s)[0] for s in targets]),
+            starts=np.cumsum(lengths) - lengths,
+            targets=flat if np.any(flat.imag) else flat.real.copy(),
+            bounds=tuple(int(b) for b in np.cumsum([0] + sizes[:len(self.constraints)])),
+            scale=1.0 / lengths,
+            weight=np.repeat([coef.get(s, 0.0) for s in targets], sizes),
+            lift=np.concatenate([_gather(dims, s)[0] for s in lifted]),
+            rows=np.repeat(lifted_entries, lengths[lifted_entries]))
 
     @cached_property
     def _dual_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +171,11 @@ class ConstraintSet:
         lifted, values = [], []
         for c in self.constraints:
             nj = c.target.shape[0]
+            gather = _gather(self.dims, c.keep)[0]
             for e in _hermitian_units(nj):
                 out = np.zeros((n, n), dtype=complex)
-                _add_lifted(out, 1.0, e, self.dims, c.keep)   # E x I / n_{J^c}
-                lifted.append(out)
+                out.reshape(-1)[gather] = np.repeat((1.0 / (n // nj)) * e.ravel(), n // nj)
+                lifted.append(out)   # E x I / n_{J^c}
                 values.append(float(np.vdot(e, c.target).real) * nj / n)
         lifted = np.array(lifted)
         flat = lifted.reshape(len(lifted), n * n)
@@ -180,7 +206,7 @@ def _trace_within(m: np.ndarray, keep: tuple[int, ...], labels: tuple[int, ...],
         return float(np.trace(m).real)
     if labels == keep:
         return m
-    return _reducer(dims.local_dims(keep), tuple(keep.index(i) + 1 for i in labels))(m)
+    return _trace_down(m, dims.local_dims(keep), tuple(keep.index(i) + 1 for i in labels))
 
 
 @dataclass(frozen=True)
@@ -213,59 +239,39 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
                              derived_marginals=derived, max_discrepancy=worst)
 
 
-def _add_lifted(out: np.ndarray, w: float, deficit: np.ndarray, dims: SystemDims,
-                keep: tuple[int, ...]) -> None:
-    """out += w * (deficit x I/n_{J^c}) in place, factors in ascending label order.
-
-    Only entries whose row and column agree on every complement subsystem
-    change: a strided view of the C-contiguous `out` that steps along row and
-    column of each complement axis at once, with the kept block broadcast.
-    """
-    shape, strides, block, njc = _lifted_layout(dims, keep, out.itemsize)
-    view = np.ndarray(shape, out.dtype, buffer=out, strides=strides)
-    view += (w * ((1.0 / njc) * deficit)).reshape(block)
-
-
-@lru_cache(maxsize=256)
-def _lifted_layout(dims: SystemDims, keep: tuple[int, ...], itemsize: int):
-    """(shape, strides) of the `_add_lifted` view, the kept block's shape, and n_{J^c}."""
-    n = dims.total
-    col = [itemsize * math.prod(dims.dims[a:]) for a in range(1, dims.k + 1)]
-    comp = [a for a in range(1, dims.k + 1) if a not in keep]
-    kept = [dims.dims[a - 1] for a in keep]
-    shape = tuple([dims.dims[a - 1] for a in comp] + kept + kept)
-    strides = tuple([(n + 1) * col[a - 1] for a in comp]
-                    + [n * col[a - 1] for a in keep] + [col[a - 1] for a in keep])
-    return shape, strides, tuple(kept + kept), n // dims.subdim(keep)
-
-
 def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     """Frobenius projection of the Hermitian part of z onto {X : tr_{J_i^c}(X) = sigma_i}.
 
     Inclusion-exclusion over the intersection lattice of the kept sets;
     intersections carry the derived marginals, the empty intersection the
-    global trace. The corrections are linear in z and commute with taking
-    the Hermitian part, so that is taken once, of the result.
+    global trace. One gather and one segment sum trace z to every node
+    (`_deficits`), and one ordered scatter adds the corrections
+    (`_project_affine`). The corrections are linear in z and commute with
+    taking the Hermitian part, so that is taken once, of the result.
     """
     z = _as_square(z, "z", cs.dims)
     return _project_affine(z, cs, _deficits(z, cs))
 
 
-def _deficits(x, cs: ConstraintSet) -> dict:
-    """{S: tr_{S^c}(x) - sigma_S} over `cs._nodes`, each traced once from x."""
-    return {s: reduce(x) - t for s, reduce, t in cs._nodes}
+def _deficits(x, cs: ConstraintSet) -> np.ndarray:
+    """tr_{S^c}(x) - sigma_S for every node of `cs._nodes`, flattened node
+    after node into one vector: one gather and one segment sum. Its first
+    `cs._nodes.bounds[-1]` entries are the constraints' deficits."""
+    nodes = cs._nodes
+    return _segment_sums(x, nodes.gather, nodes.starts) - nodes.targets
 
 
 def _project_affine(z, cs: ConstraintSet, deficits) -> np.ndarray:
-    """project_marginals in z's dtype, given z's `_deficits`: each nonempty
-    node lifts its own deficit, and the empty node reads the trace of z."""
+    """project_marginals in z's dtype, given z's `_deficits`: the empty node
+    first, from the trace of z, then one unbuffered scatter of every other
+    node's correction, term after term, so each entry adds them in order."""
     n = z.shape[0]
     out = z.copy()
-    for w, labels, target in cs.correction_terms:
-        if labels:
-            _add_lifted(out, w, deficits[labels], cs.dims, labels)
-        else:
-            out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
+    w, labels, target = cs.correction_terms[0]
+    if not labels:
+        out.reshape(-1)[:: n + 1] += w * ((float(np.trace(z).real) - target) / n)
+    nodes = cs._nodes
+    np.add.at(out.reshape(-1), nodes.lift, (nodes.weight * (nodes.scale * deficits))[nodes.rows])
     return _sym(out)
 
 

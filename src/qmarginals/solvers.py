@@ -38,9 +38,10 @@ from .tensorcore import (
     numerical_rank,
     random_density,
     _as_square,
+    _gather,
     _psd,
-    _reducer,
     _sym,
+    _trace_down,
 )
 
 
@@ -85,13 +86,15 @@ class SolveReport:
 def marginal_residual(x, cs: ConstraintSet) -> float:
     """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F."""
     x = _as_square(x, "x", cs.dims)
-    return float(sum(np.linalg.norm(_reducer(cs.dims, c.keep)(x) - c.target)
+    return float(sum(np.linalg.norm(_trace_down(x, cs.dims, c.keep) - c.target)
                      for c in cs.constraints))
 
 
 def _err(deficits, cs: ConstraintSet) -> float:
-    """Err from the marginal deficits: the sum of the constraints' Frobenius norms."""
-    return float(sum(np.linalg.norm(deficits[c.keep]) for c in cs.constraints))
+    """Err from the marginal deficits, one `np.linalg.norm` per constraint
+    block, so that it equals `marginal_residual` bit for bit."""
+    b = cs._nodes.bounds
+    return float(sum(np.linalg.norm(deficits[b[i]:b[i + 1]]) for i in range(len(b) - 1)))
 
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
@@ -104,7 +107,7 @@ def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
     """z in float64 when z has an exactly zero imaginary part and `cs` stores
     every target in float64, else z. Every sweep step maps real matrices to
     real ones."""
-    if np.any(z.imag) or any(np.iscomplexobj(t) for _s, _r, t in cs._nodes):
+    if np.any(z.imag) or np.iscomplexobj(cs._nodes.targets):
         return z
     return np.ascontiguousarray(z.real)
 
@@ -286,7 +289,7 @@ def _lm_residual(v, cs: ConstraintSet):
     """(F, Err(VV*)): F lists the constraints' deficits tr_{S^c}(VV*) - sigma_S
     entry by entry, as [re, im] pairs when V is complex."""
     deficits = _deficits(_sym(v @ v.conj().T), cs)
-    f = np.concatenate([deficits[c.keep].ravel() for c in cs.constraints])
+    f = deficits[:cs._nodes.bounds[-1]]
     return f.view(float) if np.iscomplexobj(v) else f, _err(deficits, cs)
 
 
@@ -294,15 +297,13 @@ def _lm_rows(v, cs: ConstraintSet) -> np.ndarray:
     """The rows of the Jacobian of `_lm_residual`'s F at V, flattened: for the
     unit E of a coordinate of constraint S (e_a e_b^T for a real part,
     i e_a e_b^T for an imaginary one), 2 herm(E x I_{S^c}) V."""
-    dims, k = cs.dims.dims, cs.dims.k
+    n = v.shape[0]
     blocks = []
     for c in cs.constraints:
-        keep, ns = [i - 1 for i in c.keep], cs.dims.subdim(c.keep)
-        a, b = [k + 1 + i for i in keep], [2 * k + 1 + i for i in keep]   # row axis i is i
-        g = np.einsum(np.eye(ns).reshape([dims[i] for i in keep] * 2), a + keep,
-                      v.reshape(dims + (-1,)), [2 * k + 1 + i if i in keep else i
-                                                for i in range(k + 1)],
-                      a + b + list(range(k + 1))).reshape(ns, ns, -1)   # (e_a e_b^T x I) V
+        ns, index = c.target.shape[0], _gather(cs.dims, c.keep)[0]
+        g = np.zeros((ns * ns, n, v.shape[1]), v.dtype)
+        g[np.arange(index.size) // (n // ns), index // n] = v[index % n]   # (e_a e_b^T x I) V
+        g = g.reshape(ns, ns, -1)
         gt = g.swapaxes(0, 1)
         blocks.append((np.stack([g + gt, 1j * (g - gt)], 2) if np.iscomplexobj(v)
                        else g + gt).reshape(-1, v.size))

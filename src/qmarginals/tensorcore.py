@@ -137,27 +137,46 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 
     On product inputs returns the tensor factor over `keep` scaled by the
     traces of the discarded factors; kept factors stay in ascending label
-    order.
+    order. One gather and one segment sum (`_gather`): the kernel that
+    traces a sweep's iterate to every lattice node at once.
     """
     dims = as_dims(dims)
-    return _reducer(dims, tuple(keep))(_as_square(rho, "rho", dims))
+    keep = dims.validate_keep(keep)
+    return _trace_down(_as_square(rho, "rho", dims), dims, keep)
+
+
+def _trace_down(m: np.ndarray, dims: SystemDims, keep: tuple[int, ...]) -> np.ndarray:
+    """partial_trace of a checked m, for a validated `keep`."""
+    nj = dims.subdim(keep)
+    return _segment_sums(m, *_gather(dims, keep)).reshape(nj, nj)
+
+
+def _segment_sums(m: np.ndarray, gather: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of the runs of m's entries at the flat indices `gather` that begin
+    at `starts`. A sum of finite entries that overflows is inf, without a
+    warning; `check_consistency` reads the NaN gap it leads to as a failure."""
+    with np.errstate(over="ignore"):
+        return np.add.reduceat(np.take(m, gather), starts)
 
 
 @lru_cache(maxsize=256)
-def _reducer(dims: SystemDims, keep: tuple[int, ...]):
-    """The einsum that traces a matrix on `dims` down to `keep`, built once per pair."""
-    j = dims.validate_keep(keep)
-    keep0 = [i - 1 for i in j]
-    k = dims.k
-    shape = dims.dims * 2
-    in_labels = list(range(k)) + [k + i if i in keep0 else i for i in range(k)]
-    out_labels = keep0 + [k + i for i in keep0]
-    nj = dims.subdim(j)
-
-    def trace_down(m: np.ndarray) -> np.ndarray:
-        return np.einsum(m.reshape(shape), in_labels, out_labels).reshape(nj, nj)
-
-    return trace_down
+def _gather(dims: SystemDims, keep: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, starts) tracing an n x n matrix on `dims` down to S = `keep`:
+    the n n_S flat indices of the entries whose row and column agree outside
+    S, ordered (row on S, column on S, complement) and built from per-axis
+    strides, and the start of the run of n_{S^c} that each entry of the
+    trace sums. The lift D x I/n_{S^c} writes D_ij / n_{S^c} over run (i, j).
+    """
+    n = dims.total
+    stride = [math.prod(dims.dims[a:]) for a in range(1, dims.k + 1)]
+    index = np.zeros(1, dtype=np.intp)
+    for a, step in ([(a, n) for a in keep] + [(a, 1) for a in keep]
+                    + [(a, n + 1) for a in range(1, dims.k + 1) if a not in keep]):
+        index = np.add.outer(index, step * stride[a - 1] * np.arange(dims.dims[a - 1])).ravel()
+    starts = np.arange(0, index.size, n // dims.subdim(keep))
+    for array in (index, starts):
+        array.setflags(write=False)
+    return index, starts
 
 
 def swap_bipartite(m: np.ndarray, n1: int, n2: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from qmarginals import (
     random_density,
     solvers,
 )
-from qmarginals.projections import _add_lifted
 from qmarginals.tensorcore import as_dims
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -65,13 +64,15 @@ def marginal_correction(z, sigma, dims, keep):
     """M_J(Z, sigma) = (tr_{J^c}(Z) - sigma) x I/n_{J^c}, factors in label order.
 
     Z - M_J(Z, sigma) is the least-squares point whose marginal on `keep`
-    equals sigma. A test-only reference for the affine projection.
+    equals sigma. A test-only reference for the affine projection, built as
+    the dense permutation sandwich P^T (I/n_{J^c} x Delta) P of
+    `subsystem_permutation`, with Delta = tr_{J^c}(Z) - sigma.
     """
     dims = as_dims(dims)
     j = dims.validate_keep(keep)
-    out = np.zeros((dims.total, dims.total), dtype=complex)
-    _add_lifted(out, 1.0, partial_trace(z, dims, j) - sigma, dims, j)
-    return out
+    njc = dims.total // dims.subdim(j)
+    p = subsystem_permutation(dims, j)
+    return p.T @ np.kron(np.eye(njc) / njc, partial_trace(z, dims, j) - sigma) @ p
 
 
 def kkt_residuals(z, x, h, cs):

@@ -3,7 +3,9 @@ test-only references: the shared entropy kernels, the sweep loop in its
 alternation and Douglas-Rachford forms, the vectorized eigenvector phase
 fix of the direct constructions, the matrix writers over nested lists, the
 phase-free spectral projections, and the sweeps that trace each iterate
-once per constraint, in real arithmetic when the instance is real.
+once per constraint, in real arithmetic when the instance is real. The
+last tests pin the trace kernel that every partial trace and every sweep
+shares: one gather of precomputed indices and one segment sum.
 
 Agreement is exact: `==` on values, `np.array_equal` on matrices, and equal
 bytes where the sign of a zero matters. The spectral projections round
@@ -16,6 +18,8 @@ by ||z||_F where the Douglas-Rachford iterate z grows).
 
 import itertools
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +44,9 @@ from qmarginals import (
 )
 from qmarginals.constructive import _phase_fixed_eig
 from qmarginals.entropy import LOG_FLOOR, entropy_objective
-from qmarginals.projections import _project_psd
+from qmarginals.projections import _deficits, _project_affine, _project_psd
 from qmarginals.solvers import _project_rank, _sweeps
+from qmarginals.tensorcore import SystemDims, _gather
 
 from conftest import (
     load_matrix,
@@ -504,3 +509,53 @@ def test_feasible_solver_takes_the_former_loops_sweep_count(monkeypatch, make_cs
     ref = solve_feasible(cs, SolveOptions(max_iterations=500))
     assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
     assert np.abs(rep.solution - ref.solution).max() <= 1e-10
+
+
+def test_partial_trace_of_a_strided_view_equals_its_contiguous_copy():
+    rng = np.random.default_rng(12)
+    dims = (2, 3, 2)
+    view = random_hermitian(rng, 12).T
+    assert not view.flags.c_contiguous
+    for r in range(1, 4):
+        for keep in itertools.combinations(range(1, 4), r):
+            assert np.array_equal(partial_trace(view, dims, keep),
+                                  partial_trace(np.ascontiguousarray(view), dims, keep))
+
+
+def test_real_iterate_gives_real_deficits_and_affine_step():
+    cs, greedy = rank_3x4_greedy()
+    x = np.ascontiguousarray(greedy.real)
+    deficits = _deficits(x, cs)
+    assert deficits.dtype == np.float64
+    assert _project_affine(x, cs, deficits).dtype == np.float64
+
+
+def test_gathered_entries_scale_with_the_index_set():
+    """All pairs of 8 qubits: the table gathers n n_S entries per node, not n^2,
+    and building one node's indices allocates a small multiple of them."""
+    cs = all_pairs(8, 0)
+    n = cs.dims.total
+    nodes = [labels for _w, labels, _t in cs.correction_terms if labels]
+    assert len(nodes) == 28 + 8
+    assert cs._nodes.gather.size == sum(n * cs.dims.subdim(s) for s in nodes) == 32768
+    assert cs._nodes.lift.size == cs._nodes.gather.size
+    tracemalloc.start()
+    index, starts = _gather.__wrapped__(SystemDims((2,) * 8), (3, 7))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert index.size == n * 4 and starts.size == 16
+    # 32 kB at most, where one n^2 index temporary alone would take 512 kB
+    assert peak <= 4 * index.nbytes
+
+
+def test_overflowing_trace_gives_inf_without_a_warning():
+    """The targets of the NaN-discrepancy test: their entries are finite, and
+    the trace down to subsystem 1 overflows."""
+    big = np.eye(6, dtype=complex) / 6
+    for b in range(3):
+        big[b, 3 + b] = big[3 + b, b] = 6e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduced = partial_trace(big, (2, 3), (1,))
+    assert np.isinf(reduced[0, 1]) and np.isinf(reduced[1, 0])
+    assert np.isfinite(np.diag(reduced)).all()

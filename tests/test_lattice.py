@@ -3,7 +3,8 @@
 The references below are kept here on purpose: they are the plain 2^m
 subset enumeration for the inclusion-exclusion plan and the consistency
 check, and the dense permutation sandwich P^T (I/n_{J^c} x Delta) P for each
-correction. The library's lattice plan and strided in-place corrections must
+correction. The library's lattice plan and its corrections, scattered
+through the gathered indices of each node in the plan's order, must
 reproduce them exactly: the same coefficients, the same discrepancy, and
 bit-identical projections.
 """
