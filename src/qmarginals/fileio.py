@@ -95,7 +95,8 @@ def _numbers_only(items) -> None:
 
 
 def write_spectrum(path, values) -> None:
-    v = np.asarray(values, dtype=float).ravel()
+    """Write a spectrum file; a NaN or infinity raises a ValueError naming `path` first."""
+    v = _finite(np.asarray(values, dtype=float).ravel(), str(path))
     write_text(path, json.dumps({"values": [float(x) for x in v]}, indent=1) + "\n")
 
 

@@ -62,7 +62,7 @@ class SolveOptions:
     def __post_init__(self):
         for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
+            if type(value) is bool or not (isinstance(value, (int, np.integer)) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("tolerance", "nspg_stationarity_tol"):
             value = getattr(self, name)
@@ -156,7 +156,7 @@ def _sweep_solver(cs, opts, initial, second, contains, *, reflect=False,
     reports = []
     for seed in range(opts.seed, opts.seed + opts.restarts):
         x = _initial_point(cs, seed, initial if seed == opts.seed else None)
-        err0 = marginal_residual(x, cs)
+        err0 = _err(_deficits(x, cs), cs)
         notes = ""
         if err0 < tol and contains(np.linalg.eigvalsh(x)):
             history = []

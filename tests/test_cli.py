@@ -75,6 +75,21 @@ class TestFileFormat:
             fileio.write_matrix(path, np.diag([0.5, 0.5 + 1j * bad]), (2,))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_write_spectrum_rejects_non_finite_and_leaves_no_file(self, tmp_path, bad):
+        path = tmp_path / "c.json"
+        with pytest.raises(ValueError, match=f"{path.name}: entries must be finite"):
+            fileio.write_spectrum(path, [0.5, bad])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spectrum_round_trip_bit_exact(self, tmp_path):
+        path = tmp_path / "c.json"
+        values = np.sort(np.random.default_rng(3).dirichlet(np.ones(7)))[::-1]
+        values /= values.sum()
+        fileio.write_spectrum(path, values)
+        assert np.array_equal(fileio.read_spectrum(path), values / values.sum())
+        assert json.loads(path.read_text())["values"] == values.tolist()
+
     def test_spectrum_renormalizes_print_rounding(self, tmp_path):
         path = tmp_path / "c.json"
         fileio.write_spectrum(path, [0.8, 0.15, 0.0501])

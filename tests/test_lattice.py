@@ -24,6 +24,7 @@ from qmarginals import (
     kron,
     partial_trace,
     project_marginals,
+    projections,
     random_density,
 )
 
@@ -199,3 +200,105 @@ class TestNonFiniteInput:
             assert not report.consistent
             with pytest.raises(ValueError, match="inconsistent"):
                 cs.correction_terms
+
+
+def independent_family(dims, keeps, seed):
+    """An independent random state per kept set: the overlaps disagree."""
+    dims = SystemDims(dims)
+    return ConstraintSet(dims, [(keep, np.array(random_density(dims.local_dims(keep), seed + i)))
+                                for i, keep in enumerate(keeps)])
+
+
+def one_state_family(dims, keeps, seed):
+    dims = SystemDims(dims)
+    full = np.array(random_density(dims, seed))
+    return ConstraintSet(dims, [(keep, partial_trace(full, dims, keep)) for keep in keeps])
+
+
+PAIRS_5Q = list(itertools.combinations(range(1, 6), 2))
+NESTED = [(1, 2), (2, 3), (2,)]
+
+
+class TestPlanPerStructure:
+    """The plan depends on the dims and kept sets only; the targets stay per set."""
+
+    def test_same_structure_shares_the_plan_not_the_targets(self):
+        a = one_state_family((2, 2, 2), NESTED, 1)
+        b = one_state_family((2, 2, 2), NESTED, 2)
+        assert a._plan is b._plan
+        report_a, report_b = check_consistency(a), check_consistency(b)
+        for labels in report_a.derived_marginals:
+            assert not np.array_equal(report_a.derived_marginals[labels],
+                                      report_b.derived_marginals[labels])
+        for (_w, labels, ta), (_w2, _l, tb) in zip(a.correction_terms, b.correction_terms):
+            assert not np.array_equal(ta, tb), labels
+        assert not np.array_equal(a._nodes.targets, b._nodes.targets)
+        assert a._nodes.gather is b._nodes.gather
+
+    def test_different_kept_sets_on_the_same_dims_plan_apart(self):
+        for keeps in [[(1, 2), (2, 3)], [(1, 2), (1, 3)], [(1, 3), (2, 3)], NESTED]:
+            cs = one_state_family((2, 2, 2), keeps, 3)
+            assert [(w, labels) for w, labels, _t in cs.correction_terms] == reference_terms(cs)
+            keys, worst = reference_consistency(cs)
+            assert set(check_consistency(cs).derived_marginals) == keys
+
+    def test_inconsistent_set_after_a_consistent_one_still_raises(self):
+        one_state_family((2, 2, 2), NESTED, 4).correction_terms
+        cs = independent_family((2, 2, 2), NESTED, 60)
+        with pytest.raises(ValueError, match="inconsistent"):
+            cs.correction_terms
+
+    def test_revisiting_a_structure_after_the_cache_turned_over(self):
+        first = one_state_family((2,) * 5, PAIRS_5Q[:6], 5)
+        terms = first.correction_terms
+        subsets = [s for r in (1, 2, 3) for s in itertools.combinations((1, 2, 3), r)]
+        others = itertools.combinations(subsets, 2)
+        for keeps in itertools.islice(others, projections._plan.cache_info().maxsize + 2):
+            one_state_family((2, 2, 2), keeps, 6).correction_terms
+        again = ConstraintSet(first.dims, first.constraints)
+        assert again._plan is not first._plan
+        assert len(again.correction_terms) == len(terms)
+        for (w, labels, t), (w2, labels2, t2) in zip(again.correction_terms, terms):
+            assert (w, labels) == (w2, labels2)
+            assert np.array_equal(t, t2)
+        assert all(np.array_equal(x, y) for x, y in zip(again._nodes, first._nodes)
+                   if isinstance(x, np.ndarray))
+
+    def test_derived_marginals_come_from_the_first_owner(self):
+        families = [independent_family(cs.dims.dims, [c.keep for c in cs], 70 + trial)
+                    for trial, (cs, _rng) in enumerate(fuzz_families(count=30, seed=41))]
+        families += [independent_family((2, 2, 2), NESTED, 80),
+                     independent_family((2,) * 5, PAIRS_5Q, 90)]
+        for cs in families:
+            for labels, got in check_consistency(cs).derived_marginals.items():
+                owners = [c for c in cs if set(labels) <= set(c.keep)]
+                first = next((c for c in owners if c.keep == labels), owners[0])
+                want = first.target if labels == first.keep else partial_trace(
+                    first.target, cs.dims.local_dims(first.keep),
+                    tuple(first.keep.index(i) + 1 for i in labels))
+                assert np.array_equal(got, want), (labels, [c.keep for c in cs])
+
+    @pytest.mark.parametrize("build", [one_state_family, independent_family])
+    def test_all_pairs_of_five_qubits_match_the_subset_enumeration(self, build):
+        for seed in range(10):
+            cs = build((2,) * 5, PAIRS_5Q, 100 + 20 * seed)
+            report = check_consistency(cs)
+            keys, worst = reference_consistency(cs)
+            assert set(report.derived_marginals) == keys
+            assert report.max_discrepancy == worst
+
+    def test_near_tied_pairs_take_the_exact_largest_norm(self):
+        # qudit 1 meets P - Q and qudit 2 the same difference with its basis
+        # shifted: two norms equal up to the summation order, which the
+        # sums of squares that rank the pairs can order either way
+        half, shift = np.eye(2) / 2, np.roll(np.eye(3), 1, axis=0)
+        ties = []
+        for seed in range(40):
+            p, q = (np.array(random_density((3,), s)) for s in (2 * seed, 2 * seed + 1))
+            cs = ConstraintSet((3, 3, 2, 2), [
+                ((1, 3), np.kron(p, half)), ((1, 4), np.kron(q, half)),
+                ((2, 3), np.kron(shift @ p @ shift.T, half)),
+                ((2, 4), np.kron(shift @ q @ shift.T, half))])
+            assert check_consistency(cs).max_discrepancy == reference_consistency(cs)[1]
+            ties.append(np.linalg.norm(p - q) == np.linalg.norm(shift @ (p - q) @ shift.T))
+        assert not all(ties)

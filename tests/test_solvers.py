@@ -72,6 +72,14 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
 
+    @pytest.mark.parametrize("field", ["max_iterations", "restarts", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_booleans(self, field, value):
+        # a boolean is an int to isinstance: True would mean 1 and False 0
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolveOptions(**{field: value})
+        assert getattr(SolveOptions(**{field: np.int64(3)}), field) == 3
+
 
 class TestSolveWithSpectrum:
     def test_feasible_start_converges_at_zero(self):

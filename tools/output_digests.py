@@ -10,8 +10,10 @@ lattice node (kept sets (1,2), (2,3), (2,) of three qubits, and all pairs of
 five qubits); rank_sweep and rank_k_roots_of_unity at every admissible k,
 greedy_minmatch and interlace_decomposition (state and decomposition) on a
 seeded rotated pair, and pure_state_from_isospectral on its first marginal
-and that marginal's complex conjugate; the parsed values of every file the
-CLI writes with --out (report.json without wall_time_s).
+and that marginal's complex conjugate; check_consistency (verdict, derived
+marginals, max discrepancy) on the fixture families, all pairs of five
+qubits and one inconsistent three-qubit family; the parsed values of every
+file the CLI writes with --out (report.json without wall_time_s).
 Floats are hashed by their bytes, so even the sign of a zero counts.
 """
 
@@ -121,6 +123,34 @@ def multinode_digests() -> dict:
     return out
 
 
+def consistency_digests() -> dict:
+    """check_consistency's verdict, derived marginals and max discrepancy."""
+    def mat(name):
+        return fileio.read_matrix(FX / name)[0]
+
+    ext = mat("twofold_extension_222/rho_12_13.json")
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    rho = qm.random_density((2,) * 5, 5).matrix
+    families = {
+        "bipartite-2x3": ((2, 3), [((1,), mat("bipartite_2x3/rho_a.json")),
+                                   ((2,), mat("bipartite_2x3/rho_b.json"))]),
+        "tripartite-222": ((2, 2, 2), [((1, 2), mat("tripartite_222/rho_12.json")),
+                                       ((2, 3), mat("tripartite_222/rho_23.json"))]),
+        "extension-222": ((2, 2, 2), [((1, 2), ext), ((1, 3), ext)]),
+        **{f"{name}": (dims, [((1,), spectrum_state(f"{name}/spectrum_a.json")),
+                              ((2,), spectrum_state(f"{name}/spectrum_b.json"))])
+           for name, dims in [("rank_3x4", (3, 4)), ("rank_6x8", (6, 8))]},
+        "allpairs-5q": ((2,) * 5, [(k, qm.partial_trace(rho, (2,) * 5, k)) for k in pairs]),
+        "inconsistent-222": ((2, 2, 2), [((1, 2), qm.random_density((2, 2), 13).matrix),
+                                         ((2, 3), qm.random_density((2, 2), 14).matrix)]),
+    }
+    out = {}
+    for name, (dims, targets) in families.items():
+        r = qm.check_consistency(qm.ConstraintSet(dims, targets))
+        out[f"consistency-{name}"] = [r.consistent, r.derived_marginals, r.max_discrepancy]
+    return out
+
+
 def construction_digests() -> dict:
     # non-diagonal marginals: the rank_3x4 spectra in seeded random eigenbases
     rotated = []
@@ -220,7 +250,8 @@ def cli_digests(tmp: Path) -> dict:
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        items = {**solver_digests(), **multinode_digests(), **construction_digests(),
+        items = {**solver_digests(), **multinode_digests(), **consistency_digests(),
+                 **construction_digests(),
                  **cli_digests(Path(tmp))}
     digests = {name: digest(value) for name, value in items.items()}
     for name, d in digests.items():
