@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class ConstraintSet:
     """A family {(J_i, sigma_i)} of marginal constraints on a fixed factorization.
 
     The plan and its index arrays depend on the dims and kept sets alone
-    (`_plan`, cached per structure); the targets enter through `_traced`.
+    (`_plan`, built once per set); the targets enter through `_traced`.
     """
 
     def __init__(self, dims, constraints):
@@ -94,9 +94,17 @@ class ConstraintSet:
 
     @cached_property
     def _traced(self) -> np.ndarray:
-        """The flattened targets, then every run of the plan's gather into them summed."""
+        """The flattened targets, then every run of the plan's gather into them
+        summed; read-only, as the derived targets are views of it (`_derived`)."""
         flat = np.concatenate([c.target.ravel() for c in self.constraints])
-        return np.concatenate([flat, _segment_sums(flat, self._plan.gather, self._plan.starts)])
+        traced = np.concatenate([flat, _segment_sums(flat, self._plan.gather, self._plan.starts)])
+        traced.setflags(write=False)
+        return traced
+
+    def _derived(self, labels: tuple[int, ...], start: int) -> np.ndarray:
+        """The target traced down to the node `labels` at `start` of `_traced`."""
+        d = self.dims.subdim(labels)
+        return self._traced[start:start + d * d].reshape(d, d)
 
     @cached_property
     def correction_terms(self) -> tuple[tuple[float, tuple[int, ...], object], ...]:
@@ -115,12 +123,12 @@ class ConstraintSet:
                 f"{report.max_discrepancy:.3e} exceeds {CONSISTENCY_TOL}"
             )
         terms = []
-        for w, labels, owner, entries in self._plan.terms:
+        for w, labels, owner, start in self._plan.terms:
             target = self.constraints[owner].target
             if not labels:
                 target = float(target.trace().real)
-            elif entries is not None:
-                target = self._traced[entries]
+            elif start is not None:
+                target = self._derived(labels, start)
             terms.append((w, labels, target))
         return tuple(terms)
 
@@ -134,7 +142,8 @@ class ConstraintSet:
         delimits the constraints' blocks. Each nonempty term w of
         `correction_terms` lifts w (1/n_{S^c}) D_S onto the entries `lift`:
         `rows` names the deficit entry that each repeats, and `scale` and
-        `weight` hold 1/n_{S^c} and w per deficit entry; only `targets` is per set."""
+        `weight` hold 1/n_{S^c} and w per deficit entry. `targets` leads
+        `_traced`; the rest comes from `_plan`."""
         targets = self._traced[:self._plan.nodes.starts.size]
         return self._plan.nodes._replace(
             targets=targets if np.any(targets.imag) else targets.real.copy())
@@ -180,7 +189,6 @@ def _hermitian_units(m: int):
             yield e
 
 
-@lru_cache(maxsize=12)
 def _plan(dims: SystemDims, keeps: tuple[tuple[int, ...], ...]) -> _Plan:
     """What a constraint set's plan takes from `dims` and the kept sets alone.
 
@@ -188,65 +196,74 @@ def _plan(dims: SystemDims, keeps: tuple[tuple[int, ...], ...]) -> _Plan:
     set, largest node first; a node's owners are the constraints containing
     it, the one whose kept set it is first. Moebius inversion (Rota 1964)
     gives c(S) = -1 minus the c(S') of all nodes S' strictly containing S.
-    `terms`: (c(S), labels, first owner, S's derived target's indices into
-    `ConstraintSet._traced` or None) for each c(S) != 0, by labels. The one
-    gather traces every owner to each shared node (`shared`: the first
-    owner's indices) and the first owner to each other term node; `left`
-    and `right` pair the owners of a shared node, run by run of `pairs`.
-    `nodes` is `_nodes` but its targets, which lead `_traced`. An entry
-    takes 0.82 MB for all pairs of 8 qubits, so 12 stay under 10 MB.
+    `terms`: (c(S), labels, first owner, start of S's derived target in
+    `ConstraintSet._traced`, None for a kept set or the empty set) for each
+    c(S) != 0, by labels. The one gather traces every owner to each shared
+    node (`shared`: labels and the first owner's start) and the first owner
+    to each other term node; `left` and `right` pair the owners' entries of
+    a shared node, run by run of `pairs`. `nodes` is `_nodes` but its
+    targets, which lead `_traced`.
     """
     sets = [frozenset(k) for k in keeps]
     nodes = fresh = set(sets) | {frozenset()}
     while fresh:
         fresh = {s & k for s in fresh for k in sets} - nodes
         nodes = nodes | fresh
-    coef, terms, shared = {}, [], []
+    coef, area, terms, shared = {}, {}, [], []
     for s in sorted(nodes, key=lambda s: (-len(s), sorted(s))):
         owners = sorted((i for i, k in enumerate(sets) if s <= k), key=lambda i: sets[i] != s)
         coef[s] = w = -1.0 - sum(coef[t] for t in coef if t > s)
-        shared += [(tuple(sorted(s)), owners)] if s and len(owners) > 1 else []
-        terms += [(w, tuple(sorted(s)), owners[0])] if w != 0.0 else []
+        labels = tuple(sorted(s))
+        area[labels] = dims.subdim(labels) ** 2   # entries of a matrix on the node
+        if s and len(owners) > 1:
+            shared.append((labels, owners))
+        if w != 0.0:
+            terms.append((w, labels, owners[0]))
     terms.sort(key=lambda term: term[1])
-    n, lifted = dims.total, [labels for _w, labels, _i in terms if labels]
-    extra = tuple(labels for labels in lifted if labels not in keeps)
-    offsets = np.cumsum([0] + [dims.subdim(k) ** 2 for k in keeps])
+    lifted = [labels for _w, labels, _i in terms if labels]
+    extra = [labels for labels in lifted if labels not in keeps]
+    offsets = list(itertools.accumulate([area[k] for k in keeps], initial=0))
+    local = [dims.local_dims(k) for k in keeps]
+    traces = dict.fromkeys([(i, s) for _w, s, i in terms if s in extra]
+                           + [(i, s) for s, owners in shared for i in owners])
+    pieces = [_gather(local[i], tuple(keeps[i].index(a) + 1 for a in s)) for i, s in traces]
+    # the traces follow the flattened targets in `ConstraintSet._traced`
+    start = dict(zip(traces, itertools.accumulate([area[s] for _i, s in traces],
+                                                  initial=offsets[-1])))
+    gathered = itertools.accumulate([g.size for g, _r in pieces], initial=0)
+    left, right, widths = np.array(
+        [(start[a, s], start[b, s], area[s])
+         for s, owners in shared for a, b in itertools.combinations(owners, 2)],
+        dtype=np.intp).reshape(-1, 3).T
+    table = {s: _gather(dims, s)[0] for s in keeps + tuple(extra)}   # the node table's nodes
+    sizes = np.array([area[s] for s in table])
+    lengths = np.repeat([dims.total // dims.subdim(s) for s in table], sizes)   # n_{S^c}
+    at = dict(zip(table, np.cumsum(sizes) - sizes))
+    entries = _ranges(np.array([at[s] for s in lifted]), np.array([area[s] for s in lifted]))
     none = np.zeros(0, np.intp)
-    at, gather, starts, count = {}, [none], [none], offsets[-1]   # traced after the targets
-    for i, s in dict.fromkeys([(i, s) for _w, s, i in terms if s in extra]
-                              + [(i, s) for s, owners in shared for i in owners]):
-        index, runs = _gather(dims.local_dims(keeps[i]), tuple(keeps[i].index(a) + 1 for a in s))
-        at[i, s] = np.arange(count, count + runs.size).reshape(dims.subdim(s), -1)
-        starts.append(runs + sum(g.size for g in gather))
-        gather.append(offsets[i] + index)
-        count += runs.size
-    pairs = [(at[a, s].ravel(), at[b, s].ravel())
-             for s, owners in shared for a, b in itertools.combinations(owners, 2)]
-    table = keeps + extra   # the node table's nodes
-    sizes = [dims.subdim(s) ** 2 for s in table]
-    lengths = np.repeat([n // dims.subdim(s) for s in table], sizes)   # n_{S^c} per entry
-    entries = dict(zip(table, np.split(np.arange(lengths.size), np.cumsum(sizes)[:-1])))
-    lifted_entries = np.concatenate([entries[s] for s in lifted])
-    plan = _Plan(
-        terms=tuple((w, s, i, at[i, s] if s in extra else None) for w, s, i in terms),
-        shared=tuple((s, at[owners[0], s]) for s, owners in shared),
-        gather=np.concatenate(gather),
-        starts=np.concatenate(starts),
-        left=np.concatenate([none] + [x for x, _y in pairs]),
-        right=np.concatenate([none] + [y for _x, y in pairs]),
-        pairs=np.cumsum([0] + [x.size for x, _y in pairs]),
+    return _Plan(
+        terms=tuple((w, s, i, start[i, s] if s in extra else None) for w, s, i in terms),
+        shared=tuple((s, start[owners[0], s]) for s, owners in shared),
+        gather=np.concatenate([none] + [offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
+        starts=np.concatenate([none] + [base + r for base, (_g, r) in zip(gathered, pieces)]),
+        left=_ranges(left, widths),
+        right=_ranges(right, widths),
+        pairs=np.concatenate([[0], np.cumsum(widths)]),
         nodes=_NodeTable(
-            gather=np.concatenate([_gather(dims, s)[0] for s in table]),
+            gather=np.concatenate(list(table.values())),
             starts=np.cumsum(lengths) - lengths,
             targets=None,
-            bounds=tuple(int(b) for b in np.cumsum([0] + sizes[:len(keeps)])),
+            bounds=tuple(offsets),
             scale=1.0 / lengths,
             weight=np.repeat([coef[frozenset(s)] for s in table], sizes),
-            lift=np.concatenate([_gather(dims, s)[0] for s in lifted]),
-            rows=np.repeat(lifted_entries, lengths[lifted_entries])))
-    for array in [*plan[2:7], *plan.nodes[:2], *plan.nodes[4:]]:   # shared by every caller
-        array.setflags(write=False)
-    return plan
+            lift=np.concatenate([table[s] for s in lifted]),
+            rows=np.repeat(entries, lengths[entries])))
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[k], ..., starts[k] + sizes[k] - 1, one after another."""
+    ends = np.cumsum(sizes, dtype=np.intp)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - sizes), sizes)
 
 
 @dataclass(frozen=True)
@@ -270,7 +287,7 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     """
     plan, traced = cs._plan, cs._traced
     gaps = [abs(float(c.target.trace().real) - 1.0) for c in cs.constraints]
-    derived = {labels: traced[entries] for labels, entries in plan.shared}
+    derived = {labels: cs._derived(labels, start) for labels, start in plan.shared}
     b, d = plan.pairs, traced[plan.left] - traced[plan.right]
     with np.errstate(over="ignore"):
         squares = np.add.reduceat(np.square(d.view(float)), 2 * b[:-1])

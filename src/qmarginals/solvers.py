@@ -41,7 +41,6 @@ from .tensorcore import (
     _gather,
     _psd,
     _sym,
-    _trace_down,
 )
 
 
@@ -85,14 +84,12 @@ class SolveReport:
 
 def marginal_residual(x, cs: ConstraintSet) -> float:
     """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F."""
-    x = _as_square(x, "x", cs.dims)
-    return float(sum(np.linalg.norm(_trace_down(x, cs.dims, c.keep) - c.target)
-                     for c in cs.constraints))
+    return _err(_deficits(_as_square(x, "x", cs.dims), cs), cs)
 
 
 def _err(deficits, cs: ConstraintSet) -> float:
-    """Err from the marginal deficits, one `np.linalg.norm` per constraint
-    block, so that it equals `marginal_residual` bit for bit."""
+    """Err from the marginal deficits (`_deficits`), one `np.linalg.norm`
+    per constraint block: the one Err kernel."""
     b = cs._nodes.bounds
     return float(sum(np.linalg.norm(deficits[b[i]:b[i + 1]]) for i in range(len(b) - 1)))
 
@@ -156,7 +153,7 @@ def _sweep_solver(cs, opts, initial, second, contains, *, reflect=False,
     reports = []
     for seed in range(opts.seed, opts.seed + opts.restarts):
         x = _initial_point(cs, seed, initial if seed == opts.seed else None)
-        err0 = _err(_deficits(x, cs), cs)
+        err0 = marginal_residual(x, cs)
         notes = ""
         if err0 < tol and contains(np.linalg.eigvalsh(x)):
             history = []
