@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .tensorcore import (
-    SystemDims,
     as_dims,
     as_spectrum,
     hermitize,
@@ -90,7 +89,75 @@ class ConstraintSet:
 
     @cached_property
     def _plan(self) -> _Plan:
-        return _plan(self.dims, tuple(c.keep for c in self.constraints))
+        """The set's plan: what it takes from the dims and the kept sets alone.
+
+        The lattice is the intersection closure of the kept sets and the empty
+        set, largest node first; a node's owners are the constraints containing
+        it, the one whose kept set it is first. Moebius inversion (Rota 1964)
+        gives c(S) = -1 minus the c(S') of all nodes S' strictly containing S.
+        `terms`: (c(S), labels, first owner, start of S's derived target in
+        `_traced`, None for a kept set or the empty set) for each c(S) != 0,
+        by labels. The one gather traces every owner to each shared node
+        (`shared`: labels and the first owner's start) and the first owner to
+        each other term node; `left` and `right` pair the owners' entries of a
+        shared node, run by run of `pairs`. `nodes` is `_nodes` but its
+        targets, which lead `_traced`.
+        """
+        dims, keeps = self.dims, tuple(c.keep for c in self.constraints)
+        sets = [frozenset(k) for k in keeps]
+        nodes = fresh = set(sets) | {frozenset()}
+        while fresh:
+            fresh = {s & k for s in fresh for k in sets} - nodes
+            nodes = nodes | fresh
+        coef, area, terms, shared = {}, {}, [], []
+        for _size, labels, s in sorted((-len(s), tuple(sorted(s)), s) for s in nodes):
+            owners = sorted((i for i, k in enumerate(sets) if s <= k), key=lambda i: sets[i] != s)
+            coef[s] = w = -1.0 - sum(coef[t] for t in coef if t > s)
+            area[labels] = dims.subdim(labels) ** 2   # entries of a matrix on the node
+            if s and len(owners) > 1:
+                shared.append((labels, owners))
+            if w != 0.0:
+                terms.append((w, labels, owners[0]))
+        terms.sort(key=lambda term: term[1])
+        lifted = [labels for _w, labels, _i in terms if labels]
+        extra = [labels for labels in lifted if labels not in keeps]
+        offsets = list(itertools.accumulate([area[k] for k in keeps], initial=0))
+        local = [dims.local_dims(k) for k in keeps]
+        traces = dict.fromkeys([(i, s) for _w, s, i in terms if s in extra]
+                               + [(i, s) for s, owners in shared for i in owners])
+        pieces = [_gather(local[i], tuple(keeps[i].index(a) + 1 for a in s)) for i, s in traces]
+        # the traces follow the flattened targets in `_traced`
+        start = dict(zip(traces, itertools.accumulate([area[s] for _i, s in traces],
+                                                      initial=offsets[-1])))
+        gathered = itertools.accumulate([g.size for g, _r in pieces], initial=0)
+        left, right, widths = np.array(
+            [(start[a, s], start[b, s], area[s])
+             for s, owners in shared for a, b in itertools.combinations(owners, 2)],
+            dtype=np.intp).reshape(-1, 3).T
+        table = {s: _gather(dims, s)[0] for s in keeps + tuple(extra)}   # the node table's nodes
+        sizes = [area[s] for s in table]
+        lengths = np.repeat([dims.total // dims.subdim(s) for s in table], sizes)   # n_{S^c}
+        at = dict(zip(table, itertools.accumulate(sizes, initial=0)))
+        entries = _ranges(np.array([at[s] for s in lifted]), np.array([area[s] for s in lifted]))
+        none = np.zeros(0, np.intp)
+        return _Plan(
+            terms=tuple((w, s, i, start[i, s] if s in extra else None) for w, s, i in terms),
+            shared=tuple((s, start[owners[0], s]) for s, owners in shared),
+            gather=np.concatenate(
+                [none] + [offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
+            starts=np.concatenate([none] + [base + r for base, (_g, r) in zip(gathered, pieces)]),
+            left=_ranges(left, widths),
+            right=_ranges(right, widths),
+            pairs=np.concatenate([[0], np.cumsum(widths)]),
+            nodes=_NodeTable(
+                gather=np.concatenate(list(table.values())),
+                starts=np.cumsum(lengths) - lengths,
+                targets=None,
+                bounds=tuple(offsets),
+                scale=1.0 / lengths,
+                weight=np.repeat([coef[frozenset(s)] for s in table], sizes),
+                lift=np.concatenate([table[s] for s in lifted]),
+                rows=np.repeat(entries, lengths[entries])))
 
     @cached_property
     def _traced(self) -> np.ndarray:
@@ -187,77 +254,6 @@ def _hermitian_units(m: int):
             else:
                 e[a, c], e[c, a] = 1j, -1j
             yield e
-
-
-def _plan(dims: SystemDims, keeps: tuple[tuple[int, ...], ...]) -> _Plan:
-    """What a constraint set's plan takes from `dims` and the kept sets alone.
-
-    The lattice is the intersection closure of the kept sets and the empty
-    set, largest node first; a node's owners are the constraints containing
-    it, the one whose kept set it is first. Moebius inversion (Rota 1964)
-    gives c(S) = -1 minus the c(S') of all nodes S' strictly containing S.
-    `terms`: (c(S), labels, first owner, start of S's derived target in
-    `ConstraintSet._traced`, None for a kept set or the empty set) for each
-    c(S) != 0, by labels. The one gather traces every owner to each shared
-    node (`shared`: labels and the first owner's start) and the first owner
-    to each other term node; `left` and `right` pair the owners' entries of
-    a shared node, run by run of `pairs`. `nodes` is `_nodes` but its
-    targets, which lead `_traced`.
-    """
-    sets = [frozenset(k) for k in keeps]
-    nodes = fresh = set(sets) | {frozenset()}
-    while fresh:
-        fresh = {s & k for s in fresh for k in sets} - nodes
-        nodes = nodes | fresh
-    coef, area, terms, shared = {}, {}, [], []
-    for s in sorted(nodes, key=lambda s: (-len(s), sorted(s))):
-        owners = sorted((i for i, k in enumerate(sets) if s <= k), key=lambda i: sets[i] != s)
-        coef[s] = w = -1.0 - sum(coef[t] for t in coef if t > s)
-        labels = tuple(sorted(s))
-        area[labels] = dims.subdim(labels) ** 2   # entries of a matrix on the node
-        if s and len(owners) > 1:
-            shared.append((labels, owners))
-        if w != 0.0:
-            terms.append((w, labels, owners[0]))
-    terms.sort(key=lambda term: term[1])
-    lifted = [labels for _w, labels, _i in terms if labels]
-    extra = [labels for labels in lifted if labels not in keeps]
-    offsets = list(itertools.accumulate([area[k] for k in keeps], initial=0))
-    local = [dims.local_dims(k) for k in keeps]
-    traces = dict.fromkeys([(i, s) for _w, s, i in terms if s in extra]
-                           + [(i, s) for s, owners in shared for i in owners])
-    pieces = [_gather(local[i], tuple(keeps[i].index(a) + 1 for a in s)) for i, s in traces]
-    # the traces follow the flattened targets in `ConstraintSet._traced`
-    start = dict(zip(traces, itertools.accumulate([area[s] for _i, s in traces],
-                                                  initial=offsets[-1])))
-    gathered = itertools.accumulate([g.size for g, _r in pieces], initial=0)
-    left, right, widths = np.array(
-        [(start[a, s], start[b, s], area[s])
-         for s, owners in shared for a, b in itertools.combinations(owners, 2)],
-        dtype=np.intp).reshape(-1, 3).T
-    table = {s: _gather(dims, s)[0] for s in keeps + tuple(extra)}   # the node table's nodes
-    sizes = np.array([area[s] for s in table])
-    lengths = np.repeat([dims.total // dims.subdim(s) for s in table], sizes)   # n_{S^c}
-    at = dict(zip(table, np.cumsum(sizes) - sizes))
-    entries = _ranges(np.array([at[s] for s in lifted]), np.array([area[s] for s in lifted]))
-    none = np.zeros(0, np.intp)
-    return _Plan(
-        terms=tuple((w, s, i, start[i, s] if s in extra else None) for w, s, i in terms),
-        shared=tuple((s, start[owners[0], s]) for s, owners in shared),
-        gather=np.concatenate([none] + [offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
-        starts=np.concatenate([none] + [base + r for base, (_g, r) in zip(gathered, pieces)]),
-        left=_ranges(left, widths),
-        right=_ranges(right, widths),
-        pairs=np.concatenate([[0], np.cumsum(widths)]),
-        nodes=_NodeTable(
-            gather=np.concatenate(list(table.values())),
-            starts=np.cumsum(lengths) - lengths,
-            targets=None,
-            bounds=tuple(offsets),
-            scale=1.0 / lengths,
-            weight=np.repeat([coef[frozenset(s)] for s in table], sizes),
-            lift=np.concatenate([table[s] for s in lifted]),
-            rows=np.repeat(entries, lengths[entries])))
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

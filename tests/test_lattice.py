@@ -24,7 +24,6 @@ from qmarginals import (
     kron,
     partial_trace,
     project_marginals,
-    projections,
     random_density,
 )
 
@@ -236,6 +235,16 @@ class TestPlanPerStructure:
         for (_w, labels, ta), (_w2, _l, tb) in zip(a.correction_terms, b.correction_terms):
             assert not np.array_equal(ta, tb), labels
         assert not np.array_equal(a._nodes.targets, b._nodes.targets)
+
+    def test_derived_targets_are_read_only(self):
+        # they are views of the set's traced targets, which the sweeps read
+        cs = one_state_family((2, 2, 2), [(1, 2), (2, 3)], 7)
+        derived = [*check_consistency(cs).derived_marginals.values(),
+                   *(t for _w, labels, t in cs.correction_terms if labels == (2,))]
+        assert len(derived) == 2
+        for t in derived:
+            with pytest.raises(ValueError, match="read-only"):
+                t[0, 0] = 0.0
 
     def test_different_kept_sets_on_the_same_dims_plan_apart(self):
         for keeps in [[(1, 2), (2, 3)], [(1, 2), (1, 3)], [(1, 3), (2, 3)], NESTED]:
