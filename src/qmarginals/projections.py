@@ -33,7 +33,7 @@ from .tensorcore import (
 CONSISTENCY_TOL = 1e-8
 
 _NodeTable = namedtuple("_NodeTable", "gather starts targets bounds scale weight lift rows")
-_Plan = namedtuple("_Plan", "terms shared gather starts left right pairs nodes")
+_Plan = namedtuple("_Plan", "terms shared gather starts left right pairs")
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ class ConstraintSet:
         by labels. The one gather traces every owner to each shared node
         (`shared`: labels and the first owner's start) and the first owner to
         each other term node; `left` and `right` pair the owners' entries of a
-        shared node, run by run of `pairs`. `nodes` is `_nodes` but its
-        targets, which lead `_traced`.
+        shared node, run by run of `pairs`. The further term nodes are traced
+        first, so `_traced` begins with `_nodes.targets`.
         """
         dims, keeps = self.dims, tuple(c.keep for c in self.constraints)
         sets = [frozenset(k) for k in keeps]
@@ -119,12 +119,15 @@ class ConstraintSet:
             if w != 0.0:
                 terms.append((w, labels, owners[0]))
         terms.sort(key=lambda term: term[1])
-        lifted = [labels for _w, labels, _i in terms if labels]
-        extra = [labels for labels in lifted if labels not in keeps]
+        extra = [labels for _w, labels, _i in terms if labels and labels not in keeps]
         offsets = list(itertools.accumulate([area[k] for k in keeps], initial=0))
-        local = [dims.local_dims(k) for k in keeps]
         traces = dict.fromkeys([(i, s) for _w, s, i in terms if s in extra]
                                + [(i, s) for s, owners in shared for i in owners])
+        none = np.zeros(0, np.intp)
+        if not traces:   # pairwise disjoint kept sets, as in every bipartite set
+            return _Plan(tuple((w, s, i, None) for w, s, i in terms), (), none, none, none,
+                         none, np.zeros(1, np.intp))
+        local = {i: dims.local_dims(keeps[i]) for i, _s in traces}
         pieces = [_gather(local[i], tuple(keeps[i].index(a) + 1 for a in s)) for i, s in traces]
         # the traces follow the flattened targets in `_traced`
         start = dict(zip(traces, itertools.accumulate([area[s] for _i, s in traces],
@@ -134,12 +137,6 @@ class ConstraintSet:
             [(start[a, s], start[b, s], area[s])
              for s, owners in shared for a, b in itertools.combinations(owners, 2)],
             dtype=np.intp).reshape(-1, 3).T
-        table = {s: _gather(dims, s)[0] for s in keeps + tuple(extra)}   # the node table's nodes
-        sizes = [area[s] for s in table]
-        lengths = np.repeat([dims.total // dims.subdim(s) for s in table], sizes)   # n_{S^c}
-        at = dict(zip(table, itertools.accumulate(sizes, initial=0)))
-        entries = _ranges(np.array([at[s] for s in lifted]), np.array([area[s] for s in lifted]))
-        none = np.zeros(0, np.intp)
         return _Plan(
             terms=tuple((w, s, i, start[i, s] if s in extra else None) for w, s, i in terms),
             shared=tuple((s, start[owners[0], s]) for s, owners in shared),
@@ -148,16 +145,7 @@ class ConstraintSet:
             starts=np.concatenate([none] + [base + r for base, (_g, r) in zip(gathered, pieces)]),
             left=_ranges(left, widths),
             right=_ranges(right, widths),
-            pairs=np.concatenate([[0], np.cumsum(widths)]),
-            nodes=_NodeTable(
-                gather=np.concatenate(list(table.values())),
-                starts=np.cumsum(lengths) - lengths,
-                targets=None,
-                bounds=tuple(offsets),
-                scale=1.0 / lengths,
-                weight=np.repeat([coef[frozenset(s)] for s in table], sizes),
-                lift=np.concatenate([table[s] for s in lifted]),
-                rows=np.repeat(entries, lengths[entries])))
+            pairs=np.concatenate([[0], np.cumsum(widths)]))
 
     @cached_property
     def _traced(self) -> np.ndarray:
@@ -209,11 +197,29 @@ class ConstraintSet:
         delimits the constraints' blocks. Each nonempty term w of
         `correction_terms` lifts w (1/n_{S^c}) D_S onto the entries `lift`:
         `rows` names the deficit entry that each repeats, and `scale` and
-        `weight` hold 1/n_{S^c} and w per deficit entry. `targets` leads
-        `_traced`; the rest comes from `_plan`."""
-        targets = self._traced[:self._plan.nodes.starts.size]
-        return self._plan.nodes._replace(
-            targets=targets if np.any(targets.imag) else targets.real.copy())
+        `weight` hold 1/n_{S^c} and w per deficit entry. Built from `_plan`
+        and `_traced`, so it needs no consistency check.
+        """
+        dims, n = self.dims, self.dims.total
+        coef = {labels: w for w, labels, _i, _start in self._plan.terms}
+        lifted = [labels for labels in coef if labels]
+        table = {c.keep: _gather(dims, c.keep)[0] for c in self.constraints}
+        table.update((s, _gather(dims, s)[0]) for s in lifted if s not in table)
+        sizes = [dims.subdim(s) ** 2 for s in table]
+        lengths = np.repeat([n // dims.subdim(s) for s in table], sizes)   # n_{S^c} per entry
+        at = dict(zip(table, itertools.accumulate(sizes, initial=0)))
+        entries = _ranges(np.array([at[s] for s in lifted]),
+                          np.array([dims.subdim(s) ** 2 for s in lifted]))
+        targets = self._traced[:lengths.size]
+        return _NodeTable(
+            gather=np.concatenate(list(table.values())),
+            starts=np.cumsum(lengths) - lengths,
+            targets=targets if np.any(targets.imag) else targets.real.copy(),
+            bounds=tuple(itertools.accumulate(sizes[:len(self.constraints)], initial=0)),
+            scale=1.0 / lengths,
+            weight=np.repeat([coef.get(s, 0.0) for s in table], sizes),
+            lift=np.concatenate([table[s] for s in lifted]),
+            rows=np.repeat(entries, lengths[entries]))
 
     @cached_property
     def _dual_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,14 +287,16 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     squares rank the pairs; those within 1e-9 of the largest get
     `np.linalg.norm`, so the maximum is bit-exact.
     """
-    plan, traced = cs._plan, cs._traced
+    plan = cs._plan
     gaps = [abs(float(c.target.trace().real) - 1.0) for c in cs.constraints]
     derived = {labels: cs._derived(labels, start) for labels, start in plan.shared}
-    b, d = plan.pairs, traced[plan.left] - traced[plan.right]
-    with np.errstate(over="ignore"):
-        squares = np.add.reduceat(np.square(d.view(float)), 2 * b[:-1])
-    near = np.flatnonzero(~(squares < np.max(squares, initial=0.0) * (1 - 2e-9)))  # all on NaN
-    gaps += [float(np.linalg.norm(d[b[k]:b[k + 1]])) for k in near]
+    if plan.shared:   # else no two kept sets meet, and only the traces are compared
+        traced, b = cs._traced, plan.pairs
+        d = traced[plan.left] - traced[plan.right]
+        with np.errstate(over="ignore"):
+            squares = np.add.reduceat(np.square(d.view(float)), 2 * b[:-1])
+        near = np.flatnonzero(~(squares < np.max(squares) * (1 - 2e-9)))  # all on NaN
+        gaps += [float(np.linalg.norm(d[b[k]:b[k + 1]])) for k in near]
     worst = float(np.max(gaps))  # np.max, unlike max(), propagates NaN
     return ConsistencyReport(consistent=bool(worst <= CONSISTENCY_TOL),
                              derived_marginals=derived, max_discrepancy=worst)

@@ -226,8 +226,10 @@ class TestPlanPerStructure:
         b = one_state_family((2, 2, 2), NESTED, 2)
         assert a._plan is not b._plan
         assert a._plan.terms == b._plan.terms and a._plan.shared == b._plan.shared
-        for x, y in [*zip(a._plan[2:7], b._plan[2:7]), *zip(a._plan.nodes, b._plan.nodes)]:
+        for x, y in zip(a._plan[2:], b._plan[2:]):
             assert np.array_equal(x, y)
+        for name in ("gather", "starts", "bounds", "scale", "weight", "lift", "rows"):
+            assert np.array_equal(getattr(a._nodes, name), getattr(b._nodes, name)), name
         report_a, report_b = check_consistency(a), check_consistency(b)
         for labels in report_a.derived_marginals:
             assert not np.array_equal(report_a.derived_marginals[labels],
