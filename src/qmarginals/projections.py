@@ -140,9 +140,8 @@ class ConstraintSet:
         return _Plan(
             terms=tuple((w, s, i, start[i, s] if s in extra else None) for w, s, i in terms),
             shared=tuple((s, start[owners[0], s]) for s, owners in shared),
-            gather=np.concatenate(
-                [none] + [offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
-            starts=np.concatenate([none] + [base + r for base, (_g, r) in zip(gathered, pieces)]),
+            gather=np.concatenate([offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
+            starts=np.concatenate([base + r for base, (_g, r) in zip(gathered, pieces)]),
             left=_ranges(left, widths),
             right=_ranges(right, widths),
             pairs=np.concatenate([[0], np.cumsum(widths)]))
@@ -263,9 +262,10 @@ def _hermitian_units(m: int):
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The ranges starts[k], ..., starts[k] + sizes[k] - 1, one after another."""
+    """The ranges starts[k], ..., starts[k] + sizes[k] - 1, one after another
+    (at least one)."""
     ends = np.cumsum(sizes, dtype=np.intp)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - sizes), sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
 
 @dataclass(frozen=True)
