@@ -34,6 +34,7 @@ from .tensorcore import (
     random_density,
     random_probability_vector,
     random_unitary,
+    _eigvalsh,
     _psd,
 )
 
@@ -81,9 +82,8 @@ def _echo_report(report: SolveReport) -> None:
         click.echo(f"notes: {report.notes}")
 
 
-def _describe_solution(x, cs) -> dict:
-    """Print and return a summary of x; its spectral entries share one eigvalsh."""
-    values = np.linalg.eigvalsh(x)   # ascending
+def _describe_solution(x, cs, values) -> dict:
+    """Print and return a summary of x, whose ascending eigenvalues are `values`."""
     description = {
         "rank": numerical_rank(values),
         "lambda_max": float(values[-1]),
@@ -290,7 +290,8 @@ def _run_solver(runner, dims_text, marginals, init_text, out_dir, **options):
     cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
     report = runner(cs, SolveOptions(**options), _resolve_init(init_text, cs))
     _echo_report(report)
-    description = _describe_solution(report.solution, cs)
+    # the complex decomposition: report.json records these values to the last bit
+    description = _describe_solution(report.solution, cs, np.linalg.eigvalsh(report.solution))
     if out_dir:
         _write_outputs(out_dir, report, description, cs.dims)
     if not report.converged:
@@ -354,7 +355,7 @@ def _run_construct(builder, marginals, out_dir):
     if isinstance(state, tuple):
         state = state[0]
     cs = ConstraintSet(state.dims, [((1,), targets[(1,)]), ((2,), targets[(2,)])])
-    _describe_solution(state.matrix, cs)
+    _describe_solution(state.matrix, cs, state._eigenvalues)
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         _emit_matrix(Path(out_dir) / "solution.json", state.matrix, state.dims)
@@ -419,7 +420,7 @@ def verify(solution_file, dims_text, marginals, tol):
     cs = ConstraintSet(dims, _read_marginals(marginals))
     checks = {
         "hermitian": True,  # read_matrix enforces it
-        "psd": _psd(np.linalg.eigvalsh(matrix)),
+        "psd": _psd(_eigvalsh(matrix)),
         "unit_trace": bool(abs(float(np.trace(matrix).real) - 1.0) <= max(tol, TRACE_ATOL)),
         "marginals": bool(marginal_residual(matrix, cs) <= tol),
     }

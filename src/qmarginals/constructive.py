@@ -162,9 +162,10 @@ def _of_rank(state: DensityMatrix, k: int) -> DensityMatrix:
     """`state`, checked to have numerical rank k.
 
     A marginal eigenvalue just above the rank cut can put products of
-    eigenvalues below it, and with them the rank below k.
+    eigenvalues below it, and with them the rank below k. Counts the
+    eigenvalues that the state's PSD check computed.
     """
-    rank = numerical_rank(np.linalg.eigvalsh(state.matrix))
+    rank = numerical_rank(state._eigenvalues)
     if rank != k:
         raise ValueError(f"k={k} not reached: the constructed state has numerical rank "
                          f"{rank} (a marginal eigenvalue lies too close to the rank cut)")

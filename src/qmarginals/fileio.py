@@ -14,11 +14,12 @@ import contextlib
 import json
 import os
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .tensorcore import SystemDims, as_dims, hermitize, _finite
+from .tensorcore import SystemDims, as_dims, hermitize, _finite, _psd
 
 
 def write_matrix(path, matrix, dims) -> None:
@@ -26,15 +27,20 @@ def write_matrix(path, matrix, dims) -> None:
 
     No Hermiticity check: unitaries are written too, though `read_matrix`
     reads back only Hermitian matrices. Numbers are written as `json.dumps`
-    writes them, by float repr; NaN and infinities, which JSON lacks, raise
-    a ValueError naming `path` before anything is written.
+    writes them, by float repr, and each distinct number is formatted once:
+    the entries' bit patterns are made unique (so -0.0 stays apart from
+    0.0) and indexed back into place. A constructed state repeats a few
+    dozen values over thousands of entries. NaN and infinities, which JSON
+    lacks, raise a ValueError naming `path` before anything is written.
     """
     m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
     dims = as_dims(dims)
     if m.shape != (dims.total, dims.total):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims.dims}")
     _finite(m, str(path))
-    numbers = iter(map(float.__repr__, m.ravel().view(float).tolist()))
+    bits, index = np.unique(m.ravel().view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(float).tolist()))
+    numbers = iter(itemgetter(*index.tolist())(texts))
     pairs = "],\n [".join(map(", ".join, zip(numbers, numbers)))
     write_text(path, f'{{"dims": {json.dumps(list(dims.dims))}, "entries": [\n [{pairs}]\n]}}\n')
 
@@ -74,7 +80,7 @@ def read_matrix(path) -> tuple[np.ndarray, SystemDims]:
         raise ValueError(f"{path}: expected {n * n} entries for dims {dims.dims}, "
                          f"got {len(entries)}")
     try:
-        if not all(type(e) is list and len(e) == 2 for e in entries):
+        if not ({list}.issuperset(map(type, entries)) and {2}.issuperset(map(len, entries))):
             raise TypeError("expected pairs")
         flat = list(chain.from_iterable(entries))
         _numbers_only(flat)
@@ -95,17 +101,20 @@ def _numbers_only(items) -> None:
 
 
 def write_spectrum(path, values) -> None:
-    """Write a spectrum file; a NaN or infinity raises a ValueError naming `path` first."""
+    """Write a spectrum file of `values` as given. Values that `read_spectrum`
+    would reject (empty, NaN or infinite, negative, or not summing to 1
+    within 1e-3) raise a ValueError naming `path` before anything is written."""
     v = _finite(np.asarray(values, dtype=float).ravel(), str(path))
+    _probability_sum(np.sort(v)[::-1], path)
     write_text(path, json.dumps({"values": [float(x) for x in v]}, indent=1) + "\n")
 
 
 def read_spectrum(path) -> np.ndarray:
     """Parse a spectrum file, sorted descending.
 
-    Values printed to few decimals may sum slightly off 1; deviations up to
-    1e-3 are renormalized (larger ones are rejected as not a probability
-    vector).
+    The values must be a probability vector: finite, at least -PSD_ATOL
+    each (`tensorcore._psd`), summing to 1 within 1e-3. Values printed to
+    few decimals may sum slightly off 1; they are renormalized.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -118,11 +127,19 @@ def read_spectrum(path) -> np.ndarray:
         v = np.sort(np.array(payload["values"], dtype=float))[::-1]
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: values must be a list of floats") from exc
-    if v.size == 0:
-        raise ValueError(f"{path}: empty spectrum")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{path}: values must be finite")
+    return v / _probability_sum(v, path)
+
+
+def _probability_sum(v: np.ndarray, path) -> float:
+    """The sum of the finite, descending v, or a ValueError naming `path`
+    unless v is a probability vector as a spectrum file holds one."""
+    if v.size == 0:
+        raise ValueError(f"{path}: empty spectrum")
+    if not _psd(v[::-1]):
+        raise ValueError(f"{path}: values must be nonnegative, got {v[-1]}")
     s = float(v.sum())
     if abs(s - 1.0) > 1e-3:
         raise ValueError(f"{path}: values sum to {s}, not a probability vector")
-    return v / s
+    return s

@@ -32,7 +32,8 @@ from .tensorcore import (
 
 CONSISTENCY_TOL = 1e-8
 
-_NodeTable = namedtuple("_NodeTable", "gather starts targets bounds scale weight lift rows")
+_KeptTable = namedtuple("_KeptTable", "gather starts targets bounds")
+_NodeTable = namedtuple("_NodeTable", _KeptTable._fields + ("scale", "weight", "lift", "rows"))
 _Plan = namedtuple("_Plan", "terms shared gather starts left right pairs")
 
 
@@ -57,7 +58,8 @@ class ConstraintSet:
     """A family {(J_i, sigma_i)} of marginal constraints on a fixed factorization.
 
     The plan and its index arrays depend on the dims and kept sets alone
-    (`_plan`, built once per set); the targets enter through `_traced`.
+    (`_plan`, built once per set); the targets enter through `_traced`. A
+    residual reads only the kept sets' prefix of the node table (`_kept`).
     """
 
     def __init__(self, dims, constraints):
@@ -187,37 +189,59 @@ class ConstraintSet:
         return tuple(terms)
 
     @cached_property
+    def _kept(self) -> _KeptTable:
+        """The kept sets' prefix of the node table (`_nodes`), which a
+        residual reads alone: each constraint's `_gather` indices and its
+        sigma_S, constraint after constraint (float64 when every target is
+        real, as their traces to the further nodes then are too); `starts`
+        begins each deficit entry's run, and `bounds` delimits the
+        constraints' blocks. It needs neither the plan nor a consistency
+        check.
+        """
+        dims, n = self.dims, self.dims.total
+        orders = [len(c.target) for c in self.constraints]
+        sizes = [d * d for d in orders]
+        lengths = np.repeat([n // d for d in orders], sizes)   # n_{S^c} per entry
+        targets = np.concatenate([c.target.ravel() for c in self.constraints])
+        return _KeptTable(
+            gather=np.concatenate([_gather(dims, c.keep)[0] for c in self.constraints]),
+            starts=np.cumsum(lengths) - lengths,
+            targets=targets if np.any(targets.imag) else targets.real.copy(),
+            bounds=tuple(itertools.accumulate(sizes, initial=0)))
+
+    @cached_property
     def _nodes(self) -> _NodeTable:
-        """Every node a sweep traces its iterate to, as flat arrays: each
-        constraint's kept set S, in order, then every other nonempty node of
-        the lattice plan. `gather` concatenates the nodes' `_gather` indices
-        and `targets` their sigma_S (float64 when all are real), node after
-        node; `starts` begins each deficit entry's run, and `bounds`
-        delimits the constraints' blocks. Each nonempty term w of
+        """Every node a sweep traces its iterate to, as flat arrays: the
+        kept-set prefix `_kept`, then every other nonempty node of the
+        lattice plan, its gather indices and its target traced down (from
+        `_traced`) appended node after node. Each nonempty term w of
         `correction_terms` lifts w (1/n_{S^c}) D_S onto the entries `lift`:
         `rows` names the deficit entry that each repeats, and `scale` and
         `weight` hold 1/n_{S^c} and w per deficit entry. Built from `_plan`
         and `_traced`, so it needs no consistency check.
         """
-        dims, n = self.dims, self.dims.total
+        dims, n, kept = self.dims, self.dims.total, self._kept
         coef = {labels: w for w, labels, _i, _start in self._plan.terms}
-        lifted = [labels for labels in coef if labels]
-        table = {c.keep: _gather(dims, c.keep)[0] for c in self.constraints}
-        table.update((s, _gather(dims, s)[0]) for s in lifted if s not in table)
+        index = {labels: _gather(dims, labels)[0] for labels in coef if labels}
+        lifted = list(index)
+        keeps = [c.keep for c in self.constraints]
+        further = [s for s in lifted if s not in keeps]
+        table = keeps + further
         sizes = [dims.subdim(s) ** 2 for s in table]
         lengths = np.repeat([n // dims.subdim(s) for s in table], sizes)   # n_{S^c} per entry
         at = dict(zip(table, itertools.accumulate(sizes, initial=0)))
         entries = _ranges(np.array([at[s] for s in lifted]),
                           np.array([dims.subdim(s) ** 2 for s in lifted]))
-        targets = self._traced[:lengths.size]
+        traced = self._traced[kept.bounds[-1]:lengths.size]
         return _NodeTable(
-            gather=np.concatenate(list(table.values())),
+            gather=np.concatenate([kept.gather, *(index[s] for s in further)]),
             starts=np.cumsum(lengths) - lengths,
-            targets=targets if np.any(targets.imag) else targets.real.copy(),
-            bounds=tuple(itertools.accumulate(sizes[:len(self.constraints)], initial=0)),
+            targets=np.concatenate([kept.targets,
+                                    traced if np.iscomplexobj(kept.targets) else traced.real]),
+            bounds=kept.bounds,
             scale=1.0 / lengths,
             weight=np.repeat([coef.get(s, 0.0) for s in table], sizes),
-            lift=np.concatenate([table[s] for s in lifted]),
+            lift=np.concatenate([index[s] for s in lifted]),
             rows=np.repeat(entries, lengths[entries]))
 
     @cached_property
@@ -313,15 +337,15 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
     taking the Hermitian part, so that is taken once, of the result.
     """
     z = _as_square(z, "z", cs.dims)
-    return _project_affine(z, cs, _deficits(z, cs))
+    return _project_affine(z, cs, _deficits(z, cs._nodes))
 
 
-def _deficits(x, cs: ConstraintSet) -> np.ndarray:
-    """tr_{S^c}(x) - sigma_S for every node of `cs._nodes`, flattened node
-    after node into one vector: one gather and one segment sum. Its first
-    `cs._nodes.bounds[-1]` entries are the constraints' deficits."""
-    nodes = cs._nodes
-    return _segment_sums(x, nodes.gather, nodes.starts) - nodes.targets
+def _deficits(x, table) -> np.ndarray:
+    """tr_{S^c}(x) - sigma_S for every node of `table` (a set's `_nodes`, or
+    its kept-set prefix `_kept`), flattened node after node into one
+    vector: one gather and one segment sum. Its first `table.bounds[-1]`
+    entries are the constraints' deficits, the same bits from either table."""
+    return _segment_sums(x, table.gather, table.starts) - table.targets
 
 
 def _project_affine(z, cs: ConstraintSet, deficits) -> np.ndarray:

@@ -83,15 +83,17 @@ class SolveReport:
 
 
 def marginal_residual(x, cs: ConstraintSet) -> float:
-    """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F."""
-    return _err(_deficits(_as_square(x, "x", cs.dims), cs), cs)
+    """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F, traced through the kept
+    sets' prefix of the node table (`cs._kept`) alone, so a set used once
+    plans nothing: bit for bit the Err a sweep reads off its `_deficits`."""
+    kept = cs._kept
+    return _err(_deficits(_as_square(x, "x", cs.dims), kept), kept.bounds)
 
 
-def _err(deficits, cs: ConstraintSet) -> float:
+def _err(deficits, bounds) -> float:
     """Err from the marginal deficits (`_deficits`), one `np.linalg.norm`
-    per constraint block: the one Err kernel."""
-    b = cs._nodes.bounds
-    return float(sum(np.linalg.norm(deficits[b[i]:b[i + 1]]) for i in range(len(b) - 1)))
+    per constraint block `bounds[i]:bounds[i + 1]`: the one Err kernel."""
+    return float(sum(np.linalg.norm(deficits[a:b]) for a, b in zip(bounds, bounds[1:])))
 
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
@@ -104,7 +106,7 @@ def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
     """z in float64 when z has an exactly zero imaginary part and `cs` stores
     every target in float64, else z. Every sweep step maps real matrices to
     real ones."""
-    if np.any(z.imag) or np.iscomplexobj(cs._nodes.targets):
+    if np.any(z.imag) or np.iscomplexobj(cs._kept.targets):
         return z
     return np.ascontiguousarray(z.real)
 
@@ -122,12 +124,13 @@ def _sweeps(z, cs, second, max_sweeps, *, err_tol, reflect):
     P_A read the same `_deficits`. Every iterate is exactly Hermitian, as
     the second projections require. Returns (x, Err history, converged).
     """
-    a = z = _project_affine(z, cs, _deficits(z, cs))
+    nodes = cs._nodes
+    a = z = _project_affine(z, cs, _deficits(z, nodes))
     history = []
     while True:
         x = second(2 * a - z if reflect else a)
-        deficits = _deficits(x, cs)
-        history.append(_err(deficits, cs))
+        deficits = _deficits(x, nodes)
+        history.append(_err(deficits, nodes.bounds))
         if history[-1] < err_tol or len(history) == max_sweeps:
             return x, history, history[-1] < err_tol
         if reflect:
@@ -285,9 +288,9 @@ def _gauss_newton_rank(x, r: int, cs: ConstraintSet, max_steps: int):
 def _lm_residual(v, cs: ConstraintSet):
     """(F, Err(VV*)): F lists the constraints' deficits tr_{S^c}(VV*) - sigma_S
     entry by entry, as [re, im] pairs when V is complex."""
-    deficits = _deficits(_sym(v @ v.conj().T), cs)
-    f = deficits[:cs._nodes.bounds[-1]]
-    return f.view(float) if np.iscomplexobj(v) else f, _err(deficits, cs)
+    kept = cs._kept
+    f = _deficits(_sym(v @ v.conj().T), kept)
+    return f.view(float) if np.iscomplexobj(v) else f, _err(f, kept.bounds)
 
 
 def _lm_rows(v, cs: ConstraintSet) -> np.ndarray:

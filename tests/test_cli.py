@@ -95,6 +95,37 @@ class TestFileFormat:
         fileio.write_spectrum(path, [0.8, 0.15, 0.0501])
         c = fileio.read_spectrum(path)
         assert c.sum() == pytest.approx(1.0, abs=1e-15)
+        assert json.loads(path.read_text())["values"] == [0.8, 0.15, 0.0501]
+        assert np.array_equal(c, np.array([0.8, 0.15, 0.0501]) / np.sum([0.8, 0.15, 0.0501]))
+
+    @pytest.mark.parametrize("values,error", [
+        ([], "empty spectrum"),
+        ([0.7, 0.7], "values sum to 1.4, not a probability vector"),
+        ([-0.5, 1.5], "values must be nonnegative, got -0.5"),
+        ([1.0 + 1e-9, -1e-9], "values must be nonnegative, got -1e-09"),
+    ], ids=["empty", "sum-1.4", "negative", "just-past-psd-atol"])
+    def test_spectrum_writer_and_reader_share_one_check(self, tmp_path, values, error):
+        path = tmp_path / "c.json"
+        with pytest.raises(ValueError, match=f"{path.name}: {re.escape(error)}$"):
+            fileio.write_spectrum(path, values)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text(json.dumps({"values": values}))
+        with pytest.raises(ValueError, match=f"{path.name}: {re.escape(error)}$"):
+            fileio.read_spectrum(path)
+
+    def test_spectrum_entry_within_psd_atol_of_zero_is_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        fileio.write_spectrum(path, [1.0 + 1e-11, -1e-11])
+        assert np.array_equal(fileio.read_spectrum(path), np.array([1.0 + 1e-11, -1e-11]))
+
+    def test_project_rejects_a_negative_spectrum_file(self, runner, tmp_path):
+        good = tmp_path / "good.json"
+        fileio.write_matrix(good, np.eye(2) / 2, (2,))
+        spec = tmp_path / "c.json"
+        spec.write_text(json.dumps({"values": [-0.5, 1.5]}))
+        result = invoke(runner, "project", good, "--dims", "2", "--spectrum", spec)
+        assert result.exit_code == 1
+        assert f"error: {spec}: values must be nonnegative, got -0.5" in result.output
 
     @pytest.mark.parametrize("bad", ["1" * 400, "true"], ids=["huge-int", "true"])
     def test_rejects_numbers_that_are_not_floats(self, tmp_path, bad):

@@ -525,7 +525,7 @@ def test_partial_trace_of_a_strided_view_equals_its_contiguous_copy():
 def test_real_iterate_gives_real_deficits_and_affine_step():
     cs, greedy = rank_3x4_greedy()
     x = np.ascontiguousarray(greedy.real)
-    deficits = _deficits(x, cs)
+    deficits = _deficits(x, cs._nodes)
     assert deficits.dtype == np.float64
     assert _project_affine(x, cs, deficits).dtype == np.float64
 

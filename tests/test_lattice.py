@@ -22,10 +22,14 @@ from qmarginals import (
     fileio,
     hermitize,
     kron,
+    marginal_residual,
     partial_trace,
     project_marginals,
     random_density,
 )
+
+from qmarginals.projections import _deficits
+from qmarginals.solvers import _err
 
 from conftest import random_hermitian, subsystem_permutation
 
@@ -299,3 +303,47 @@ class TestPlanPerStructure:
             assert check_consistency(cs).max_discrepancy == reference_consistency(cs)[1]
             ties.append(np.linalg.norm(p - q) == np.linalg.norm(shift @ (p - q) @ shift.T))
         assert not all(ties)
+
+
+class TestResidualFromTheKeptPrefix:
+    """`marginal_residual` reads the kept sets' prefix of the node table
+    alone, and gives the Err that a sweep reads off the whole table."""
+
+    @staticmethod
+    def families():
+        return [*fixture_families(),
+                one_state_family((2, 2, 2), NESTED, 5),        # complex targets
+                one_state_family((2,) * 5, PAIRS_5Q, 6),
+                independent_family((2,) * 5, PAIRS_5Q, 7)]     # inconsistent
+
+    def test_a_fresh_set_plans_nothing_and_matches_the_sweep_err(self):
+        for seed, cs in enumerate(self.families()):
+            x = random_density(cs.dims, seed).matrix
+            fresh = ConstraintSet(cs.dims, cs.constraints)
+            err = marginal_residual(x, fresh)
+            assert "_nodes" not in vars(fresh) and "_plan" not in vars(fresh)
+            assert err == _err(_deficits(x, fresh._nodes), fresh._nodes.bounds)
+            assert err > 0.0
+
+    def test_prefix_deficits_are_the_tables_first_entries(self):
+        # in float64 too, as a real sweep and the rank finish run
+        for seed, cs in enumerate(self.families()):
+            x = random_density(cs.dims, seed).matrix
+            for z in [x, np.ascontiguousarray(x.real)]:
+                whole = _deficits(z, cs._nodes)
+                assert np.array_equal(_deficits(z, cs._kept), whole[:cs._kept.bounds[-1]])
+
+    def test_the_node_table_begins_with_the_prefix(self):
+        real = 0
+        for cs in self.families():
+            kept, nodes = cs._kept, cs._nodes
+            size = kept.bounds[-1]
+            assert nodes.bounds is kept.bounds
+            assert nodes.targets.dtype == kept.targets.dtype
+            assert np.array_equal(nodes.targets[:size], kept.targets)
+            assert np.array_equal(nodes.starts[:size], kept.starts)
+            assert np.array_equal(nodes.gather[:kept.gather.size], kept.gather)
+            all_real = not any(np.any(c.target.imag) for c in cs)
+            assert kept.targets.dtype == (np.float64 if all_real else np.complex128)
+            real += all_real
+        assert 0 < real < len(self.families())
