@@ -1,3 +1,4 @@
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from qmarginals import (
     random_density,
     solvers,
 )
+from qmarginals.entropy import entropy_objective
 from qmarginals.tensorcore import as_dims
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -125,6 +127,80 @@ def reference_dykstra_loop(z, cs, max_sweeps, err_tol):
         if history[-1] < err_tol:
             return x, history, True
     return x, history, False
+
+
+def reference_nspg(cs, objective="von-neumann", alpha=None, opts=None, initial=None):
+    """NSPG as it was before the stationarity bracket: every iteration
+    projects rho - grad f(rho) for the exact measure e, then rho - alpha g for
+    the direction unless alpha = 1. `solvers.nspg_minimize` must keep its
+    iterates and stop decisions; its residual history may record an upper
+    bound on e where this loop records e. Projects with the name
+    `solvers.project_intersection`, so the tests' wrappers see its calls."""
+    opts = opts or solvers.SolveOptions()
+    entropy, grad_of = entropy_objective(objective, alpha)
+    capped = []
+
+    def inner_project(m):
+        x, _h, _gnorm, hit_cap = solvers.project_intersection(m, cs)
+        capped.append(hit_cap)
+        return x
+
+    rho = inner_project(solvers._initial_point(cs, opts.seed, initial))
+    values, u = np.linalg.eigh(rho)
+    f_cur = -entropy(values)
+    g = grad_of(values, u)
+    window = deque([f_cur], maxlen=solvers.NSPG_WINDOW)
+    step = 1.0
+    station_history = []
+    objective_history = [f_cur]
+    converged = False
+    stalls = 0
+    eps = np.finfo(float).eps
+    for _ in range(opts.max_iterations):
+        projected = inner_project(rho - g)
+        station_history.append(float(np.linalg.norm(projected - rho)))
+        if station_history[-1] <= opts.nspg_stationarity_tol:
+            converged = True
+            break
+        d = (projected if step == 1.0 else inner_project(rho - step * g)) - rho
+        slope = float(np.real(np.trace(d.conj().T @ g)))
+        f_ref = max(window)
+        unverified = abs(slope) <= 64 * eps * max(1.0, abs(f_ref))
+        collapsed = slope > 0 and not unverified
+        lam = 1.0
+        while not collapsed:
+            candidate = hermitize(rho + lam * d)
+            cand_values, cand_u = np.linalg.eigh(candidate)
+            f_new = -entropy(cand_values)
+            if unverified or f_new <= f_ref + solvers.NSPG_DECREASE * lam * slope:
+                break
+            lam /= 2
+            collapsed = lam < 1e-16
+        if collapsed:
+            stalls += 1
+            step = 1.0
+            if stalls > 5:
+                break
+            continue
+        stalls = 0
+        g_new = grad_of(cand_values, cand_u)
+        if not unverified:
+            s = candidate - rho
+            b = float(np.real(np.trace(s.conj().T @ (g_new - g))))
+            if b <= 0:
+                step = solvers.NSPG_ALPHA_MAX
+            else:
+                a = float(np.real(np.trace(s.conj().T @ s)))
+                step = min(solvers.NSPG_ALPHA_MAX, max(solvers.NSPG_ALPHA_MIN, a / b))
+        rho, f_cur, g = candidate, f_new, g_new
+        window.append(f_cur)
+        objective_history.append(f_cur)
+    return solvers.SolveReport(
+        solution=rho, iterations=len(station_history),
+        residual_history=np.asarray(station_history), converged=converged, wall_time=0.0,
+        final_residual=station_history[-1] if station_history else 0.0,
+        seed_used=opts.seed, objective_history=np.asarray(objective_history),
+        notes=f"{sum(capped)} of {len(capped)} projections capped")
 
 
 @pytest.fixture(scope="session")

@@ -402,8 +402,12 @@ class TestSolveCommands:
         assert result.exit_code == 0
         ra, _ = fileio.read_matrix(FIXTURES / "bipartite_2x3" / "rho_a.json")
         rb, _ = fileio.read_matrix(FIXTURES / "bipartite_2x3" / "rho_b.json")
-        entropy = json.loads((out / "report.json").read_text())["entropy"]
-        assert abs(entropy - (von_neumann(ra) + von_neumann(rb))) <= 1e-8
+        report = json.loads((out / "report.json").read_text())
+        assert abs(report["entropy"] - (von_neumann(ra) + von_neumann(rb))) <= 1e-8
+        # one row per iteration; the last is the exact stationarity measure
+        rows = (out / "history.csv").read_text().splitlines()
+        assert rows[0] == "iteration,residual" and len(rows) == 1 + report["iterations"]
+        assert float(rows[-1].split(",")[1]) == report["final_residual"] <= 1e-8
         result = invoke(runner, "verify", out / "solution.json", "--dims", "2,3", *bi,
                         "--tol", "1e-10")
         assert result.exit_code == 0

@@ -14,7 +14,10 @@ and that marginal's complex conjugate; check_consistency (verdict, derived
 marginals, max discrepancy) on the fixture families, all pairs of five
 qubits and one inconsistent three-qubit family; the parsed values of every
 file the CLI writes with --out (report.json without wall_time_s).
-Floats are hashed by their bytes, so even the sign of a zero counts.
+NSPG's residual_history and notes (history.csv and the notes of report.json
+for `solve max-entropy`) are items of their own, suffixed -residual_history
+and -notes. Floats are hashed by their bytes, so even the sign of a zero
+counts.
 """
 
 import contextlib
@@ -99,9 +102,18 @@ def solver_digests() -> dict:
             cs34, 2, qm.SolveOptions(seed=seed, max_iterations=4000),
             initial=greedy if seed == 0 else None))
         nspg = qm.SolveOptions(seed=seed, max_iterations=200)
-        out[f"nspg-2x2-{seed}"] = report(qm.nspg_minimize(cs22, opts=nspg))
-        out[f"nspg-renyi-2x2-{seed}"] = report(qm.nspg_minimize(cs22, "renyi", 2.0, opts=nspg))
+        out.update(traced(f"nspg-2x2-{seed}", report(qm.nspg_minimize(cs22, opts=nspg))))
+        out.update(traced(f"nspg-renyi-2x2-{seed}",
+                          report(qm.nspg_minimize(cs22, "renyi", 2.0, opts=nspg))))
     return out
+
+
+def traced(label: str, fields: dict) -> dict:
+    """An NSPG report as item `label`, with its residual trace and notes split
+    off as items of their own: those two record how the loop measured
+    stationarity and how many projections it made, the rest where it went."""
+    return {label: fields, f"{label}-residual_history": fields.pop("residual_history"),
+            f"{label}-notes": fields.pop("notes")}
 
 
 def multinode_digests() -> dict:
@@ -229,7 +241,11 @@ def cli_digests(tmp: Path) -> dict:
     out = {}
     for label, command in runs.items():
         code = cli([*command, "--out", tmp / label])
-        out[f"cli-{label}"] = [code, {f.name: parsed(f) for f in sorted((tmp / label).iterdir())}]
+        written = {f.name: parsed(f) for f in sorted((tmp / label).iterdir())}
+        out[f"cli-{label}"] = [code, written]
+        if label == "solve-entropy":   # NSPG: split as in `traced`
+            out[f"cli-{label}-residual_history"] = written.pop("history.csv")
+            out[f"cli-{label}-notes"] = written["report.json"].pop("notes")
     files = {
         "project-marginals": ["project", inp / "rho_222.json", "--dims", "2,2,2", *mtri],
         "project-psd": ["project", FX / "tripartite_222/rho_12.json", "--dims", "2,2", "--psd"],
