@@ -85,9 +85,10 @@ class SolveReport:
 def marginal_residual(x, cs: ConstraintSet) -> float:
     """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F, traced through the kept
     sets' prefix of the node table (`cs._kept`) alone, so a set used once
-    plans nothing: bit for bit the Err a sweep reads off its `_deficits`."""
+    plans nothing, and in the sweeps' dtype (`_real_if_exact`): bit for bit
+    the Err a sweep reads off its `_deficits`."""
     kept = cs._kept
-    return _err(_deficits(_as_square(x, "x", cs.dims), kept), kept.bounds)
+    return _err(_deficits(_real_if_exact(_as_square(x, "x", cs.dims), cs), kept), kept.bounds)
 
 
 def _err(deficits, bounds) -> float:

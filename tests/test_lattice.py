@@ -325,6 +325,20 @@ class TestResidualFromTheKeptPrefix:
             assert err == _err(_deficits(x, fresh._nodes), fresh._nodes.bounds)
             assert err > 0.0
 
+    def test_a_real_matrix_is_traced_in_the_sweeps_dtype(self):
+        # a float64 X on float64 targets, as given or cast to complex, gives
+        # the Err of a real sweep: complex arithmetic may round the norm
+        # differently (1.1485111048154457 against ...455 on bipartite_2x3)
+        real = 0
+        for seed, cs in enumerate(self.families()):
+            x = np.ascontiguousarray(random_density(cs.dims, seed).matrix.real)
+            if np.iscomplexobj(cs._kept.targets):
+                continue
+            real += 1
+            sweep = _err(_deficits(x, cs._nodes), cs._nodes.bounds)
+            assert marginal_residual(x, cs) == marginal_residual(x + 0j, cs) == sweep
+        assert real > 0
+
     def test_prefix_deficits_are_the_tables_first_entries(self):
         # in float64 too, as a real sweep and the rank finish run
         for seed, cs in enumerate(self.families()):

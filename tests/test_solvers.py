@@ -336,6 +336,23 @@ def test_residual_needs_no_consistent_marginals():
     assert marginal_residual(np.eye(4) / 4, cs) == pytest.approx(0.1 * np.linalg.norm(half))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda cs, o, x: solve_feasible(cs, o, initial=x),
+    lambda cs, o, x: solve_with_spectrum(cs, load_spectrum("bipartite_2x3/target_spectrum.json"),
+                                         o, initial=x),
+    lambda cs, o, x: solve_with_rank_cap(cs, 3, o, initial=x),
+], ids=["feasible", "spectrum", "rank-cap"])
+def test_a_real_solve_reports_the_residual_of_its_solution(solve):
+    # real marginals and a real start: the sweeps run in float64, and the
+    # complex solution they return has the same Err bit for bit
+    cs = bipartite_cs(load_matrix("bipartite_2x3/rho_a.json")[0],
+                      load_matrix("bipartite_2x3/rho_b.json")[0])
+    x = np.ascontiguousarray(random_density((2, 3), 0).matrix.real)
+    for limit in range(1, 60):
+        rep = solve(cs, SolveOptions(max_iterations=limit, tolerance=1e-10), x)
+        assert rep.final_residual == marginal_residual(rep.solution, cs)
+
+
 class TestSolveFeasible:
     def test_tripartite_fixture(self):
         rho23, _ = load_matrix("tripartite_222/rho_23.json")
