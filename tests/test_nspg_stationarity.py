@@ -98,7 +98,7 @@ def test_rank_deficient_case_matches_the_reference(monkeypatch):
     _assert_matches_reference(rank_deficient_3x2(), {})
 
 
-def test_capped_runs_report_the_exact_final_residual():
+def test_a_run_ended_by_the_iteration_limit_reports_the_exact_residual():
     """At the iteration limit the last entry is e itself, not a bound."""
     cs, kwargs = _draw_run(0, max_iterations=7)
     new, ref = solvers.nspg_minimize(cs, **kwargs), reference_nspg(cs, **kwargs)
@@ -106,31 +106,26 @@ def test_capped_runs_report_the_exact_final_residual():
     assert new.final_residual == ref.final_residual == new.residual_history[-1]
 
 
-def _counting(monkeypatch):
-    counts = {"projections": 0, "eigh": 0}
-    project, eigh = solvers.project_intersection, np.linalg.eigh
-
-    def counted_projection(*args):
-        counts["projections"] += 1
-        return project(*args)
-
-    def counted_eigh(*args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "project_intersection", counted_projection)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    return counts
-
-
 def _counts(monkeypatch, solve, run):
     """(projections, eigh calls) of one solve on a fresh constraint set, so
     that the eigendecomposition building its dual basis counts."""
     cs, kwargs = run()
+    counts = [0, 0]
+    project, eigh = solvers.project_intersection, np.linalg.eigh
+
+    def counted_projection(*args):
+        counts[0] += 1
+        return project(*args)
+
+    def counted_eigh(*args, **kw):
+        counts[1] += 1
+        return eigh(*args, **kw)
+
     with monkeypatch.context() as patch:
-        counts = _counting(patch)
+        patch.setattr(solvers, "project_intersection", counted_projection)
+        patch.setattr(np.linalg, "eigh", counted_eigh)
         solve(cs, **kwargs)
-    return counts["projections"], counts["eigh"]
+    return tuple(counts)
 
 
 def test_projection_and_eigh_counts(monkeypatch):

@@ -112,8 +112,8 @@ def traced(label: str, fields: dict) -> dict:
     """An NSPG report as item `label`, with its residual trace and notes split
     off as items of their own: those two record how the loop measured
     stationarity and how many projections it made, the rest where it went."""
-    return {label: fields, f"{label}-residual_history": fields.pop("residual_history"),
-            f"{label}-notes": fields.pop("notes")}
+    history, notes = fields.pop("residual_history"), fields.pop("notes")
+    return {label: fields, f"{label}-residual_history": history, f"{label}-notes": notes}
 
 
 def multinode_digests() -> dict:
@@ -242,10 +242,10 @@ def cli_digests(tmp: Path) -> dict:
     for label, command in runs.items():
         code = cli([*command, "--out", tmp / label])
         written = {f.name: parsed(f) for f in sorted((tmp / label).iterdir())}
-        out[f"cli-{label}"] = [code, written]
         if label == "solve-entropy":   # NSPG: split as in `traced`
             out[f"cli-{label}-residual_history"] = written.pop("history.csv")
             out[f"cli-{label}-notes"] = written["report.json"].pop("notes")
+        out[f"cli-{label}"] = [code, written]
     files = {
         "project-marginals": ["project", inp / "rho_222.json", "--dims", "2,2,2", *mtri],
         "project-psd": ["project", FX / "tripartite_222/rho_12.json", "--dims", "2,2", "--psd"],
