@@ -65,7 +65,7 @@ class SolveOptions:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("tolerance", "nspg_stationarity_tol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 

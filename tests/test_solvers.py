@@ -72,11 +72,12 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
 
-    @pytest.mark.parametrize("field", ["max_iterations", "restarts", "seed"])
+    @pytest.mark.parametrize("field", ["max_iterations", "restarts", "seed", "tolerance",
+                                       "nspg_stationarity_tol"])
     @pytest.mark.parametrize("value", [True, False])
     def test_rejects_booleans(self, field, value):
         # a boolean is an int to isinstance: True would mean 1 and False 0
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
             SolveOptions(**{field: value})
         assert getattr(SolveOptions(**{field: np.int64(3)}), field) == 3
 
