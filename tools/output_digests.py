@@ -4,10 +4,12 @@ change leaves results bit-identical.
     python3 tools/output_digests.py <checkout>   # e.g. . or a clone of the parent
 
 Prints one digest per item and a total. Covered: every SolveReport field
-except wall_time for the four solvers over seeds 0-3; project_marginals and
-solve_feasible at seeds 0-1 on two families whose sweeps trace more than one
-lattice node (kept sets (1,2), (2,3), (2,) of three qubits, and all pairs of
-five qubits); rank_sweep and rank_k_roots_of_unity at every admissible k,
+except wall_time for the four solvers over seeds 0-3, and for the rank
+solver on a 3x6 pair at cap 2 and seed 0, whose first finish fails;
+project_marginals and solve_feasible at seeds 0-1 on two families whose
+sweeps trace more than one lattice node (kept sets (1,2), (2,3), (2,) of
+three qubits, and all pairs of five qubits); rank_sweep and
+rank_k_roots_of_unity at every admissible k,
 greedy_minmatch and interlace_decomposition (state and decomposition) on a
 seeded rotated pair, and pure_state_from_isospectral on its first marginal
 and that marginal's complex conjugate; check_consistency (verdict, derived
@@ -91,6 +93,9 @@ def solver_digests() -> dict:
     a34, b34 = spectrum_state("rank_3x4/spectrum_a.json"), spectrum_state("rank_3x4/spectrum_b.json")
     cs34 = qm.ConstraintSet((3, 4), [((1,), a34), ((2,), b34)])
     greedy = qm.greedy_minmatch(a34, b34)[0].matrix
+    cs36 = qm.ConstraintSet((3, 6), [((1,), np.diag([0.8213, 0.1234, 0.0553])),
+                                     ((2,), np.diag([0.5720, 0.3068, 0.1000, 0.0189,
+                                                     0.0020, 0.0003]))])
     cs22 = qm.ConstraintSet((2, 2), [((1,), qm.random_density((2,), 3).matrix),
                                      ((2,), qm.random_density((2,), 4).matrix)])
     for seed in range(4):
@@ -105,6 +110,9 @@ def solver_digests() -> dict:
         out.update(traced(f"nspg-2x2-{seed}", report(qm.nspg_minimize(cs22, opts=nspg))))
         out.update(traced(f"nspg-renyi-2x2-{seed}",
                           report(qm.nspg_minimize(cs22, "renyi", 2.0, opts=nspg))))
+    # a first Gauss-Newton finish that fails, and sweeps that resume from it
+    out["rank-3x6-0"] = report(qm.solve_with_rank_cap(
+        cs36, 2, qm.SolveOptions(seed=0, max_iterations=20000)))
     return out
 
 
