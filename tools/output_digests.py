@@ -14,7 +14,10 @@ greedy_minmatch and interlace_decomposition (state and decomposition) on a
 seeded rotated pair, and pure_state_from_isospectral on its first marginal
 and that marginal's complex conjugate; check_consistency (verdict, derived
 marginals, max discrepancy) on the fixture families, all pairs of five
-qubits and one inconsistent three-qubit family; the parsed values of every
+qubits and one inconsistent three-qubit family; marginal_residual of
+random_density(dims, s) and of its real part, s = 0-1, on a fresh ConstraintSet
+per call, over those families and the nested three-qubit and all-pairs
+families, each consistent and inconsistent; the parsed values of every
 file the CLI writes with --out (report.json without wall_time_s).
 NSPG's residual_history and notes (history.csv and the notes of report.json
 for `solve max-entropy`) are items of their own, suffixed -residual_history
@@ -143,8 +146,9 @@ def multinode_digests() -> dict:
     return out
 
 
-def consistency_digests() -> dict:
-    """check_consistency's verdict, derived marginals and max discrepancy."""
+def consistency_families() -> dict:
+    """(dims, targets) of the fixture families, all pairs of five qubits and
+    one inconsistent three-qubit family."""
     def mat(name):
         return fileio.read_matrix(FX / name)[0]
 
@@ -164,10 +168,43 @@ def consistency_digests() -> dict:
         "inconsistent-222": ((2, 2, 2), [((1, 2), qm.random_density((2, 2), 13).matrix),
                                          ((2, 3), qm.random_density((2, 2), 14).matrix)]),
     }
+    return families
+
+
+def consistency_digests() -> dict:
+    """check_consistency's verdict, derived marginals and max discrepancy."""
     out = {}
-    for name, (dims, targets) in families.items():
+    for name, (dims, targets) in consistency_families().items():
         r = qm.check_consistency(qm.ConstraintSet(dims, targets))
         out[f"consistency-{name}"] = [r.consistent, r.derived_marginals, r.max_discrepancy]
+    return out
+
+
+def residual_digests() -> dict:
+    """marginal_residual of random_density(dims, s) and of its real part on a
+    fresh ConstraintSet per call, so that every call traces from no cache."""
+    def one_state(dims, keeps, seed):
+        rho = qm.random_density(dims, seed).matrix
+        return dims, [(k, qm.partial_trace(rho, dims, k)) for k in keeps]
+
+    def independent(dims, keeps, seed):
+        local = qm.SystemDims(dims).local_dims
+        return dims, [(k, qm.random_density(local(k), seed + i).matrix)
+                      for i, k in enumerate(keeps)]
+
+    nested, pairs = [(1, 2), (2, 3), (2,)], list(itertools.combinations(range(1, 6), 2))
+    families = {**consistency_families(),
+                "nested": one_state((2, 2, 2), nested, 21),
+                "inconsistent-nested": independent((2, 2, 2), nested, 30),
+                "inconsistent-allpairs-5q": independent((2,) * 5, pairs, 40)}
+    out = {}
+    for name, (dims, targets) in families.items():
+        errs = []
+        for s in range(2):
+            rho = qm.random_density(dims, s).matrix
+            for x in (rho, np.ascontiguousarray(rho.real)):
+                errs.append(qm.marginal_residual(x, qm.ConstraintSet(dims, targets)))
+        out[f"residual-{name}"] = errs
     return out
 
 
@@ -275,7 +312,7 @@ def cli_digests(tmp: Path) -> dict:
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         items = {**solver_digests(), **multinode_digests(), **consistency_digests(),
-                 **construction_digests(),
+                 **residual_digests(), **construction_digests(),
                  **cli_digests(Path(tmp))}
     digests = {name: digest(value) for name, value in items.items()}
     for name, d in digests.items():
