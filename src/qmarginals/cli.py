@@ -53,9 +53,19 @@ def _parse_keep(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"bad index set {text!r}") from exc
 
 
-def _read_marginals(marginals) -> list[tuple[tuple[int, ...], np.ndarray]]:
+def _read_matrix(path, dims=None) -> np.ndarray:
+    """The matrix in file `path`; one whose order does not match the dims,
+    when given, raises a ValueError that starts with the path."""
+    matrix, _file_dims = fileio.read_matrix(path)
+    if dims is not None and len(matrix) != dims.total:
+        raise ValueError(f"{path}: matrix order {len(matrix)} does not match dims {dims.dims}")
+    return matrix
+
+
+def _read_marginals(marginals, dims=None) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'; the kept
-    sets come back sorted, and no set may be given twice."""
+    sets come back sorted, and no set may be given twice. Given the dims,
+    each file's order must match its kept set's (`_read_matrix`)."""
     if not marginals:
         raise click.UsageError("at least one --marginal is required")
     files = {}
@@ -69,7 +79,8 @@ def _read_marginals(marginals) -> list[tuple[tuple[int, ...], np.ndarray]]:
             raise ValueError(f"duplicate kept-index set {','.join(map(str, keep))}: "
                              f"{files[keep]} and {path}")
         files[keep] = path
-    return [(keep, fileio.read_matrix(path)[0]) for keep, path in files.items()]
+    return [(keep, _read_matrix(path, dims and dims.local_dims(dims.validate_keep(keep))))
+            for keep, path in files.items()]
 
 
 def _echo_report(report: SolveReport) -> None:
@@ -164,8 +175,7 @@ def _resolve_init(init_text, cs):
     if init_text == "random":
         return None
     if init_text.startswith("file:"):
-        matrix, _dims = fileio.read_matrix(init_text[5:])
-        return matrix
+        return _read_matrix(init_text[5:], cs.dims)
     if init_text in ("greedy", "interlace"):
         by_keep = {c.keep: c.target for c in cs.constraints}
         if cs.dims.k != 2 or (1,) not in by_keep or (2,) not in by_keep:
@@ -229,8 +239,8 @@ def trace(input_file, keep_text, out_path):
 @click.option("--marginal", "marginals", multiple=True)
 def consistency(dims_text, marginals):
     """Check whether the prescribed marginals can coexist, as the solvers require."""
-    cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
-    report = check_consistency(cs)
+    dims = _parse_dims(dims_text)
+    report = check_consistency(ConstraintSet(dims, _read_marginals(marginals, dims)))
     click.echo(f"consistent: {report.consistent}")
     click.echo(f"max discrepancy: {report.max_discrepancy:.6e}")
     for labels, forced in sorted(report.derived_marginals.items()):
@@ -261,11 +271,9 @@ def project(input_file, dims_text, marginals, spectrum_path, psd_flag, out_path)
     if spectrum_path and (marginals or psd_flag):
         raise click.UsageError("--spectrum cannot be combined with --marginal or --psd")
     dims = _parse_dims(dims_text)
-    matrix, file_dims = fileio.read_matrix(input_file)
-    if file_dims.total != dims.total:
-        raise ValueError(f"matrix order {file_dims.total} does not match --dims")
+    matrix = _read_matrix(input_file, dims)
     if psd_flag and marginals:
-        cs = ConstraintSet(dims, _read_marginals(marginals))
+        cs = ConstraintSet(dims, _read_marginals(marginals, dims))
         result, _h, gnorm, hit_cap = project_intersection(matrix, cs)
         click.echo(f"converged: {not hit_cap}")
         click.echo(f"dual gradient: {gnorm:.6e}")
@@ -276,7 +284,7 @@ def project(input_file, dims_text, marginals, spectrum_path, psd_flag, out_path)
     elif spectrum_path:
         result = project_spectrum(matrix, fileio.read_spectrum(spectrum_path))
     else:
-        result = project_marginals(matrix, ConstraintSet(dims, _read_marginals(marginals)))
+        result = project_marginals(matrix, ConstraintSet(dims, _read_marginals(marginals, dims)))
     _emit_matrix(out_path, result, dims)
 
 
@@ -287,7 +295,8 @@ def solve():
 
 def _run_solver(runner, dims_text, marginals, init_text, out_dir, **options):
     """Run `runner(cs, SolveOptions(**options), initial)`; exit 2 unless it converged."""
-    cs = ConstraintSet(_parse_dims(dims_text), _read_marginals(marginals))
+    dims = _parse_dims(dims_text)
+    cs = ConstraintSet(dims, _read_marginals(marginals, dims))
     report = runner(cs, SolveOptions(**options), _resolve_init(init_text, cs))
     _echo_report(report)
     # the complex decomposition: report.json records these values to the last bit
@@ -414,10 +423,8 @@ def verify(solution_file, dims_text, marginals, tol):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {tol}")
     dims = _parse_dims(dims_text)
-    matrix, file_dims = fileio.read_matrix(solution_file)
-    if file_dims.total != dims.total:
-        raise ValueError(f"matrix order {file_dims.total} does not match --dims")
-    cs = ConstraintSet(dims, _read_marginals(marginals))
+    matrix = _read_matrix(solution_file, dims)
+    cs = ConstraintSet(dims, _read_marginals(marginals, dims))
     checks = {
         "hermitian": True,  # read_matrix enforces it
         "psd": _psd(_eigvalsh(matrix)),

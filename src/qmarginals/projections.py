@@ -32,9 +32,8 @@ from .tensorcore import (
 
 CONSISTENCY_TOL = 1e-8
 
-_KeptTable = namedtuple("_KeptTable", "gather starts targets bounds")
-_NodeTable = namedtuple("_NodeTable", _KeptTable._fields + ("scale", "weight", "lift", "rows"))
-_Plan = namedtuple("_Plan", "terms shared gather starts left right pairs")
+_NodeTable = namedtuple("_NodeTable", "gather starts targets bounds scale weight lift rows")
+_Plan = namedtuple("_Plan", "terms shared traced left right pairs")
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,10 @@ class MarginalConstraint:
 class ConstraintSet:
     """A family {(J_i, sigma_i)} of marginal constraints on a fixed factorization.
 
-    The plan and its index arrays depend on the dims and kept sets alone
-    (`_plan`, built once per set); the targets enter through `_traced`. A
-    residual reads only the kept sets' prefix of the node table (`_kept`).
+    Built on first use, once per set: the lattice plan with every target
+    traced to its nodes (`_plan`), whether every target is exactly real
+    (`_real`), and the node table the sweeps trace their iterates through
+    (`_nodes`). A residual (`solvers.marginal_residual`) needs none of them.
     """
 
     def __init__(self, dims, constraints):
@@ -91,19 +91,22 @@ class ConstraintSet:
 
     @cached_property
     def _plan(self) -> _Plan:
-        """The set's plan: what it takes from the dims and the kept sets alone.
+        """The set's plan: its lattice, Moebius terms and traced targets.
 
         The lattice is the intersection closure of the kept sets and the empty
         set, largest node first; a node's owners are the constraints containing
         it, the one whose kept set it is first. Moebius inversion (Rota 1964)
         gives c(S) = -1 minus the c(S') of all nodes S' strictly containing S.
         `terms`: (c(S), labels, first owner, start of S's derived target in
-        `_traced`, None for a kept set or the empty set) for each c(S) != 0,
-        by labels. The one gather traces every owner to each shared node
-        (`shared`: labels and the first owner's start) and the first owner to
-        each other term node; `left` and `right` pair the owners' entries of a
-        shared node, run by run of `pairs`. The further term nodes are traced
-        first, so `_traced` begins with `_nodes.targets`.
+        `traced`, None for a kept set or the empty set) for each c(S) != 0,
+        by labels. `traced` holds the flattened targets, then, from one
+        gather and one segment sum, every owner's target traced to each
+        shared node (`shared`: labels and the first owner's start) and the
+        first owner's to each other term node; it is read-only, as the
+        derived targets are views of it (`_derived`). `left` and `right` pair
+        the owners' entries of a shared node, run by run of `pairs`. The
+        further term nodes are traced first, so `traced` begins with
+        `_nodes.targets`.
         """
         dims, keeps = self.dims, tuple(c.keep for c in self.constraints)
         sets = [frozenset(k) for k in keeps]
@@ -125,16 +128,22 @@ class ConstraintSet:
         offsets = list(itertools.accumulate([area[k] for k in keeps], initial=0))
         traces = dict.fromkeys([(i, s) for _w, s, i in terms if s in extra]
                                + [(i, s) for s, owners in shared for i in owners])
+        traced = np.concatenate([c.target.ravel() for c in self.constraints])
+        traced.setflags(write=False)
         none = np.zeros(0, np.intp)
         if not traces:   # pairwise disjoint kept sets, as in every bipartite set
-            return _Plan(tuple((w, s, i, None) for w, s, i in terms), (), none, none, none,
-                         none, np.zeros(1, np.intp))
+            return _Plan(tuple((w, s, i, None) for w, s, i in terms), (), traced, none, none,
+                         np.zeros(1, np.intp))
         local = {i: dims.local_dims(keeps[i]) for i, _s in traces}
         pieces = [_gather(local[i], tuple(keeps[i].index(a) + 1 for a in s)) for i, s in traces]
-        # the traces follow the flattened targets in `_traced`
+        # the traces follow the flattened targets in `traced`
         start = dict(zip(traces, itertools.accumulate([area[s] for _i, s in traces],
                                                       initial=offsets[-1])))
         gathered = itertools.accumulate([g.size for g, _r in pieces], initial=0)
+        traced = np.concatenate([traced, _segment_sums(
+            traced, np.concatenate([offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
+            np.concatenate([base + r for base, (_g, r) in zip(gathered, pieces)]))])
+        traced.setflags(write=False)
         left, right, widths = np.array(
             [(start[a, s], start[b, s], area[s])
              for s, owners in shared for a, b in itertools.combinations(owners, 2)],
@@ -142,25 +151,22 @@ class ConstraintSet:
         return _Plan(
             terms=tuple((w, s, i, start[i, s] if s in extra else None) for w, s, i in terms),
             shared=tuple((s, start[owners[0], s]) for s, owners in shared),
-            gather=np.concatenate([offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
-            starts=np.concatenate([base + r for base, (_g, r) in zip(gathered, pieces)]),
+            traced=traced,
             left=_ranges(left, widths),
             right=_ranges(right, widths),
             pairs=np.concatenate([[0], np.cumsum(widths)]))
 
-    @cached_property
-    def _traced(self) -> np.ndarray:
-        """The flattened targets, then every run of the plan's gather into them
-        summed; read-only, as the derived targets are views of it (`_derived`)."""
-        flat = np.concatenate([c.target.ravel() for c in self.constraints])
-        traced = np.concatenate([flat, _segment_sums(flat, self._plan.gather, self._plan.starts)])
-        traced.setflags(write=False)
-        return traced
-
     def _derived(self, labels: tuple[int, ...], start: int) -> np.ndarray:
-        """The target traced down to the node `labels` at `start` of `_traced`."""
+        """The target traced down to the node `labels` at `start` of the plan's `traced`."""
         d = self.dims.subdim(labels)
-        return self._traced[start:start + d * d].reshape(d, d)
+        return self._plan.traced[start:start + d * d].reshape(d, d)
+
+    @cached_property
+    def _real(self) -> bool:
+        """Whether every target has an exactly zero imaginary part: the one
+        dtype rule. Then their traces are real too, the node table's targets
+        are float64, and so are a real iterate's sweeps and residuals."""
+        return not any(np.any(c.target.imag) for c in self.constraints)
 
     @cached_property
     def correction_terms(self) -> tuple[tuple[float, tuple[int, ...], object], ...]:
@@ -169,7 +175,7 @@ class ConstraintSet:
         The maps E_J(X) = tr_{J^c}(X) x I/n_{J^c} satisfy E_J E_K = E_{J & K},
         so the coefficients live on the intersection lattice (`_plan`). A kept
         set's node carries its constraint's own target, any other nonempty node
-        its first owner's traced down (from `_traced`), the empty set that
+        its first owner's traced down (from the plan), the empty set that
         owner's trace. Raises ValueError when `check_consistency` fails.
         """
         report = check_consistency(self)
@@ -189,59 +195,36 @@ class ConstraintSet:
         return tuple(terms)
 
     @cached_property
-    def _kept(self) -> _KeptTable:
-        """The kept sets' prefix of the node table (`_nodes`), which a
-        residual reads alone: each constraint's `_gather` indices and its
-        sigma_S, constraint after constraint (float64 when every target is
-        real, as their traces to the further nodes then are too); `starts`
-        begins each deficit entry's run, and `bounds` delimits the
-        constraints' blocks. It needs neither the plan nor a consistency
-        check.
+    def _nodes(self) -> _NodeTable:
+        """Every node a sweep traces its iterate to, as flat arrays, in one
+        pass over the kept sets and then every other nonempty node of the
+        lattice plan: their gather indices, the start of each deficit
+        entry's run, their targets from the plan's `traced` (float64 when
+        `_real`), and the bounds of the constraints' blocks. Each nonempty
+        term w of `correction_terms` lifts w (1/n_{S^c}) D_S onto the entries
+        `lift`: `rows` names the deficit entry that each repeats, and `scale`
+        and `weight` hold 1/n_{S^c} and w per deficit entry. Built from
+        `_plan`, so it needs no consistency check.
         """
         dims, n = self.dims, self.dims.total
-        orders = [len(c.target) for c in self.constraints]
-        sizes = [d * d for d in orders]
-        lengths = np.repeat([n // d for d in orders], sizes)   # n_{S^c} per entry
-        targets = np.concatenate([c.target.ravel() for c in self.constraints])
-        return _KeptTable(
-            gather=np.concatenate([_gather(dims, c.keep)[0] for c in self.constraints]),
-            starts=np.cumsum(lengths) - lengths,
-            targets=targets if np.any(targets.imag) else targets.real.copy(),
-            bounds=tuple(itertools.accumulate(sizes, initial=0)))
-
-    @cached_property
-    def _nodes(self) -> _NodeTable:
-        """Every node a sweep traces its iterate to, as flat arrays: the
-        kept-set prefix `_kept`, then every other nonempty node of the
-        lattice plan, its gather indices and its target traced down (from
-        `_traced`) appended node after node. Each nonempty term w of
-        `correction_terms` lifts w (1/n_{S^c}) D_S onto the entries `lift`:
-        `rows` names the deficit entry that each repeats, and `scale` and
-        `weight` hold 1/n_{S^c} and w per deficit entry. Built from `_plan`
-        and `_traced`, so it needs no consistency check.
-        """
-        dims, n, kept = self.dims, self.dims.total, self._kept
-        coef = {labels: w for w, labels, _i, _start in self._plan.terms}
-        index = {labels: _gather(dims, labels)[0] for labels in coef if labels}
-        lifted = list(index)
+        coef = {labels: w for w, labels, _i, _start in self._plan.terms if labels}
         keeps = [c.keep for c in self.constraints]
-        further = [s for s in lifted if s not in keeps]
-        table = keeps + further
+        table = keeps + [s for s in coef if s not in keeps]
+        index = {s: _gather(dims, s)[0] for s in table}
         sizes = [dims.subdim(s) ** 2 for s in table]
         lengths = np.repeat([n // dims.subdim(s) for s in table], sizes)   # n_{S^c} per entry
         at = dict(zip(table, itertools.accumulate(sizes, initial=0)))
-        entries = _ranges(np.array([at[s] for s in lifted]),
-                          np.array([dims.subdim(s) ** 2 for s in lifted]))
-        traced = self._traced[kept.bounds[-1]:lengths.size]
+        entries = _ranges(np.array([at[s] for s in coef]),
+                          np.array([dims.subdim(s) ** 2 for s in coef]))
+        targets = self._plan.traced[:lengths.size]
         return _NodeTable(
-            gather=np.concatenate([kept.gather, *(index[s] for s in further)]),
+            gather=np.concatenate(list(index.values())),
             starts=np.cumsum(lengths) - lengths,
-            targets=np.concatenate([kept.targets,
-                                    traced if np.iscomplexobj(kept.targets) else traced.real]),
-            bounds=kept.bounds,
+            targets=targets.real.copy() if self._real else targets,
+            bounds=tuple(itertools.accumulate(sizes[:len(keeps)], initial=0)),
             scale=1.0 / lengths,
             weight=np.repeat([coef.get(s, 0.0) for s in table], sizes),
-            lift=np.concatenate([index[s] for s in lifted]),
+            lift=np.concatenate([index[s] for s in coef]),
             rows=np.repeat(entries, lengths[entries]))
 
     @cached_property
@@ -307,7 +290,7 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     must agree pairwise; the empty intersection degenerates to all targets
     having unit trace. The set is consistent when the largest discrepancy is
     at most CONSISTENCY_TOL; a NaN discrepancy counts as inconsistent. A
-    node's derived marginal is its first owner's, from `cs._traced`. Sums of
+    node's derived marginal is its first owner's, from the plan. Sums of
     squares rank the pairs; those within 1e-9 of the largest get
     `np.linalg.norm`, so the maximum is bit-exact.
     """
@@ -315,7 +298,7 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     gaps = [abs(float(c.target.trace().real) - 1.0) for c in cs.constraints]
     derived = {labels: cs._derived(labels, start) for labels, start in plan.shared}
     if plan.shared:   # else no two kept sets meet, and only the traces are compared
-        traced, b = cs._traced, plan.pairs
+        traced, b = plan.traced, plan.pairs
         d = traced[plan.left] - traced[plan.right]
         with np.errstate(over="ignore"):
             squares = np.add.reduceat(np.square(d.view(float)), 2 * b[:-1])
@@ -341,10 +324,9 @@ def project_marginals(z, cs: ConstraintSet) -> np.ndarray:
 
 
 def _deficits(x, table) -> np.ndarray:
-    """tr_{S^c}(x) - sigma_S for every node of `table` (a set's `_nodes`, or
-    its kept-set prefix `_kept`), flattened node after node into one
-    vector: one gather and one segment sum. Its first `table.bounds[-1]`
-    entries are the constraints' deficits, the same bits from either table."""
+    """tr_{S^c}(x) - sigma_S for every node of `table` (a set's `_nodes`),
+    flattened node after node into one vector: one gather and one segment
+    sum. Its first `table.bounds[-1]` entries are the constraints' deficits."""
     return _segment_sums(x, table.gather, table.starts) - table.targets
 
 

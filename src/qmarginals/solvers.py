@@ -40,6 +40,7 @@ from .tensorcore import (
     _as_square,
     _gather,
     _psd,
+    _segment_sums,
     _sym,
 )
 
@@ -60,13 +61,18 @@ class SolveOptions:
 
     def __post_init__(self):
         for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is bool or not (isinstance(value, (int, np.integer)) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_integer(name, getattr(self, name), low)
         for name in ("tolerance", "nspg_stationarity_tol"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """The one integer rule: a Python or numpy integer >= low, not a bool
+    (which isinstance counts as an int); else a ValueError naming `name`."""
+    if type(value) is bool or not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -83,18 +89,25 @@ class SolveReport:
 
 
 def marginal_residual(x, cs: ConstraintSet) -> float:
-    """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F, traced through the kept
-    sets' prefix of the node table (`cs._kept`) alone, so a set used once
-    plans nothing, and in the sweeps' dtype (`_real_if_exact`): bit for bit
-    the Err a sweep reads off its `_deficits`."""
-    kept = cs._kept
-    return _err(_deficits(_real_if_exact(_as_square(x, "x", cs.dims), cs), kept), kept.bounds)
+    """Err(X) = sum_i ||tr_{J_i^c}(X) - sigma_i||_F, traced constraint by
+    constraint (`_constraint_deficits`), so a set used once plans nothing,
+    and in the sweeps' dtype (`_real_if_exact`): bit for bit the Err a sweep
+    reads off its `_deficits`."""
+    return _err(_constraint_deficits(_real_if_exact(_as_square(x, "x", cs.dims), cs), cs))
 
 
-def _err(deficits, bounds) -> float:
-    """Err from the marginal deficits (`_deficits`), one `np.linalg.norm`
-    per constraint block `bounds[i]:bounds[i + 1]`: the one Err kernel."""
-    return float(sum(np.linalg.norm(deficits[a:b]) for a, b in zip(bounds, bounds[1:])))
+def _constraint_deficits(x, cs: ConstraintSet) -> list:
+    """tr_{S^c}(x) - sigma_S for each constraint, flattened: one gather and
+    one segment sum each (`_gather`), the targets in float64 when `cs._real`.
+    The same bits as the constraints' blocks of `_deficits(x, cs._nodes)`."""
+    return [_segment_sums(x, *_gather(cs.dims, c.keep))
+            - (c.target.real if cs._real else c.target).ravel() for c in cs.constraints]
+
+
+def _err(blocks) -> float:
+    """Err from the constraints' deficit blocks, one `np.linalg.norm` each:
+    the one Err kernel."""
+    return float(sum(np.linalg.norm(b) for b in blocks))
 
 
 def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
@@ -104,10 +117,10 @@ def _initial_point(cs: ConstraintSet, seed: int, initial) -> np.ndarray:
 
 
 def _real_if_exact(z, cs: ConstraintSet) -> np.ndarray:
-    """z in float64 when z has an exactly zero imaginary part and `cs` stores
-    every target in float64, else z. Every sweep step maps real matrices to
-    real ones."""
-    if np.any(z.imag) or np.iscomplexobj(cs._kept.targets):
+    """z in float64 when z has an exactly zero imaginary part and so has every
+    target (`cs._real`), else z. Every sweep step maps real matrices to real
+    ones."""
+    if np.any(z.imag) or not cs._real:
         return z
     return np.ascontiguousarray(z.real)
 
@@ -131,7 +144,7 @@ def _sweeps(z, cs, second, max_sweeps, *, err_tol, reflect):
     while True:
         x = second(2 * a - z if reflect else a)
         deficits = _deficits(x, nodes)
-        history.append(_err(deficits, nodes.bounds))
+        history.append(_err(deficits[i:j] for i, j in zip(nodes.bounds, nodes.bounds[1:])))
         if history[-1] < err_tol or len(history) == max_sweeps:
             return x, history, history[-1] < err_tol
         if reflect:
@@ -247,8 +260,7 @@ def solve_with_rank_cap(cs: ConstraintSet, r: int, opts: SolveOptions | None = N
     certifies (2,318 iterations), and a 3x6 pair at cap 2 that one attempt
     at 1e-6 left at Err 5.7e-6 after 20,000 certifies on a retry.
     """
-    if r < 1:
-        raise ValueError("rank cap must be >= 1")
+    _check_integer("rank cap", r, 1)
 
     def contains(values):
         return _psd(values) and numerical_rank(values) <= r
@@ -280,9 +292,8 @@ def _gauss_newton_rank(x, r: int, cs: ConstraintSet, max_steps: int):
     Steps go on while each at least halves ||F||, up to `max_steps`; the
     first that does not is discarded. Returns (VV*, Err per accepted step).
     """
-    values, u = np.linalg.eigh(x)
-    top = np.argsort(-values, kind="stable")[:r]
-    v = u[:, top] * np.sqrt(np.maximum(values[top], 0.0))
+    values, u = _top_eigenpairs(x, r)
+    v = u * np.sqrt(values)
     f, _ = _lm_residual(v, cs)
     history = []
     while len(history) < max_steps:
@@ -300,9 +311,9 @@ def _gauss_newton_rank(x, r: int, cs: ConstraintSet, max_steps: int):
 def _lm_residual(v, cs: ConstraintSet):
     """(F, Err(VV*)): F lists the constraints' deficits tr_{S^c}(VV*) - sigma_S
     entry by entry, as [re, im] pairs when V is complex."""
-    kept = cs._kept
-    f = _deficits(_sym(v @ v.conj().T), kept)
-    return f.view(float) if np.iscomplexobj(v) else f, _err(f, kept.bounds)
+    blocks = _constraint_deficits(_sym(v @ v.conj().T), cs)
+    f = np.concatenate(blocks)
+    return f.view(float) if np.iscomplexobj(v) else f, _err(blocks)
 
 
 def _lm_rows(v, cs: ConstraintSet) -> np.ndarray:
@@ -323,11 +334,17 @@ def _lm_rows(v, cs: ConstraintSet) -> np.ndarray:
 
 
 def _project_rank(y, r: int) -> np.ndarray:
-    """Hermitian y cut to its top r eigenvalues (stable descending order), clipped at 0."""
+    """Hermitian y cut to its top r eigenvalues, clipped at 0."""
+    values, v = _top_eigenpairs(y, r)
+    return _sym((v * values) @ v.conj().T)
+
+
+def _top_eigenpairs(y, r: int):
+    """The top r eigenvalues of Hermitian y, in stable descending order and
+    clipped at 0, and their eigenvectors as columns."""
     values, u = np.linalg.eigh(y)   # U f(Lambda) U* needs no phase fix
     top = np.argsort(-values, kind="stable")[:r]
-    v = u[:, top]
-    return _sym((v * np.maximum(values[top], 0.0)) @ v.conj().T)
+    return np.maximum(values[top], 0.0), u[:, top]
 
 
 def solve_feasible(cs: ConstraintSet, opts: SolveOptions | None = None,

@@ -142,13 +142,8 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     """
     dims = as_dims(dims)
     keep = dims.validate_keep(keep)
-    return _trace_down(_as_square(rho, "rho", dims), dims, keep)
-
-
-def _trace_down(m: np.ndarray, dims: SystemDims, keep: tuple[int, ...]) -> np.ndarray:
-    """partial_trace of a checked m, for a validated `keep`."""
     nj = dims.subdim(keep)
-    return _segment_sums(m, *_gather(dims, keep)).reshape(nj, nj)
+    return _segment_sums(_as_square(rho, "rho", dims), *_gather(dims, keep)).reshape(nj, nj)
 
 
 def _segment_sums(m: np.ndarray, gather: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -206,10 +201,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", d or SystemDims((m.shape[0],)))
         object.__setattr__(self, "_eigenvalues", values)
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype) if dtype else np.array(self.matrix)

@@ -24,12 +24,13 @@ from qmarginals import (
     kron,
     marginal_residual,
     partial_trace,
+    project_intersection,
     project_marginals,
     random_density,
 )
 
 from qmarginals.projections import _deficits
-from qmarginals.solvers import _err
+from qmarginals.solvers import _constraint_deficits, _err
 
 from conftest import random_hermitian, subsystem_permutation
 
@@ -223,15 +224,17 @@ NESTED = [(1, 2), (2, 3), (2,)]
 
 
 class TestPlanPerStructure:
-    """The plan depends on the dims and kept sets only; the targets stay per set."""
+    """The plan's index fields depend on the dims and kept sets only; the
+    targets stay per set."""
 
     def test_same_structure_plans_alike_and_keeps_its_own_targets(self):
         a = one_state_family((2, 2, 2), NESTED, 1)
         b = one_state_family((2, 2, 2), NESTED, 2)
         assert a._plan is not b._plan
         assert a._plan.terms == b._plan.terms and a._plan.shared == b._plan.shared
-        for x, y in zip(a._plan[2:], b._plan[2:]):
-            assert np.array_equal(x, y)
+        for name in ("left", "right", "pairs"):
+            assert np.array_equal(getattr(a._plan, name), getattr(b._plan, name)), name
+        assert not np.array_equal(a._plan.traced, b._plan.traced)
         for name in ("gather", "starts", "bounds", "scale", "weight", "lift", "rows"):
             assert np.array_equal(getattr(a._nodes, name), getattr(b._nodes, name)), name
         report_a, report_b = check_consistency(a), check_consistency(b)
@@ -305,9 +308,9 @@ class TestPlanPerStructure:
         assert not all(ties)
 
 
-class TestResidualFromTheKeptPrefix:
-    """`marginal_residual` reads the kept sets' prefix of the node table
-    alone, and gives the Err that a sweep reads off the whole table."""
+class TestResidualPerConstraint:
+    """`marginal_residual` traces each constraint on its own, and gives the
+    Err that a sweep reads off the node table."""
 
     @staticmethod
     def families():
@@ -316,13 +319,19 @@ class TestResidualFromTheKeptPrefix:
                 one_state_family((2,) * 5, PAIRS_5Q, 6),
                 independent_family((2,) * 5, PAIRS_5Q, 7)]     # inconsistent
 
+    @staticmethod
+    def sweep_err(x, cs):
+        """The Err that `solvers._sweeps` records for x."""
+        deficits, bounds = _deficits(x, cs._nodes), cs._nodes.bounds
+        return _err(deficits[a:b] for a, b in zip(bounds, bounds[1:]))
+
     def test_a_fresh_set_plans_nothing_and_matches_the_sweep_err(self):
         for seed, cs in enumerate(self.families()):
             x = random_density(cs.dims, seed).matrix
             fresh = ConstraintSet(cs.dims, cs.constraints)
             err = marginal_residual(x, fresh)
             assert "_nodes" not in vars(fresh) and "_plan" not in vars(fresh)
-            assert err == _err(_deficits(x, fresh._nodes), fresh._nodes.bounds)
+            assert err == self.sweep_err(x, fresh)
             assert err > 0.0
 
     def test_a_real_matrix_is_traced_in_the_sweeps_dtype(self):
@@ -332,32 +341,37 @@ class TestResidualFromTheKeptPrefix:
         real = 0
         for seed, cs in enumerate(self.families()):
             x = np.ascontiguousarray(random_density(cs.dims, seed).matrix.real)
-            if np.iscomplexobj(cs._kept.targets):
+            if not cs._real:
                 continue
             real += 1
-            sweep = _err(_deficits(x, cs._nodes), cs._nodes.bounds)
-            assert marginal_residual(x, cs) == marginal_residual(x + 0j, cs) == sweep
+            assert marginal_residual(x, cs) == marginal_residual(x + 0j, cs) == self.sweep_err(x, cs)
         assert real > 0
 
-    def test_prefix_deficits_are_the_tables_first_entries(self):
+    def test_constraint_deficits_are_the_tables_first_entries(self):
         # in float64 too, as a real sweep and the rank finish run
         for seed, cs in enumerate(self.families()):
             x = random_density(cs.dims, seed).matrix
+            bounds = cs._nodes.bounds
             for z in [x, np.ascontiguousarray(x.real)]:
-                whole = _deficits(z, cs._nodes)
-                assert np.array_equal(_deficits(z, cs._kept), whole[:cs._kept.bounds[-1]])
+                blocks = _constraint_deficits(z, cs)
+                assert [b.size for b in blocks] == list(np.diff(bounds))
+                assert np.array_equal(np.concatenate(blocks), _deficits(z, cs._nodes)[:bounds[-1]])
 
-    def test_the_node_table_begins_with_the_prefix(self):
+    def test_node_targets_are_float64_exactly_when_every_target_is_real(self):
         real = 0
         for cs in self.families():
-            kept, nodes = cs._kept, cs._nodes
-            size = kept.bounds[-1]
-            assert nodes.bounds is kept.bounds
-            assert nodes.targets.dtype == kept.targets.dtype
-            assert np.array_equal(nodes.targets[:size], kept.targets)
-            assert np.array_equal(nodes.starts[:size], kept.starts)
-            assert np.array_equal(nodes.gather[:kept.gather.size], kept.gather)
             all_real = not any(np.any(c.target.imag) for c in cs)
-            assert kept.targets.dtype == (np.float64 if all_real else np.complex128)
+            assert cs._real == all_real
+            assert cs._nodes.targets.dtype == (np.float64 if all_real else np.complex128)
             real += all_real
         assert 0 < real < len(self.families())
+
+    def test_a_set_caches_its_plan_dtype_rule_node_table_and_dual_basis(self):
+        cs = one_state_family((2, 2, 2), NESTED, 8)
+        x = random_density(cs.dims, 9).matrix
+        marginal_residual(x, cs)
+        check_consistency(cs)
+        project_marginals(x, cs)
+        project_intersection(x, cs)
+        assert set(vars(cs)) == {"dims", "constraints", "_plan", "_real", "correction_terms",
+                                 "_nodes", "_dual_basis"}

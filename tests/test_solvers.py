@@ -186,6 +186,14 @@ class TestSolveWithRankCap:
         assert numerical_rank(rep.solution) == 2
         assert von_neumann(project_psd(rep.solution)) == pytest.approx(0.189284, abs=2e-3)
 
+    @pytest.mark.parametrize("cap", [0, 2.5, True])
+    def test_rejects_a_cap_that_is_not_an_integer_of_at_least_one(self, cap):
+        # by SolveOptions' rule for its integer fields: True would run as cap 1
+        cs = bipartite_cs(np.eye(2) / 2, np.eye(3) / 3)
+        with pytest.raises(ValueError, match=f"^rank cap must be an integer >= 1, got {cap}$"):
+            solve_with_rank_cap(cs, cap)
+        assert solve_with_rank_cap(cs, np.int64(6)).converged
+
     def test_stall_signal_on_hard_instance(self):
         # rank cap 2 on the 3x6 benchmark: the residual stalls well above
         # tolerance within a reduced budget, reported as non-convergence
