@@ -14,10 +14,10 @@ greedy_minmatch and interlace_decomposition (state and decomposition) on a
 seeded rotated pair, and pure_state_from_isospectral on its first marginal
 and that marginal's complex conjugate; check_consistency (verdict, derived
 marginals, max discrepancy) on the fixture families, all pairs of five
-qubits and one inconsistent three-qubit family; marginal_residual of
+qubits, one inconsistent three-qubit family, and the nested three-qubit and
+all-pairs families, each consistent and inconsistent; marginal_residual of
 random_density(dims, s) and of its real part, s = 0-1, on a fresh ConstraintSet
-per call, over those families and the nested three-qubit and all-pairs
-families, each consistent and inconsistent; the parsed values of every
+per call, over those families; the parsed values of every
 file the CLI writes with --out (report.json without wall_time_s).
 NSPG's residual_history and notes (history.csv and the notes of report.json
 for `solve max-entropy`) are items of their own, suffixed -residual_history
@@ -147,13 +147,23 @@ def multinode_digests() -> dict:
 
 
 def consistency_families() -> dict:
-    """(dims, targets) of the fixture families, all pairs of five qubits and
-    one inconsistent three-qubit family."""
+    """(dims, targets) of the fixture families, all pairs of five qubits, one
+    inconsistent three-qubit family, and the nested three-qubit and all-pairs
+    families, each consistent and inconsistent."""
     def mat(name):
         return fileio.read_matrix(FX / name)[0]
 
+    def one_state(dims, keeps, seed):
+        rho = qm.random_density(dims, seed).matrix
+        return dims, [(k, qm.partial_trace(rho, dims, k)) for k in keeps]
+
+    def independent(dims, keeps, seed):
+        local = qm.SystemDims(dims).local_dims
+        return dims, [(k, qm.random_density(local(k), seed + i).matrix)
+                      for i, k in enumerate(keeps)]
+
     ext = mat("twofold_extension_222/rho_12_13.json")
-    pairs = list(itertools.combinations(range(1, 6), 2))
+    nested, pairs = [(1, 2), (2, 3), (2,)], list(itertools.combinations(range(1, 6), 2))
     rho = qm.random_density((2,) * 5, 5).matrix
     families = {
         "bipartite-2x3": ((2, 3), [((1,), mat("bipartite_2x3/rho_a.json")),
@@ -167,6 +177,9 @@ def consistency_families() -> dict:
         "allpairs-5q": ((2,) * 5, [(k, qm.partial_trace(rho, (2,) * 5, k)) for k in pairs]),
         "inconsistent-222": ((2, 2, 2), [((1, 2), qm.random_density((2, 2), 13).matrix),
                                          ((2, 3), qm.random_density((2, 2), 14).matrix)]),
+        "nested": one_state((2, 2, 2), nested, 21),
+        "inconsistent-nested": independent((2, 2, 2), nested, 30),
+        "inconsistent-allpairs-5q": independent((2,) * 5, pairs, 40),
     }
     return families
 
@@ -183,22 +196,8 @@ def consistency_digests() -> dict:
 def residual_digests() -> dict:
     """marginal_residual of random_density(dims, s) and of its real part on a
     fresh ConstraintSet per call, so that every call traces from no cache."""
-    def one_state(dims, keeps, seed):
-        rho = qm.random_density(dims, seed).matrix
-        return dims, [(k, qm.partial_trace(rho, dims, k)) for k in keeps]
-
-    def independent(dims, keeps, seed):
-        local = qm.SystemDims(dims).local_dims
-        return dims, [(k, qm.random_density(local(k), seed + i).matrix)
-                      for i, k in enumerate(keeps)]
-
-    nested, pairs = [(1, 2), (2, 3), (2,)], list(itertools.combinations(range(1, 6), 2))
-    families = {**consistency_families(),
-                "nested": one_state((2, 2, 2), nested, 21),
-                "inconsistent-nested": independent((2, 2, 2), nested, 30),
-                "inconsistent-allpairs-5q": independent((2,) * 5, pairs, 40)}
     out = {}
-    for name, (dims, targets) in families.items():
+    for name, (dims, targets) in consistency_families().items():
         errs = []
         for s in range(2):
             rho = qm.random_density(dims, s).matrix
