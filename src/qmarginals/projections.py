@@ -33,7 +33,7 @@ from .tensorcore import (
 CONSISTENCY_TOL = 1e-8
 
 _NodeTable = namedtuple("_NodeTable", "gather starts targets bounds scale weight lift rows")
-_Plan = namedtuple("_Plan", "terms shared traced left right pairs")
+_Plan = namedtuple("_Plan", "terms shared derived")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class MarginalConstraint:
 class ConstraintSet:
     """A family {(J_i, sigma_i)} of marginal constraints on a fixed factorization.
 
-    Built on first use, once per set: the lattice plan with every target
-    traced to its nodes (`_plan`), whether every target is exactly real
+    Built on first use, once per set: the lattice plan with the targets
+    traced to its shared nodes (`_plan`), whether every target is exactly real
     (`_real`), and the node table the sweeps trace their iterates through
     (`_nodes`). A residual (`solvers.marginal_residual`) needs none of them.
     """
@@ -91,22 +91,18 @@ class ConstraintSet:
 
     @cached_property
     def _plan(self) -> _Plan:
-        """The set's plan: its lattice, Moebius terms and traced targets.
+        """The set's plan: its lattice, Moebius terms and derived targets.
 
         The lattice is the intersection closure of the kept sets and the empty
         set, largest node first; a node's owners are the constraints containing
         it, the one whose kept set it is first. Moebius inversion (Rota 1964)
         gives c(S) = -1 minus the c(S') of all nodes S' strictly containing S.
-        `terms`: (c(S), labels, first owner, start of S's derived target in
-        `traced`, None for a kept set or the empty set) for each c(S) != 0,
-        by labels. `traced` holds the flattened targets, then, from one
-        gather and one segment sum, every owner's target traced to each
-        shared node (`shared`: labels and the first owner's start) and the
-        first owner's to each other term node; it is read-only, as the
-        derived targets are views of it (`_derived`). `left` and `right` pair
-        the owners' entries of a shared node, run by run of `pairs`. The
-        further term nodes are traced first, so `traced` begins with
-        `_nodes.targets`.
+        `terms`: (c(S), labels, first owner) for each c(S) != 0, by labels.
+        `shared`: (labels, owners) for each nonempty node with two or more
+        owners. `derived[owner, labels]`: that owner's target traced down to a
+        shared node, read-only, for every owner. A nonempty node that is no
+        kept set is the intersection of two or more, so it is shared, and
+        `derived` holds its first owner's target for the correction terms too.
         """
         dims, keeps = self.dims, tuple(c.keep for c in self.constraints)
         sets = [frozenset(k) for k in keeps]
@@ -114,52 +110,22 @@ class ConstraintSet:
         while fresh:
             fresh = {s & k for s in fresh for k in sets} - nodes
             nodes = nodes | fresh
-        coef, area, terms, shared = {}, {}, [], []
+        coef, terms, shared, derived = {}, [], [], {}
         for _size, labels, s in sorted((-len(s), tuple(sorted(s)), s) for s in nodes):
             owners = sorted((i for i, k in enumerate(sets) if s <= k), key=lambda i: sets[i] != s)
             coef[s] = w = -1.0 - sum(coef[t] for t in coef if t > s)
-            area[labels] = dims.subdim(labels) ** 2   # entries of a matrix on the node
             if s and len(owners) > 1:
-                shared.append((labels, owners))
+                shared.append((labels, tuple(owners)))
+                for i in owners:
+                    local = dims.local_dims(keeps[i])
+                    positions = tuple(keeps[i].index(a) + 1 for a in labels)
+                    traced = _segment_sums(self.constraints[i].target, *_gather(local, positions))
+                    traced.setflags(write=False)
+                    derived[i, labels] = traced.reshape(dims.subdim(labels), -1)
             if w != 0.0:
                 terms.append((w, labels, owners[0]))
         terms.sort(key=lambda term: term[1])
-        extra = [labels for _w, labels, _i in terms if labels and labels not in keeps]
-        offsets = list(itertools.accumulate([area[k] for k in keeps], initial=0))
-        traces = dict.fromkeys([(i, s) for _w, s, i in terms if s in extra]
-                               + [(i, s) for s, owners in shared for i in owners])
-        traced = np.concatenate([c.target.ravel() for c in self.constraints])
-        traced.setflags(write=False)
-        none = np.zeros(0, np.intp)
-        if not traces:   # pairwise disjoint kept sets, as in every bipartite set
-            return _Plan(tuple((w, s, i, None) for w, s, i in terms), (), traced, none, none,
-                         np.zeros(1, np.intp))
-        local = {i: dims.local_dims(keeps[i]) for i, _s in traces}
-        pieces = [_gather(local[i], tuple(keeps[i].index(a) + 1 for a in s)) for i, s in traces]
-        # the traces follow the flattened targets in `traced`
-        start = dict(zip(traces, itertools.accumulate([area[s] for _i, s in traces],
-                                                      initial=offsets[-1])))
-        gathered = itertools.accumulate([g.size for g, _r in pieces], initial=0)
-        traced = np.concatenate([traced, _segment_sums(
-            traced, np.concatenate([offsets[i] + g for (i, _s), (g, _r) in zip(traces, pieces)]),
-            np.concatenate([base + r for base, (_g, r) in zip(gathered, pieces)]))])
-        traced.setflags(write=False)
-        left, right, widths = np.array(
-            [(start[a, s], start[b, s], area[s])
-             for s, owners in shared for a, b in itertools.combinations(owners, 2)],
-            dtype=np.intp).reshape(-1, 3).T
-        return _Plan(
-            terms=tuple((w, s, i, start[i, s] if s in extra else None) for w, s, i in terms),
-            shared=tuple((s, start[owners[0], s]) for s, owners in shared),
-            traced=traced,
-            left=_ranges(left, widths),
-            right=_ranges(right, widths),
-            pairs=np.concatenate([[0], np.cumsum(widths)]))
-
-    def _derived(self, labels: tuple[int, ...], start: int) -> np.ndarray:
-        """The target traced down to the node `labels` at `start` of the plan's `traced`."""
-        d = self.dims.subdim(labels)
-        return self._plan.traced[start:start + d * d].reshape(d, d)
+        return _Plan(tuple(terms), tuple(shared), derived)
 
     @cached_property
     def _real(self) -> bool:
@@ -185,12 +151,12 @@ class ConstraintSet:
                 f"{report.max_discrepancy:.3e} exceeds {CONSISTENCY_TOL}"
             )
         terms = []
-        for w, labels, owner, start in self._plan.terms:
+        for w, labels, owner in self._plan.terms:
             target = self.constraints[owner].target
             if not labels:
                 target = float(target.trace().real)
-            elif start is not None:
-                target = self._derived(labels, start)
+            elif labels != self.constraints[owner].keep:
+                target = self._plan.derived[owner, labels]
             terms.append((w, labels, target))
         return tuple(terms)
 
@@ -199,24 +165,27 @@ class ConstraintSet:
         """Every node a sweep traces its iterate to, as flat arrays, in one
         pass over the kept sets and then every other nonempty node of the
         lattice plan: their gather indices, the start of each deficit
-        entry's run, their targets from the plan's `traced` (float64 when
-        `_real`), and the bounds of the constraints' blocks. Each nonempty
-        term w of `correction_terms` lifts w (1/n_{S^c}) D_S onto the entries
-        `lift`: `rows` names the deficit entry that each repeats, and `scale`
-        and `weight` hold 1/n_{S^c} and w per deficit entry. Built from
-        `_plan`, so it needs no consistency check.
+        entry's run, their targets, the other nodes' from the plan's
+        `derived` (float64 when `_real`), and the bounds of the constraints'
+        blocks. Each nonempty term w of `correction_terms` lifts
+        w (1/n_{S^c}) D_S onto the entries `lift`: `rows` names the deficit
+        entry that each repeats, and `scale` and `weight` hold 1/n_{S^c} and
+        w per deficit entry. Built from `_plan`, so it needs no consistency
+        check.
         """
         dims, n = self.dims, self.dims.total
-        coef = {labels: w for w, labels, _i, _start in self._plan.terms if labels}
+        coef = {labels: w for w, labels, _i in self._plan.terms if labels}
+        owner = {labels: i for _w, labels, i in self._plan.terms}
         keeps = [c.keep for c in self.constraints]
-        table = keeps + [s for s in coef if s not in keeps]
+        extra = [s for s in coef if s not in keeps]
+        table = keeps + extra
         index = {s: _gather(dims, s)[0] for s in table}
         sizes = [dims.subdim(s) ** 2 for s in table]
         lengths = np.repeat([n // dims.subdim(s) for s in table], sizes)   # n_{S^c} per entry
         at = dict(zip(table, itertools.accumulate(sizes, initial=0)))
-        entries = _ranges(np.array([at[s] for s in coef]),
-                          np.array([dims.subdim(s) ** 2 for s in coef]))
-        targets = self._plan.traced[:lengths.size]
+        entries = np.concatenate([np.arange(at[s], at[s] + dims.subdim(s) ** 2) for s in coef])
+        targets = np.concatenate([c.target.ravel() for c in self.constraints]
+                                 + [self._plan.derived[owner[s], s].ravel() for s in extra])
         return _NodeTable(
             gather=np.concatenate(list(index.values())),
             starts=np.cumsum(lengths) - lengths,
@@ -268,13 +237,6 @@ def _hermitian_units(m: int):
             yield e
 
 
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The ranges starts[k], ..., starts[k] + sizes[k] - 1, one after another
-    (at least one)."""
-    ends = np.cumsum(sizes, dtype=np.intp)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     consistent: bool
@@ -290,23 +252,17 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     must agree pairwise; the empty intersection degenerates to all targets
     having unit trace. The set is consistent when the largest discrepancy is
     at most CONSISTENCY_TOL; a NaN discrepancy counts as inconsistent. A
-    node's derived marginal is its first owner's, from the plan. Sums of
-    squares rank the pairs; those within 1e-9 of the largest get
-    `np.linalg.norm`, so the maximum is bit-exact.
+    node's derived marginal is its first owner's, from the plan.
     """
     plan = cs._plan
     gaps = [abs(float(c.target.trace().real) - 1.0) for c in cs.constraints]
-    derived = {labels: cs._derived(labels, start) for labels, start in plan.shared}
-    if plan.shared:   # else no two kept sets meet, and only the traces are compared
-        traced, b = plan.traced, plan.pairs
-        d = traced[plan.left] - traced[plan.right]
-        with np.errstate(over="ignore"):
-            squares = np.add.reduceat(np.square(d.view(float)), 2 * b[:-1])
-        near = np.flatnonzero(~(squares < np.max(squares) * (1 - 2e-9)))  # all on NaN
-        gaps += [float(np.linalg.norm(d[b[k]:b[k + 1]])) for k in near]
+    gaps += [float(np.linalg.norm(plan.derived[a, labels] - plan.derived[b, labels]))
+             for labels, owners in plan.shared for a, b in itertools.combinations(owners, 2)]
     worst = float(np.max(gaps))  # np.max, unlike max(), propagates NaN
-    return ConsistencyReport(consistent=bool(worst <= CONSISTENCY_TOL),
-                             derived_marginals=derived, max_discrepancy=worst)
+    return ConsistencyReport(
+        consistent=bool(worst <= CONSISTENCY_TOL), max_discrepancy=worst,
+        derived_marginals={labels: plan.derived[owners[0], labels]
+                           for labels, owners in plan.shared})
 
 
 def project_marginals(z, cs: ConstraintSet) -> np.ndarray:

@@ -224,17 +224,17 @@ NESTED = [(1, 2), (2, 3), (2,)]
 
 
 class TestPlanPerStructure:
-    """The plan's index fields depend on the dims and kept sets only; the
-    targets stay per set."""
+    """The plan's terms, shared nodes and derived keys depend on the dims and
+    kept sets only; the targets stay per set."""
 
     def test_same_structure_plans_alike_and_keeps_its_own_targets(self):
         a = one_state_family((2, 2, 2), NESTED, 1)
         b = one_state_family((2, 2, 2), NESTED, 2)
         assert a._plan is not b._plan
         assert a._plan.terms == b._plan.terms and a._plan.shared == b._plan.shared
-        for name in ("left", "right", "pairs"):
-            assert np.array_equal(getattr(a._plan, name), getattr(b._plan, name)), name
-        assert not np.array_equal(a._plan.traced, b._plan.traced)
+        assert list(a._plan.derived) == list(b._plan.derived)
+        for key, derived in a._plan.derived.items():
+            assert not np.array_equal(derived, b._plan.derived[key]), key
         for name in ("gather", "starts", "bounds", "scale", "weight", "lift", "rows"):
             assert np.array_equal(getattr(a._nodes, name), getattr(b._nodes, name)), name
         report_a, report_b = check_consistency(a), check_consistency(b)
@@ -246,7 +246,7 @@ class TestPlanPerStructure:
         assert not np.array_equal(a._nodes.targets, b._nodes.targets)
 
     def test_derived_targets_are_read_only(self):
-        # they are views of the set's traced targets, which the sweeps read
+        # they are the plan's own arrays, which every reader shares
         cs = one_state_family((2, 2, 2), [(1, 2), (2, 3)], 7)
         derived = [*check_consistency(cs).derived_marginals.values(),
                    *(t for _w, labels, t in cs.correction_terms if labels == (2,))]
@@ -254,6 +254,28 @@ class TestPlanPerStructure:
         for t in derived:
             with pytest.raises(ValueError, match="read-only"):
                 t[0, 0] = 0.0
+
+    def test_every_owner_traces_its_own_target_to_each_shared_node(self):
+        # independent targets per kept set, so that the owners of a node
+        # disagree and a target taken from another owner shows
+        families = [independent_family(cs.dims.dims, [c.keep for c in cs], 110 + trial)
+                    for trial, (cs, _rng) in enumerate(fuzz_families())]
+        families += [independent_family((2,) * 5, PAIRS_5Q, 130),
+                     one_state_family((2,) * 5, PAIRS_5Q, 131)]
+        shared = 0
+        for cs in families:
+            plan = cs._plan
+            assert set(plan.derived) == {(i, labels) for labels, owners in plan.shared
+                                         for i in owners}
+            for (i, labels), got in plan.derived.items():
+                keep = cs.constraints[i].keep
+                want = partial_trace(cs.constraints[i].target, cs.dims.local_dims(keep),
+                                     tuple(keep.index(a) + 1 for a in labels))
+                assert np.array_equal(got, want), (labels, keep, [c.keep for c in cs])
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0, 0] = 0.0
+            shared += len(plan.shared)
+        assert shared > 0
 
     def test_different_kept_sets_on_the_same_dims_plan_apart(self):
         for keeps in [[(1, 2), (2, 3)], [(1, 2), (1, 3)], [(1, 3), (2, 3)], NESTED]:
@@ -293,8 +315,8 @@ class TestPlanPerStructure:
 
     def test_near_tied_pairs_take_the_exact_largest_norm(self):
         # qudit 1 meets P - Q and qudit 2 the same difference with its basis
-        # shifted: two norms equal up to the summation order, which the
-        # sums of squares that rank the pairs can order either way
+        # shifted: two norms equal up to the summation order, and the
+        # maximum must still be the reference's bit for bit
         half, shift = np.eye(2) / 2, np.roll(np.eye(3), 1, axis=0)
         ties = []
         for seed in range(40):
