@@ -29,6 +29,7 @@ from .solvers import SolveOptions, SolveReport, marginal_residual
 from .tensorcore import (
     TRACE_ATOL,
     as_dims,
+    density_input,
     numerical_rank,
     partial_trace,
     random_density,
@@ -62,10 +63,13 @@ def _read_matrix(path, dims=None) -> np.ndarray:
     return matrix
 
 
-def _read_marginals(marginals, dims=None) -> list[tuple[tuple[int, ...], np.ndarray]]:
+def _read_marginals(marginals, dims=None,
+                    states=False) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'; the kept
     sets come back sorted, and no set may be given twice. Given the dims,
-    each file's order must match its kept set's (`_read_matrix`)."""
+    each file's order must match its kept set's (`_read_matrix`). Each file
+    must hold a PSD matrix (`_psd`), and with `states` a state of unit trace
+    (`density_input`); any other raises a ValueError that starts with the path."""
     if not marginals:
         raise click.UsageError("at least one --marginal is required")
     files = {}
@@ -79,8 +83,15 @@ def _read_marginals(marginals, dims=None) -> list[tuple[tuple[int, ...], np.ndar
             raise ValueError(f"duplicate kept-index set {','.join(map(str, keep))}: "
                              f"{files[keep]} and {path}")
         files[keep] = path
-    return [(keep, _read_matrix(path, dims and dims.local_dims(dims.validate_keep(keep))))
-            for keep, path in files.items()]
+    targets = []
+    for keep, path in files.items():
+        matrix = _read_matrix(path, dims and dims.local_dims(dims.validate_keep(keep)))
+        if states:
+            density_input(matrix, str(path))
+        elif not _psd(values := _eigvalsh(matrix)):
+            raise ValueError(f"{path}: not PSD, min eigenvalue {values[0]}")
+        targets.append((keep, matrix))
+    return targets
 
 
 def _echo_report(report: SolveReport) -> None:
@@ -357,7 +368,7 @@ def construct():
 
 
 def _run_construct(builder, marginals, out_dir):
-    targets = dict(_read_marginals(marginals))
+    targets = dict(_read_marginals(marginals, states=True))
     if set(targets) != {(1,), (2,)}:
         raise ValueError("construct needs exactly --marginal 1:<file> and --marginal 2:<file>")
     state = builder(targets[(1,)], targets[(2,)])

@@ -668,6 +668,34 @@ class TestDuplicateMarginals:
 BI_A, BI_B = (FIXTURES / "bipartite_2x3" / f"rho_{s}.json" for s in "ab")   # orders 2 and 3
 RHO_12 = FIXTURES / "tripartite_222" / "rho_12.json"                           # order 4
 BI_PAIR = ["--marginal", f"1:{BI_A}", "--marginal", f"2:{BI_B}"]
+
+
+class TestMarginalFilesAreStates:
+    """A --marginal file that is not PSD fails at the boundary, naming the
+    file, before any check or sweep; `construct` also names the file of a
+    marginal whose trace is not 1."""
+
+    @pytest.mark.parametrize("command", [
+        ["consistency", "--dims", "2,3"], ["solve", "feasible", "--dims", "2,3"],
+        ["project", "x.json", "--dims", "2,3"], ["verify", "x.json", "--dims", "2,3"],
+        ["construct", "greedy"]], ids=["consistency", "solve", "project", "verify", "construct"])
+    def test_non_psd_file_exits_one_naming_it(self, runner, tmp_path, command):
+        # consistency used to print `consistent: True` and solve to run 1,000 sweeps
+        bad = tmp_path / "bad.json"
+        fileio.write_matrix(bad, np.diag([1.2, -0.2]), (2,))
+        fileio.write_matrix(tmp_path / "x.json", np.eye(6) / 6, (2, 3))
+        result = runner.invoke(main, [str(tmp_path / a if a == "x.json" else a) for a in command]
+                               + ["--marginal", f"1:{bad}", "--marginal", f"2:{BI_B}"])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: {bad}: not PSD, min eigenvalue -0.2")
+
+    def test_construct_names_the_file_of_a_trace_error(self, runner, tmp_path):
+        half = tmp_path / "half.json"
+        fileio.write_matrix(half, np.diag([0.3, 0.2]), (2,))
+        result = runner.invoke(main, ["construct", "greedy", "--marginal", f"1:{half}",
+                                      "--marginal", f"2:{BI_B}"])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: {half}: trace must be 1 within 1e-10, got 0.5")
 ORDER_MISMATCHES = {
     "project": (RHO_12, ["project", RHO_12, "--dims", "2,3", "--psd"]),
     "verify": (RHO_12, ["verify", RHO_12, "--dims", "2,3", *BI_PAIR]),

@@ -149,8 +149,11 @@ class TestOneDecompositionPerState:
         m = np.array([[0.5, 1j], [-1j, 0.5]])
         with pytest.raises(ValueError, match="not PSD, min eigenvalue -0.5"):
             DensityMatrix(m)
-        path = tmp_path / "m.json"
-        fileio.write_matrix(path, m, (2,))
-        result = CliRunner().invoke(main, ["verify", str(path), "--dims", "2",
-                                           "--marginal", f"1:{path}"])
+        # verify reads it as a state on two qubits, whose marginal I/2 on
+        # qubit 2 is a state: the --marginal files must be PSD
+        path, half = tmp_path / "m.json", tmp_path / "half.json"
+        fileio.write_matrix(path, np.kron(m, np.eye(2) / 2), (2, 2))
+        fileio.write_matrix(half, np.eye(2) / 2, (2,))
+        result = CliRunner().invoke(main, ["verify", str(path), "--dims", "2,2",
+                                           "--marginal", f"2:{half}"])
         assert result.exit_code == 1 and "psd: FAIL" in result.output
