@@ -256,7 +256,7 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     """
     plan = cs._plan
     gaps = [abs(float(c.target.trace().real) - 1.0) for c in cs.constraints]
-    gaps += [float(np.linalg.norm(plan.derived[a, labels] - plan.derived[b, labels]))
+    gaps += [np.linalg.norm(plan.derived[a, labels] - plan.derived[b, labels])
              for labels, owners in plan.shared for a, b in itertools.combinations(owners, 2)]
     worst = float(np.max(gaps))  # np.max, unlike max(), propagates NaN
     return ConsistencyReport(
