@@ -111,15 +111,16 @@ class ConstraintSet:
             fresh = {s & k for s in fresh for k in sets} - nodes
             nodes = nodes | fresh
         coef, terms, shared, derived = {}, [], [], {}
+        local = [dims.local_dims(k) for k in keeps]
         for _size, labels, s in sorted((-len(s), tuple(sorted(s)), s) for s in nodes):
             owners = sorted((i for i, k in enumerate(sets) if s <= k), key=lambda i: sets[i] != s)
             coef[s] = w = -1.0 - sum(coef[t] for t in coef if t > s)
             if s and len(owners) > 1:
                 shared.append((labels, tuple(owners)))
                 for i in owners:
-                    local = dims.local_dims(keeps[i])
                     positions = tuple(keeps[i].index(a) + 1 for a in labels)
-                    traced = _segment_sums(self.constraints[i].target, *_gather(local, positions))
+                    traced = _segment_sums(self.constraints[i].target,
+                                           *_gather(local[i], positions))
                     traced.setflags(write=False)
                     derived[i, labels] = traced.reshape(dims.subdim(labels), -1)
             if w != 0.0:
