@@ -668,6 +668,22 @@ class TestDuplicateMarginals:
 BI_A, BI_B = (FIXTURES / "bipartite_2x3" / f"rho_{s}.json" for s in "ab")   # orders 2 and 3
 RHO_12 = FIXTURES / "tripartite_222" / "rho_12.json"                           # order 4
 BI_PAIR = ["--marginal", f"1:{BI_A}", "--marginal", f"2:{BI_B}"]
+ORDER_MISMATCHES = {
+    "project": (RHO_12, ["project", RHO_12, "--dims", "2,3", "--psd"]),
+    "verify": (RHO_12, ["verify", RHO_12, "--dims", "2,3", *BI_PAIR]),
+    "init-file": (RHO_12, ["solve", "feasible", "--dims", "2,3", *BI_PAIR,
+                           "--init", f"file:{RHO_12}"]),
+    "marginal": (BI_B, ["consistency", "--dims", "2,2", *BI_PAIR]),
+}
+
+
+@pytest.mark.parametrize("path,command", ORDER_MISMATCHES.values(), ids=list(ORDER_MISMATCHES))
+def test_order_mismatch_exits_one_naming_the_file(runner, path, command):
+    """A matrix file whose order does not match --dims (for a --marginal
+    file, its kept set's dims) fails with an error line that starts with its path."""
+    result = runner.invoke(main, [str(a) for a in command])
+    assert result.exit_code == 1, result.output
+    assert f"error: {path}: matrix order " in result.output
 
 
 class TestMarginalFilesAreStates:
@@ -696,22 +712,6 @@ class TestMarginalFilesAreStates:
                                       "--marginal", f"2:{BI_B}"])
         assert result.exit_code == 1, result.output
         assert result.output.startswith(f"error: {half}: trace must be 1 within 1e-10, got 0.5")
-ORDER_MISMATCHES = {
-    "project": (RHO_12, ["project", RHO_12, "--dims", "2,3", "--psd"]),
-    "verify": (RHO_12, ["verify", RHO_12, "--dims", "2,3", *BI_PAIR]),
-    "init-file": (RHO_12, ["solve", "feasible", "--dims", "2,3", *BI_PAIR,
-                           "--init", f"file:{RHO_12}"]),
-    "marginal": (BI_B, ["consistency", "--dims", "2,2", *BI_PAIR]),
-}
-
-
-@pytest.mark.parametrize("path,command", ORDER_MISMATCHES.values(), ids=list(ORDER_MISMATCHES))
-def test_order_mismatch_exits_one_naming_the_file(runner, path, command):
-    """A matrix file whose order does not match --dims (for a --marginal
-    file, its kept set's dims) fails with an error line that starts with its path."""
-    result = runner.invoke(main, [str(a) for a in command])
-    assert result.exit_code == 1, result.output
-    assert f"error: {path}: matrix order " in result.output
 
 
 ROUND_TRIPS = {
