@@ -696,7 +696,7 @@ class TestMarginalFilesAreStates:
         ["project", "x.json", "--dims", "2,3"], ["verify", "x.json", "--dims", "2,3"],
         ["construct", "greedy"]], ids=["consistency", "solve", "project", "verify", "construct"])
     def test_non_psd_file_exits_one_naming_it(self, runner, tmp_path, command):
-        # consistency used to print `consistent: True` and solve to run 1,000 sweeps
+        # unchecked, consistency would print `consistent: True` and solve run 1,000 sweeps
         bad = tmp_path / "bad.json"
         fileio.write_matrix(bad, np.diag([1.2, -0.2]), (2,))
         fileio.write_matrix(tmp_path / "x.json", np.eye(6) / 6, (2, 3))
