@@ -28,8 +28,8 @@ from .projections import (
 from .solvers import SolveOptions, SolveReport, marginal_residual
 from .tensorcore import (
     TRACE_ATOL,
+    DensityMatrix,
     as_dims,
-    density_input,
     numerical_rank,
     partial_trace,
     random_density,
@@ -64,12 +64,13 @@ def _read_matrix(path, dims=None) -> np.ndarray:
 
 
 def _read_marginals(marginals, dims=None,
-                    states=False) -> list[tuple[tuple[int, ...], np.ndarray]]:
+                    states=False) -> list[tuple[tuple[int, ...], np.ndarray | DensityMatrix]]:
     """Each --marginal is '<keepset>:<file>', e.g. '2,3:rho.json'; the kept
     sets come back sorted, and no set may be given twice. Given the dims,
     each file's order must match its kept set's (`_read_matrix`). Each file
-    must hold a PSD matrix (`_psd`), and with `states` a state of unit trace
-    (`density_input`); any other raises a ValueError that starts with the path."""
+    must hold a PSD matrix (`_psd`), and with `states` a state of unit trace,
+    returned as a DensityMatrix that keeps the eigenvalues of this one check;
+    any other raises a ValueError that starts with the path."""
     if not marginals:
         raise click.UsageError("at least one --marginal is required")
     files = {}
@@ -87,7 +88,7 @@ def _read_marginals(marginals, dims=None,
     for keep, path in files.items():
         matrix = _read_matrix(path, dims and dims.local_dims(dims.validate_keep(keep)))
         if states:
-            density_input(matrix, str(path))
+            matrix = DensityMatrix._named(matrix, str(path))
         elif not _psd(values := _eigvalsh(matrix)):
             raise ValueError(f"{path}: not PSD, min eigenvalue {values[0]}")
         targets.append((keep, matrix))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .tensorcore import (
     _as_square,
     _gather,
     _positive_definite,
+    _re_inner,
     _segment_sums,
     _sym,
 )
@@ -199,31 +200,51 @@ class ConstraintSet:
 
     @cached_property
     def _dual_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B, b): an orthonormal basis of span{E x I_{J^c}} over every constraint, and b = <B, X>.
-
-        B is stacked as (m, n, n) Hermitian matrices, orthonormal in the real
-        inner product <A, C> = Re tr(A* C); b holds <B_k, X> for any X that
-        meets the marginals, computed from the targets as <E, sigma_J>.
+        """(B, b): the layout's orthonormal basis of span{E x I_{J^c}}
+        (`_dual_frame`), shared read-only by every set on the same dims and
+        kept sets, and b = <B, X> for any X that meets the marginals,
+        computed from this set's targets.
         """
         self.correction_terms  # validates consistency, which b assumes
-        n = self.dims.total
-        lifted, values = [], []
-        for c in self.constraints:
-            nj = c.target.shape[0]
-            gather = _gather(self.dims, c.keep)[0]
-            for e in _hermitian_units(nj):
-                out = np.zeros((n, n), dtype=complex)
-                out.reshape(-1)[gather] = np.repeat((1.0 / (n // nj)) * e.ravel(), n // nj)
-                lifted.append(out)   # E x I / n_{J^c}
-                values.append(float(np.vdot(e, c.target).real) * nj / n)
-        lifted = np.array(lifted)
-        flat = lifted.reshape(len(lifted), n * n)
-        # generators shared by two constraints leave Gram eigenvalues at
-        # rounding level; every independent direction stays far above 1e-10
-        w, v = np.linalg.eigh((flat.conj() @ flat.T).real)
-        keep = w > 1e-10 * w[-1]
-        coef = v[:, keep] / np.sqrt(w[keep])
-        return np.tensordot(coef.T, lifted, 1), coef.T @ np.array(values)
+        basis, reader = _dual_frame(self.dims, tuple(c.keep for c in self.constraints))
+        targets = np.concatenate([c.target.ravel() for c in self.constraints])
+        return basis, reader @ targets.view(float)
+
+
+DUAL_FRAME_CACHE = 4   # layouts whose dual frames `_dual_frame` holds
+
+
+@lru_cache(maxsize=DUAL_FRAME_CACHE)
+def _dual_frame(dims, keeps: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, R), read-only, for the kept sets `keeps` on `dims`, in that order.
+
+    B is an orthonormal basis of span{E x I_{J^c}} over every kept set J and
+    Hermitian E, stacked as (m, n, n) Hermitian matrices, orthonormal in the
+    real inner product <A, C> = Re tr(A* C). R maps the targets' entries,
+    kept set after kept set, as real pairs (`_re_inner`), to b = <B, X> for
+    any X that meets them: <E x I / n_{J^c}, X> = <E, sigma_J> n_J / n.
+    """
+    n = dims.total
+    lifted, units = [], []
+    for keep in keeps:
+        nj = dims.subdim(keep)
+        e = np.array(list(_hermitian_units(nj))).reshape(nj * nj, nj * nj)
+        block = np.zeros((nj * nj, n * n), dtype=complex)
+        block[:, _gather(dims, keep)[0]] = np.repeat((1.0 / (n // nj)) * e, n // nj, axis=1)
+        lifted.append(block)   # E x I / n_{J^c}
+        units.append(e.view(float) * (nj / n))
+    lifted = np.concatenate(lifted).reshape(-1, n, n)
+    # generators shared by two constraints leave Gram eigenvalues at
+    # rounding level; every independent direction stays far above 1e-10
+    w, v = np.linalg.eigh(_re_inner(lifted, lifted))
+    keep = w > 1e-10 * w[-1]
+    coef = (v[:, keep] / np.sqrt(w[keep])).T
+    at = list(itertools.accumulate((len(u) for u in units), initial=0))
+    reader = np.concatenate([coef[:, i:j] @ u for i, j, u in zip(at, at[1:], units)], axis=1)
+    basis = np.tensordot(coef, lifted, 1)
+    for array in (basis, reader):
+        array.setflags(write=False)
+    return basis, reader
 
 
 def _hermitian_units(m: int):
@@ -389,7 +410,9 @@ def project_intersection(z, cs: ConstraintSet):
     S = X - z - H is PSD with <S, X> = 0. On marginals that no state has,
     the cap ends it. The basis is dense, m * n^2 complex numbers for m
     independent marginal directions: 10 MB for all pairs of 6 qubits, 290 MB
-    at 8.
+    at 8. There is one per layout (`_dual_frame`), shared by its sets; the
+    cache holds those of the last DUAL_FRAME_CACHE layouts after their sets
+    are gone.
     """
     z = hermitize(_as_square(z, "z", cs.dims))
     basis, b = cs._dual_basis
@@ -401,14 +424,14 @@ def project_intersection(z, cs: ConstraintSet):
         lam, u = np.linalg.eigh(z + dual)
         plus = np.clip(lam, 0.0, None)
         x = (u * plus) @ u.conj().T
-        grad = (flat.conj() @ x.ravel()).real - b
+        grad = _re_inner(basis, x) - b
         return lam, u, x, dual, grad, 0.5 * float(plus @ plus) - float(b @ y)
 
-    y = b - (flat.conj() @ z.ravel()).real
+    y = b - _re_inner(basis, z)
     dual = (y @ flat).reshape(n, n)
     x = _sym(z + dual)   # P_A(z)
     if _positive_definite(x):
-        return x, dual, float(np.linalg.norm((flat.conj() @ x.ravel()).real - b)), False
+        return x, dual, float(np.linalg.norm(_re_inner(basis, x) - b)), False
     lam, u, x, dual, grad, phi = evaluate(y)
     gnorm = float(np.linalg.norm(grad))
     for _ in range(DUAL_MAX_ITERATIONS):
@@ -422,8 +445,8 @@ def project_intersection(z, cs: ConstraintSet):
         omega = np.where(same, pos[:, None] * 1.0,
                          (plus[:, None] - plus[None, :])
                          / np.where(same, 1.0, lam[:, None] - lam[None, :]))
-        c = (u.conj().T @ basis @ u).reshape(m, n * n)
-        h = (c.conj() @ (omega.ravel() * c).T).real
+        c = u.conj().T @ basis @ u
+        h = _re_inner(c, omega * c)
         # regularized system (h + mu I) d = -grad, mu = min(1e-2, |grad|); h is
         # PSD up to rounding, and clipping its eigenvalues keeps h + mu I
         # positive definite

@@ -40,6 +40,7 @@ from .tensorcore import (
     _as_square,
     _gather,
     _psd,
+    _re_inner,
     _segment_sums,
     _sym,
 )
@@ -439,7 +440,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         if bound <= tol:
             converged = True
             break
-        slope = float(np.real(np.trace(d.conj().T @ g)))
+        slope = float(_re_inner(d, g))
         f_ref = max(window)
         # below this band the directional derivative is indistinguishable
         # from the floating-point resolution of the objective
@@ -469,11 +470,11 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         g_new = grad_of(cand_values, cand_u)
         if not unverified:
             s = candidate - rho
-            b = float(np.real(np.trace(s.conj().T @ (g_new - g))))
+            b = float(_re_inner(s, g_new - g))
             if b <= 0:
                 step = NSPG_ALPHA_MAX
             else:
-                a = float(np.real(np.trace(s.conj().T @ s)))
+                a = float(_re_inner(s, s))
                 step = min(NSPG_ALPHA_MAX, max(NSPG_ALPHA_MIN, a / b))
         rho, f_cur, g = candidate, f_new, g_new
         window.append(f_cur)

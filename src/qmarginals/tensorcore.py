@@ -80,6 +80,18 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return np.divide(np.add(t, a, out=t), 2, out=t)
 
 
+def _re_inner(a: np.ndarray, b: np.ndarray):
+    """Re <A, B> = Re tr(A* B) as one real dot product over float views: an
+    entry x + iy counts as the real pair (x, y). A and B share one dtype,
+    float64 or complex128, and are matrices or stacks of them, (m, n, n),
+    whose products come out as a vector or matrix over the stack index.
+    C-contiguous inputs are not copied."""
+    if a.ndim == 2:
+        return a.ravel().view(float) @ b.ravel().view(float)
+    rows = a.reshape(len(a), -1).view(float)
+    return rows @ (b.ravel().view(float) if b.ndim == 2 else b.reshape(len(b), -1).view(float).T)
+
+
 def _as_square(a, what: str, dims: SystemDims | None = None) -> np.ndarray:
     """The one check of a matrix argument: `a` (or its `.matrix`) as a complex
     square matrix with finite entries, of order dims.total when dims are given.
@@ -195,7 +207,17 @@ class DensityMatrix:
 
     def __init__(self, matrix, dims=None):
         d = as_dims(dims) if dims is not None else None
-        m, values = _density(matrix, "density matrix", d)
+        self._store(*_density(matrix, "density matrix", d), d)
+
+    @classmethod
+    def _named(cls, matrix, what: str) -> "DensityMatrix":
+        """DensityMatrix(matrix), whose check names the matrix as `what` in
+        each error, as `density_input` does."""
+        state = cls.__new__(cls)
+        state._store(*_density(matrix, what, None), None)
+        return state
+
+    def _store(self, m, values, d) -> None:
         for array in (m, values):
             array.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -18,7 +18,7 @@ from qmarginals import (
     solvers,
 )
 from qmarginals.entropy import entropy_objective
-from qmarginals.tensorcore import as_dims
+from qmarginals.tensorcore import _re_inner, as_dims
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -160,7 +160,7 @@ def reference_nspg(cs, objective="von-neumann", alpha=None, opts=None, initial=N
             converged = True
             break
         d = (projected if step == 1.0 else inner_project(rho - step * g)) - rho
-        slope = float(np.real(np.trace(d.conj().T @ g)))
+        slope = float(_re_inner(d, g))
         f_ref = max(window)
         unverified = abs(slope) <= 64 * eps * max(1.0, abs(f_ref))
         collapsed = slope > 0 and not unverified
@@ -183,11 +183,11 @@ def reference_nspg(cs, objective="von-neumann", alpha=None, opts=None, initial=N
         g_new = grad_of(cand_values, cand_u)
         if not unverified:
             s = candidate - rho
-            b = float(np.real(np.trace(s.conj().T @ (g_new - g))))
+            b = float(_re_inner(s, g_new - g))
             if b <= 0:
                 step = solvers.NSPG_ALPHA_MAX
             else:
-                a = float(np.real(np.trace(s.conj().T @ s)))
+                a = float(_re_inner(s, s))
                 step = min(solvers.NSPG_ALPHA_MAX, max(solvers.NSPG_ALPHA_MIN, a / b))
         rho, f_cur, g = candidate, f_new, g_new
         window.append(f_cur)

@@ -713,6 +713,22 @@ class TestMarginalFilesAreStates:
         assert result.exit_code == 1, result.output
         assert result.output.startswith(f"error: {half}: trace must be 1 within 1e-10, got 0.5")
 
+    def test_construct_decomposes_each_file_once(self, runner, tmp_path, monkeypatch):
+        """The check of a file as a state keeps its eigenvalues, so the
+        construction checks it no second time: one eigvalsh of order 3 and
+        one of order 4 on the 3x4 diagonal pair."""
+        _, marginals, _ = fixture_marginals("rank_3x4", tmp_path)
+        orders, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(m, *args, **kw):
+            orders.append(len(m))
+            return eigvalsh(m, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        result = invoke(runner, "construct", "greedy", *marginals)
+        assert result.exit_code == 0, result.output
+        assert (orders.count(3), orders.count(4)) == (1, 1)
+
 
 ROUND_TRIPS = {
     "solve-feasible-twofold-extension": ("twofold_extension_222", [
@@ -750,12 +766,16 @@ class TestVerify:
         start on rank_6x8 takes 2,318 iterations at seed 0: a first
         Gauss-Newton finish at Err 1e-3 stops above the tolerance after one
         step, and a second certifies (7,293 with one finish at 1e-6; the
-        sweeps alone take 13,540)."""
+        sweeps alone take 13,540). That run's entropy is pinned: the finish
+        lands on a solution near its start, not on the sweeps' own."""
         dims_text, marginals, _ = fixture_marginals(name, tmp_path)
         dims = ["--dims", dims_text] if command[0] == "solve" else []
         out = tmp_path / "run"
         result = invoke(runner, *command, *dims, *marginals, "--out", out)
         assert result.exit_code == 0, result.output
+        if name == "rank_6x8":
+            entropy = json.loads((out / "report.json").read_text())["entropy"]
+            assert abs(entropy - 0.30889393694509093) <= 1e-9
         result = invoke(runner, "verify", out / "solution.json", "--dims", dims_text,
                         *marginals, "--tol", tol)
         assert result.exit_code == 0, result.output

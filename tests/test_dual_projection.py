@@ -139,6 +139,41 @@ def test_dual_basis_is_orthonormal_and_b_matches_feasible_points(dims, size):
     np.testing.assert_allclose((flat.conj() @ kron(r1, r2).ravel()).real, b, atol=1e-14)
 
 
+
+def test_sets_on_one_layout_share_one_read_only_basis():
+    """The basis depends on the dims and the kept sets alone, so sets with
+    other targets on the same layout share it (`projections._dual_frame`),
+    read-only; other kept sets on the same dims, or the same ones in another
+    order, get a basis of their own."""
+    rng = np.random.default_rng(7)
+    (r1, r2), (s1, s2) = (random_density_pair(rng, 2, 3) for _ in range(2))
+    a = ConstraintSet((2, 3), [((1,), r1), ((2,), r2)])
+    basis = a._dual_basis[0]
+    assert ConstraintSet((2, 3), [((1,), s1), ((2,), s2)])._dual_basis[0] is basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0, 0] = 1.0
+    others = [ConstraintSet((2, 3), [((1,), r1)]),
+              ConstraintSet((2, 3), [((2,), r2), ((1,), r1)])]
+    assert [len(cs._dual_basis[0]) for cs in [a, *others]] == [12, 4, 12]
+    assert all(cs._dual_basis[0] is not basis for cs in others)
+
+
+def test_sets_on_one_layout_keep_their_own_b():
+    """Each set's b = <B, X> comes from its own targets, for X the product of
+    them, and its projections certify, on a layout whose basis is shared."""
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        r1, r2 = random_density_pair(rng, 2, 3)
+        cs = ConstraintSet((2, 3), [((1,), r1), ((2,), r2)])
+        basis, b = cs._dual_basis
+        np.testing.assert_allclose(
+            (basis.reshape(len(basis), -1).conj() @ kron(r1, r2).ravel()).real, b, atol=1e-14)
+        z = hermitize(kron(r1, r2) + 0.5 * _unit(random_hermitian(rng, 6)))
+        x, h, _gnorm, capped = project_intersection(z, cs)
+        assert not capped
+        assert max(kkt_residuals(z, x, h, cs)) <= 1e-12
+
+
 def small_nspg_case():
     r1, r2 = random_density_pair(np.random.default_rng(5), 2, 3)
     return ConstraintSet((2, 3), [((1,), r1), ((2,), r2)])

@@ -5,7 +5,9 @@ fix of the direct constructions, the matrix writers over nested lists, the
 phase-free spectral projections, and the sweeps that trace each iterate
 once per constraint, in real arithmetic when the instance is real. The
 last tests pin the trace kernel that every partial trace and every sweep
-shares: one gather of precomputed indices and one segment sum.
+shares: one gather of precomputed indices and one segment sum, and the real
+inner product of the dual projection and NSPG, one dot product over float
+views, against the trace of A* B that it replaced.
 
 Agreement is exact: `==` on values, `np.array_equal` on matrices, and equal
 bytes where the sign of a zero matters. The spectral projections round
@@ -13,7 +15,8 @@ differently from the full phase-fixed reconstruction they replaced, so they
 agree within 1e-13 of the input's norm instead. The real sweeps and the
 Douglas-Rachford loop that reuses the reductions of x round differently from
 their complex, trace-everything references, and agree within 1e-12 (scaled
-by ||z||_F where the Douglas-Rachford iterate z grows).
+by ||z||_F where the Douglas-Rachford iterate z grows). The inner product
+sums in another order than the trace, and agrees within 1e-15 ||A|| ||B||.
 """
 
 import itertools
@@ -46,7 +49,7 @@ from qmarginals.constructive import _phase_fixed_eig
 from qmarginals.entropy import LOG_FLOOR, entropy_objective
 from qmarginals.projections import _deficits, _project_affine, _project_psd
 from qmarginals.solvers import _project_rank, _sweeps
-from qmarginals.tensorcore import SystemDims, _gather
+from qmarginals.tensorcore import SystemDims, _gather, _re_inner
 
 from conftest import (
     load_matrix,
@@ -559,3 +562,30 @@ def test_overflowing_trace_gives_inf_without_a_warning():
         reduced = partial_trace(big, (2, 3), (1,))
     assert np.isinf(reduced[0, 1]) and np.isinf(reduced[1, 0])
     assert np.isfinite(np.diag(reduced)).all()
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_real_inner_product_matches_the_trace_it_replaced(dtype, n):
+    """Re tr(A* B) of general (non-Hermitian) matrices, one pair and a stack
+    against one matrix and against a stack, in both dtypes."""
+    rng = np.random.default_rng(n)
+
+    def draw(*shape):
+        m = rng.normal(size=shape)
+        return m + 1j * rng.normal(size=shape) if dtype is complex else m
+
+    def reference(a, b):
+        return float(np.real(np.trace(a.conj().T @ b)))
+
+    a, b, stack = draw(n, n), draw(n, n), draw(3, n, n)
+    value = _re_inner(a, b)
+    assert value.dtype == np.float64 and value.shape == ()
+    assert abs(value - reference(a, b)) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+    pairs = _re_inner(stack, stack)
+    assert pairs.shape == (3, 3)
+    for k, l in itertools.product(range(3), repeat=2):
+        bound = 1e-15 * np.linalg.norm(stack[k]) * np.linalg.norm(stack[l])
+        assert abs(pairs[k, l] - reference(stack[k], stack[l])) <= bound
+        assert abs(_re_inner(stack, b)[k] - reference(stack[k], b)) <= (
+            1e-15 * np.linalg.norm(stack[k]) * np.linalg.norm(b))

@@ -203,7 +203,7 @@ class TestPsdSkip:
         r1, r2 = random_density_pair(rng, 2, 3)
         cs = bipartite_cs(r1, r2)
         z = kron(r1, r2) + 1e-3 * random_hermitian(rng, 6)
-        cs._dual_basis   # the basis is built once per set, with an eigh of its Gram matrix
+        cs._dual_basis   # built once per layout, with an eigh of its Gram matrix
         eigh_calls.clear()
         x, h, gnorm, capped = project_intersection(z, cs)
         assert eigh_calls == [] and not capped
