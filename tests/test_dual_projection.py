@@ -139,7 +139,6 @@ def test_dual_basis_is_orthonormal_and_b_matches_feasible_points(dims, size):
     np.testing.assert_allclose((flat.conj() @ kron(r1, r2).ravel()).real, b, atol=1e-14)
 
 
-
 def test_sets_on_one_layout_share_one_read_only_basis():
     """The basis depends on the dims and the kept sets alone, so sets with
     other targets on the same layout share it (`projections._dual_frame`),

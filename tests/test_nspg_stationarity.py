@@ -106,7 +106,6 @@ def test_a_run_ended_by_the_iteration_limit_reports_the_exact_residual():
     assert new.final_residual == ref.final_residual == new.residual_history[-1]
 
 
-
 def test_a_warm_cache_of_dual_frames_gives_the_same_bytes():
     """NSPG on benchmark draw 0 from an empty cache of dual frames, then on a
     fresh set of the same draw from the cache that run left."""
