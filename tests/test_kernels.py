@@ -582,10 +582,11 @@ def test_real_inner_product_matches_the_trace_it_replaced(dtype, n):
     value = _re_inner(a, b)
     assert value.dtype == np.float64 and value.shape == ()
     assert abs(value - reference(a, b)) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
-    pairs = _re_inner(stack, stack)
-    assert pairs.shape == (3, 3)
+    pairs, against_b = _re_inner(stack, stack), _re_inner(stack, b)
+    assert pairs.shape == (3, 3) and against_b.shape == (3,)
     for k, l in itertools.product(range(3), repeat=2):
         bound = 1e-15 * np.linalg.norm(stack[k]) * np.linalg.norm(stack[l])
         assert abs(pairs[k, l] - reference(stack[k], stack[l])) <= bound
-        assert abs(_re_inner(stack, b)[k] - reference(stack[k], b)) <= (
-            1e-15 * np.linalg.norm(stack[k]) * np.linalg.norm(b))
+    for k in range(3):
+        bound = 1e-15 * np.linalg.norm(stack[k]) * np.linalg.norm(b)
+        assert abs(against_b[k] - reference(stack[k], b)) <= bound
