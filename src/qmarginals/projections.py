@@ -211,10 +211,7 @@ class ConstraintSet:
         return basis, reader @ targets.view(float)
 
 
-DUAL_FRAME_CACHE = 4   # layouts whose dual frames `_dual_frame` holds
-
-
-@lru_cache(maxsize=DUAL_FRAME_CACHE)
+@lru_cache(maxsize=1)
 def _dual_frame(dims, keeps: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
     """(B, R), read-only, for the kept sets `keeps` on `dims`, in that order.
 
@@ -223,6 +220,9 @@ def _dual_frame(dims, keeps: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, n
     real inner product <A, C> = Re tr(A* C). R maps the targets' entries,
     kept set after kept set, as real pairs (`_re_inner`), to b = <B, X> for
     any X that meets them: <E x I / n_{J^c}, X> = <E, sigma_J> n_J / n.
+    Only the last layout is kept: a process that builds set after set on
+    one layout builds its basis once, and at most one basis outlives its
+    sets.
     """
     n = dims.total
     lifted, units = [], []
@@ -411,8 +411,8 @@ def project_intersection(z, cs: ConstraintSet):
     the cap ends it. The basis is dense, m * n^2 complex numbers for m
     independent marginal directions: 10 MB for all pairs of 6 qubits, 290 MB
     at 8. There is one per layout (`_dual_frame`), shared by its sets; the
-    cache holds those of the last DUAL_FRAME_CACHE layouts after their sets
-    are gone.
+    cache keeps the last layout's after its sets are gone, so at most one
+    basis outlives its sets.
     """
     z = hermitize(_as_square(z, "z", cs.dims))
     basis, b = cs._dual_basis

@@ -157,6 +157,19 @@ def test_sets_on_one_layout_share_one_read_only_basis():
     assert all(cs._dual_basis[0] is not basis for cs in others)
 
 
+def test_the_frame_cache_keeps_only_the_last_layout():
+    """Once its sets are gone, at most one basis stays alive: the last
+    layout's. A set on an earlier layout builds its basis again."""
+    rng = np.random.default_rng(9)
+    r1, r2 = random_density_pair(rng, 2, 3)
+    forward, backward = [((1,), r1), ((2,), r2)], [((2,), r2), ((1,), r1)]
+    projections._dual_frame.cache_clear()
+    for targets in (forward, backward, forward):
+        ConstraintSet((2, 3), targets)._dual_basis
+    info = projections._dual_frame.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (0, 3, 1, 1)
+
+
 def test_sets_on_one_layout_keep_their_own_b():
     """Each set's b = <B, X> comes from its own targets, for X the product of
     them, and its projections certify, on a layout whose basis is shared."""
