@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -215,48 +215,49 @@ class ConstraintSet:
 def _dual_frame(dims, keeps: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
     """(B, R), read-only, for the kept sets `keeps` on `dims`, in that order.
 
-    B is an orthonormal basis of span{E x I_{J^c}} over every kept set J and
-    Hermitian E, stacked as (m, n, n) Hermitian matrices, orthonormal in the
-    real inner product <A, C> = Re tr(A* C). R maps the targets' entries,
-    kept set after kept set, as real pairs (`_re_inner`), to b = <B, X> for
-    any X that meets them: <E x I / n_{J^c}, X> = <E, sigma_J> n_J / n.
-    Only the last layout is kept: a process that builds set after set on
-    one layout builds its basis once, and at most one basis outlives its
-    sets.
+    B: an orthonormal basis, in <A, C> = Re tr(A* C), of span{E x I_{J^c}}
+    over every kept set J and Hermitian E, as (m, n, n) Hermitian matrices:
+    for each support S, a subset of a kept set, the Kronecker products of the
+    local bases (`_local_basis`) with I/sqrt(n_i) off S and other elements
+    on S. E x I_{J^c} expands into products on subsets of J, and products on
+    different supports are orthogonal; an order-1 subsystem has no other
+    element. R maps the targets' entries, kept set after kept set, as real
+    pairs (`_re_inner`), to b = <B, X> for any X that meets them: the row of
+    a product F x I/sqrt(n_{J^c}), J the first kept set holding S, is F at
+    J's columns times sqrt(n_J / n). Only the last layout is kept: a process
+    that builds set after set on one layout builds its basis once, and at
+    most one basis outlives its sets.
     """
-    n = dims.total
-    lifted, units = [], []
-    for keep in keeps:
-        nj = dims.subdim(keep)
-        e = np.array(list(_hermitian_units(nj))).reshape(nj * nj, nj * nj)
-        block = np.zeros((nj * nj, n * n), dtype=complex)
-        block[:, _gather(dims, keep)[0]] = np.repeat((1.0 / (n // nj)) * e, n // nj, axis=1)
-        lifted.append(block)   # E x I / n_{J^c}
-        units.append(e.view(float) * (nj / n))
-    lifted = np.concatenate(lifted).reshape(-1, n, n)
-    # generators shared by two constraints leave Gram eigenvalues at
-    # rounding level; every independent direction stays far above 1e-10
-    w, v = np.linalg.eigh(_re_inner(lifted, lifted))
-    keep = w > 1e-10 * w[-1]
-    coef = (v[:, keep] / np.sqrt(w[keep])).T
-    at = list(itertools.accumulate((len(u) for u in units), initial=0))
-    reader = np.concatenate([coef[:, i:j] @ u for i, j, u in zip(at, at[1:], units)], axis=1)
-    basis = np.tensordot(coef, lifted, 1)
-    for array in (basis, reader):
-        array.setflags(write=False)
-    return basis, reader
+    n, local = dims.total, [_local_basis(d) for d in dims.dims]
+    products = {}   # support -> (its first kept set, its products on that set)
+    for t, keep in enumerate(keeps):
+        for size in range(len(keep) + 1):
+            for s in itertools.combinations(keep, size):
+                products.setdefault(s, (t, reduce(np.kron, [
+                    local[a - 1][1:] if a in s else local[a - 1][:1] for a in keep
+                ]).reshape(-1, dims.subdim(keep) ** 2)))
+    rows = list(itertools.accumulate((len(f) for _t, f in products.values()), initial=0))
+    cols = list(itertools.accumulate((2 * dims.subdim(k) ** 2 for k in keeps), initial=0))
+    basis, reader = np.zeros((rows[-1], n * n), dtype=complex), np.zeros((rows[-1], cols[-1]))
+    for i, j, (t, f) in zip(rows, rows[1:], products.values()):
+        nj = dims.subdim(keeps[t])
+        basis[i:j, _gather(dims, keeps[t])[0]] = np.repeat(f / np.sqrt(n // nj), n // nj, axis=1)
+        reader[i:j, cols[t]:cols[t + 1]] = f.view(float) * np.sqrt(nj / n)
+    basis.flags.writeable = reader.flags.writeable = False
+    return basis.reshape(-1, n, n), reader
 
 
-def _hermitian_units(m: int):
-    """m^2 Hermitian m x m matrices spanning the Hermitian matrices over the reals."""
-    for a in range(m):
-        for c in range(m):
-            e = np.zeros((m, m), dtype=complex)
-            if a <= c:
-                e[a, c] = e[c, a] = 1.0
-            else:
-                e[a, c], e[c, a] = 1j, -1j
-            yield e
+def _local_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the d x d Hermitian matrices: I/sqrt(d), Helmert's
+    traceless diagonals, then (E_ac + E_ca)/sqrt(2), i(E_ac - E_ca)/sqrt(2), a < c."""
+    e = np.zeros((d * d, d, d), dtype=complex)
+    e[0] = np.eye(d) / np.sqrt(d)
+    for k in range(1, d):
+        e[k, range(k + 1), range(k + 1)] = np.append(np.ones(k), -k) / np.sqrt(k * (k + 1))
+    for k, (a, c) in enumerate(itertools.combinations(range(d), 2)):
+        e[d + 2 * k, [a, c], [c, a]] = np.sqrt(0.5)
+        e[d + 2 * k + 1, [a, c], [c, a]] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+    return e
 
 
 @dataclass(frozen=True)
@@ -408,11 +409,10 @@ def project_intersection(z, cs: ConstraintSet):
     Hermitian n x n matrix in the span of the lifted marginal operators: X
     is the projection of z iff X is PSD, meets the marginals, and
     S = X - z - H is PSD with <S, X> = 0. On marginals that no state has,
-    the cap ends it. The basis is dense, m * n^2 complex numbers for m
-    independent marginal directions: 10 MB for all pairs of 6 qubits, 290 MB
-    at 8. There is one per layout (`_dual_frame`), shared by its sets; the
-    cache keeps the last layout's after its sets are gone, so at most one
-    basis outlives its sets.
+    the cap ends it. B is built in closed form, from products of local
+    Hermitian bases (`_dual_frame`), once per layout; it is dense, m * n^2
+    complex numbers for m independent marginal directions: 10 MB for all
+    pairs of 6 qubits, 290 MB at 8.
     """
     z = hermitize(_as_square(z, "z", cs.dims))
     basis, b = cs._dual_basis

@@ -449,7 +449,7 @@ def nspg_minimize(cs: ConstraintSet, objective: str = "von-neumann",
         collapsed = slope > 0 and not unverified   # ascending: projection too inexact
         lam = 1.0
         while not collapsed:
-            candidate = hermitize(rho + lam * d)
+            candidate = rho + lam * d   # exactly Hermitian, as rho and d are
             cand_values, cand_u = np.linalg.eigh(candidate)
             f_new = -entropy(cand_values)
             # a noise-scale slope takes the unit step unchecked (a projected

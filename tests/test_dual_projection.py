@@ -8,7 +8,14 @@ The instances are chosen so that the PSD constraint is active (the affine
 projection of z has a negative eigenvalue).
 """
 
+import itertools
+import math
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from qmarginals import (
     kron,
     marginal_residual,
     nspg_minimize,
+    partial_trace,
     project_intersection,
     project_marginals,
     projections,
@@ -38,6 +46,7 @@ from conftest import (
     random_density_pair,
     random_hermitian,
     reference_dykstra_loop,
+    subsystem_permutation,
 )
 
 
@@ -128,15 +137,105 @@ def test_rejects_a_wrong_order_and_inconsistent_marginals():
         project_intersection(np.eye(4) / 4, inconsistent)
 
 
-@pytest.mark.parametrize("dims,size", [((2, 2), 7), ((3, 4), 24)])
-def test_dual_basis_is_orthonormal_and_b_matches_feasible_points(dims, size):
-    r1, r2 = random_density_pair(np.random.default_rng(3), *dims)
-    cs = ConstraintSet(dims, [((1,), r1), ((2,), r2)])
+LAYOUTS = {   # dims, kept sets, m
+    "2x2": ((2, 2), [(1,), (2,)], 7),
+    "3x4": ((3, 4), [(1,), (2,)], 24),
+    "nested": ((2, 2, 2), [(1, 2), (2, 3), (2,)], 28),
+    "all-pairs-5q": ((2,) * 5, list(itertools.combinations(range(1, 6), 2)), 106),
+    "2x1x2": ((2, 1, 2), [(1, 2), (2, 3)], 7),
+    "1x3": ((1, 3), [(1,), (2,)], 9),
+}
+
+
+def layout_case(name, seed=3):
+    """The layout's constraint set on the marginals of a seeded state, and the state."""
+    dims, keeps, _m = LAYOUTS[name]
+    rho = random_density(dims, seed).matrix
+    return ConstraintSet(dims, [(keep, partial_trace(rho, dims, keep)) for keep in keeps]), rho
+
+
+@pytest.mark.parametrize("name", list(LAYOUTS))
+def test_dual_basis_is_orthonormal_and_b_matches_feasible_points(name):
+    cs, rho = layout_case(name)
     basis, b = cs._dual_basis
     flat = basis.reshape(len(basis), -1)
+    size = LAYOUTS[name][2]
     assert len(basis) == size
     np.testing.assert_allclose((flat.conj() @ flat.T).real, np.eye(size), atol=1e-12)
-    np.testing.assert_allclose((flat.conj() @ kron(r1, r2).ravel()).real, b, atol=1e-14)
+    np.testing.assert_allclose((flat.conj() @ rho.ravel()).real, b, atol=1e-14)
+
+
+def _split(a, dims, i):
+    """a as the n_i^2 x (n / n_i)^2 matrix of its operator-Schmidt split at
+    subsystem i (0-based): rank 1 iff a is a product across that cut."""
+    k = len(dims)
+    return np.moveaxis(a.reshape(dims + dims), (i, k + i), (0, 1)).reshape(dims[i] ** 2, -1)
+
+
+def _hermitian_units(d):
+    """d^2 Hermitian d x d matrices spanning the Hermitian matrices over the reals."""
+    for a, c in itertools.product(range(d), repeat=2):
+        e = np.zeros((d, d), dtype=complex)
+        if a <= c:
+            e[a, c] = e[c, a] = 1.0
+        else:
+            e[a, c], e[c, a] = 1j, -1j
+        yield e
+
+
+@pytest.mark.parametrize("name", list(LAYOUTS))
+def test_dual_basis_is_products_of_local_bases_over_supports(name):
+    """Every element of B is a Kronecker product with I/sqrt(n_i) on each
+    subsystem off its support S and a traceless factor on each one in S, S
+    a subset of a kept set; each support S has prod_{i in S} (n_i^2 - 1)
+    elements, so m is their sum; and every lifted unit E x I_{J^c} lies in
+    span B."""
+    dims, keeps, _m = LAYOUTS[name]
+    basis, _b = layout_case(name)[0]._dual_basis
+    supports = []
+    for e in basis:
+        support = []
+        for i, d in enumerate(dims):
+            split, unit = _split(e, dims, i), np.eye(d).ravel() / np.sqrt(d)
+            if np.linalg.norm(split - np.outer(unit, unit @ split)) <= 1e-14:
+                continue   # I/sqrt(n_i) times a factor of norm 1 on the rest
+            support.append(i + 1)
+            assert np.linalg.norm(unit @ split) <= 1e-14
+            assert np.all(np.linalg.svd(split, compute_uv=False)[1:] <= 1e-14)
+        supports.append(tuple(support))
+    counts = {s: math.prod(dims[i - 1] ** 2 - 1 for i in s)
+              for keep in keeps for size in range(len(keep) + 1)
+              for s in itertools.combinations(keep, size)}
+    assert len(basis) == sum(counts.values())
+    assert Counter(supports) == {s: c for s, c in counts.items() if c}
+    flat = basis.reshape(len(basis), -1)
+    for keep in keeps:
+        njc = math.prod(dims) // math.prod(dims[i - 1] for i in keep)
+        p = subsystem_permutation(dims, keep)
+        for e in _hermitian_units(math.prod(dims[i - 1] for i in keep)):
+            lifted = (p.T @ np.kron(np.eye(njc), e) @ p).ravel()
+            assert np.linalg.norm(lifted - ((flat.conj() @ lifted).real @ flat)) <= 1e-13
+
+
+def test_building_the_all_pairs_frame_of_7_qubits_peaks_near_its_basis():
+    """In a fresh process, building the all-pairs dual frame of 7 qubits, a
+    55 MB basis, raises the peak resident set (`ru_maxrss`, KiB on Linux)
+    by at most 1.5 times the basis's bytes: the build holds no lifted stack,
+    Gram matrix or second copy of the basis."""
+    code = ("import itertools, resource\n"
+            "from qmarginals.projections import _dual_frame\n"
+            "from qmarginals.tensorcore import as_dims\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "basis, _r = _dual_frame(as_dims((2,) * 7), "
+            "tuple(itertools.combinations(range(1, 8), 2)))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, basis.nbytes)\n")
+    source = str(Path(projections.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    rise_kib, nbytes = map(int, out.split())
+    assert rise_kib * 1024 <= 1.5 * nbytes
 
 
 def test_sets_on_one_layout_share_one_read_only_basis():
